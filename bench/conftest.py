@@ -1,0 +1,9 @@
+"""Make the package source and the benchmark's modules importable in its tests."""
+
+import sys
+from pathlib import Path
+
+_HERE = Path(__file__).resolve().parent
+for path in (_HERE.parent / "src", _HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
