@@ -154,10 +154,13 @@ def load_csv(path) -> Dataset:
             if len(row) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row[:-1]])
+                feats = [float(v) for v in row[:-1]]
                 raw = float(row[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{path}:{lineno}: non-finite feature value in {row[:-1]}")
+            rows.append(feats)
             if raw not in (1.0, -1.0, 0.0):
                 raise ValueError(f"{path}:{lineno}: label must be 1, -1, or 0, got {row[-1]}")
             labels.append(1 if raw == 1.0 else -1)

@@ -31,9 +31,9 @@ from .learners import (
     PerceptronLearner,
     SmmLearner,
 )
-from .maxmargin import margin_h, solve_max_margin
+from .maxmargin import PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, parse_norm
-from .response import Agent, interact
+from .response import Agent, Classifier, interact, proxy_from_response, respond
 
 _D_MONOTONE_TOL = 1e-8
 
@@ -80,6 +80,10 @@ class RunConfig:
             raise ConfigError(f"track must be one of {TRACK_LEVELS}, got {self.track!r}")
         if self.c is None:
             raise ConfigError("manipulation budget missing: set c or two_over_c")
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.c <= 0:
             raise ConfigError("c must be positive")
         if self.T is not None and self.T < 1:
@@ -300,17 +304,24 @@ def _build_learner(cfg: RunConfig, model: CostModel):
     return PerceptronLearner(model, cone=ConeKind(cfg.cone), gamma=cfg.gamma)
 
 
-def _arrival_indices(cfg: RunConfig, n: int, rng) -> np.ndarray:
+def _arrivals(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Arrival order over ``n`` agents and the response-noise generator.
+
+    Both come from ``cfg.seed``; every consumer of a run's arrival order
+    draws it here, so they all see the same agents in the same order.
+    """
+    arrival_rng, noise_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2)
+    )
     if cfg.mode == "iid":
         if cfg.T is None:
             raise ConfigError("iid mode requires an explicit T")
-        return rng.integers(0, n, size=cfg.T)
-    order = rng.permutation(n)
-    seq = np.tile(order, cfg.rounds)
+        return arrival_rng.integers(0, n, size=cfg.T), noise_rng
+    seq = np.tile(arrival_rng.permutation(n), cfg.rounds)
     T = cfg.T if cfg.T is not None else len(seq)
     if T > len(seq):
         raise ConfigError(f"T={T} exceeds rounds*n={len(seq)} in stream mode")
-    return seq[:T]
+    return seq[:T], noise_rng
 
 
 def _normalized_distance(y, b, bench: Benchmark) -> float | None:
@@ -328,10 +339,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     if dataset is None:
         dataset = build_dataset(cfg)
     model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
-    arrival_rng, noise_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2)
-    )
-    idx = _arrival_indices(cfg, dataset.n, arrival_rng)
+    idx, noise_rng = _arrivals(cfg, dataset.n)
     learner = _build_learner(cfg, model)
     bench = dataset.benchmark
     want_distance = cfg.track in ("distance", "full") and bench is not None
@@ -452,10 +460,7 @@ def certify(
     init_steps = init_mistakes = None
     if metrics is not None:
         if cfg.algorithm in ("smm", "gradsmm"):
-            arrival_rng, _ = (
-                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2)
-            )
-            idx = _arrival_indices(cfg, dataset.n, arrival_rng)
+            idx, _ = _arrivals(cfg, dataset.n)
             k = _init_consumption(dataset.labels[idx])
             init_steps = min(k, len(metrics.t))
             init_mistakes = sum(metrics.mistake[:init_steps])
@@ -566,9 +571,6 @@ class _Checks:
 
 
 def _example_truthful_max_margin() -> ExampleReport:
-    from .maxmargin import PointSetPair
-    from .response import Classifier, interact, respond
-
     chk = _Checks()
     pos = np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     neg = np.array([[-1.0, -1.0], [1.0, -1.0]])
@@ -623,18 +625,10 @@ def _example_smm_stuck() -> ExampleReport:
     r = learner.pool.positives[-1]
     chk.close(r, [-1.0, 2.0], 1e-12, "manipulated response lands at (-1, 2)")
 
-    truth = PointSetPairFromExample2()
+    truth = PointSetPair.from_arrays(np.array([[0.0, 1.0], [-2.0, 1.0]]), np.array([[-2.0, -1.0]]))
     sol = solve_max_margin(truth, model)
     chk.close([sol.d], [1.0], 1e-9, "true max margin over the population is 1")
     return ExampleReport("smm-stuck", chk.passed, chk.lines)
-
-
-def PointSetPairFromExample2():
-    from .maxmargin import PointSetPair
-
-    pos = np.array([[0.0, 1.0], [-2.0, 1.0]])
-    neg = np.array([[-2.0, -1.0]])
-    return PointSetPair.from_arrays(pos, neg)
 
 
 def _example_perceptron_margin() -> ExampleReport:
@@ -708,13 +702,15 @@ def _example_l1_counterexample() -> ExampleReport:
     mistakes = 0
     drifted = False
     for _ in range(500):
-        it = interact(Agent(probe, -1), learner.declare(), model)
+        clf = learner.declare()
+        it = interact(Agent(probe, -1), clf, model)
         mistakes += it.mistake
         learner.update(it.response, -1)
         drifted = drifted or not np.array_equal(learner.declare().y, z)
     chk.check(mistakes == 500, f"budget point costs a mistake on every visit (got {mistakes})")
     chk.check(not drifted, "classifier direction never moves off z")
-    chk.close([float(np.linalg.norm(it.proxy))], [0.0], 1e-12, "proxy collapses to the origin")
+    proxy = proxy_from_response(it.response, -1, clf, model)
+    chk.close([float(np.linalg.norm(proxy))], [0.0], 1e-12, "proxy collapses to the origin")
     return ExampleReport("l1-counterexample", chk.passed, chk.lines)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,40 +69,6 @@ class _InitPhase:
         elif self.pool.n_neg == 0:
             self.b = 1.0
         return self.pool.n_pos > 0 and self.pool.n_neg > 0
-
-
-@dataclass(eq=False)
-class InitResult:
-    pool: PointSetPair
-    classifier: Classifier
-    solution: MarginSolution
-    mistakes: int
-    consumed: int
-
-
-def init_scheme(agents, m: CostModel, solver_tol: float = 1e-10) -> InitResult:
-    """Run the warm-up phase on an agent stream until both labels are seen.
-
-    Against the zero classifier every response is truthful, so the stream's
-    feature vectors land in the pool unchanged; the returned classifier
-    solves the max-margin problem on that starter pool.  Makes at most two
-    mistakes: at most one while predicting +1 and at most one after
-    flipping to -1 (or the symmetric schedule).
-    """
-    pool = PointSetPair(m.dim)
-    phase = _InitPhase(pool)
-    mistakes = 0
-    consumed = 0
-    for agent in agents:
-        clf = phase.classifier()
-        # y = 0: the response is the agent's true features
-        if predict(clf, m, agent.features) != agent.label:
-            mistakes += 1
-        consumed += 1
-        if phase.absorb(agent.features, agent.label):
-            solution = solve_max_margin(pool, m, solver_tol)
-            return InitResult(pool, Classifier(solution.y, solution.b), solution, mistakes, consumed)
-    raise ValueError("agent stream ended before both labels were observed")
 
 
 class SmmLearner:
@@ -177,26 +142,16 @@ class SmmLearner:
         self.solve_count += 1
 
 
-class _StepSchedule:
-    """Step-size schedule ``t -> gamma_t``: ``invsqrt`` or ``const:<v>``."""
-
-    def __init__(self, token: str = "invsqrt"):
-        self.token = token
-        if token == "invsqrt":
-            self._fn = lambda t: 1.0 / math.sqrt(t)
-        elif token.startswith("const:"):
-            v = float(token[6:])
-            if v <= 0:
-                raise ValueError("constant step size must be positive")
-            self._fn = lambda t: v
-        else:
-            raise ValueError(f"unknown step schedule {token!r}")
-
-    def __call__(self, t: int) -> float:
-        return self._fn(t)
-
-    def __repr__(self):
-        return f"_StepSchedule({self.token!r})"
+def _step_schedule(token: str):
+    """Step-size schedule ``t -> gamma_t`` for a token: ``invsqrt`` or ``const:<v>``."""
+    if token == "invsqrt":
+        return lambda t: 1.0 / math.sqrt(t)
+    if token.startswith("const:"):
+        v = float(token[6:])
+        if v <= 0:
+            raise ValueError("constant step size must be positive")
+        return lambda t: v
+    raise ValueError(f"unknown step schedule {token!r}")
 
 
 class GradSmmLearner:
@@ -212,11 +167,11 @@ class GradSmmLearner:
     ``certify``.
     """
 
-    def __init__(self, m: CostModel, schedule: _StepSchedule | str = "invsqrt", solver_tol: float = 1e-10):
+    def __init__(self, m: CostModel, schedule: str = "invsqrt", solver_tol: float = 1e-10):
         if m.norm.kind != "l2":
             raise ValueError("the averaged-gradient learner requires the l2 cost norm")
         self.model = m
-        self.schedule = schedule if isinstance(schedule, _StepSchedule) else _StepSchedule(schedule)
+        self.schedule = _step_schedule(schedule)
         self.solver_tol = solver_tol
         self.pool = PointSetPair(m.dim)
         self._init: _InitPhase | None = _InitPhase(self.pool)
@@ -292,10 +247,8 @@ class PerceptronLearner:
 
     def update(self, response, label: int) -> None:
         clf = self.declare()
+        if predict(clf, self.model, response) == label:
+            return
+        self.mistakes += 1
         s = proxy_from_response(response, label, clf, self.model)
-        if predict(clf, self.model, response) != label:
-            self.mistakes += 1
-            z = self.q + self.gamma * label * np.append(s, 1.0)
-        else:
-            z = self.q
-        self.q = project_cone(self.cone, z)
+        self.q = project_cone(self.cone, self.q + self.gamma * label * np.append(s, 1.0))

@@ -54,13 +54,12 @@ class Agent:
 class Interaction:
     """One protocol round as the harness sees it.
 
-    ``response`` is the (possibly noisy) vector the learner observes,
-    ``manipulated`` is the ground-truth flag (noise-free comparison),
-    ``proxy`` is the learner-side reconstruction used for updates.
+    ``response`` is the (possibly noisy) vector the learner observes and
+    hands to ``update``, where it builds its own proxy from it;
+    ``manipulated`` is the ground-truth flag (noise-free comparison).
     """
 
     response: np.ndarray
-    proxy: np.ndarray
     predicted: int
     manipulated: bool
     mistake: bool
@@ -105,18 +104,6 @@ def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
     return A
 
 
-def respond_noisy(agent: Agent, clf: Classifier, m: CostModel, sigma: float, rng) -> np.ndarray:
-    """Best response observed through i.i.d. Gaussian measurement noise.
-
-    With ``sigma == 0`` this is exactly :func:`respond` and consumes no
-    randomness, so noiseless runs replay identically.
-    """
-    r = respond(agent, clf, m)
-    if sigma == 0.0:
-        return r
-    return r + sigma * rng.standard_normal(r.shape[0])
-
-
 def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> np.ndarray:
     """Learner-side proxy point recovered from an observed response.
 
@@ -145,10 +132,12 @@ def interact(
 ) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
-    The manipulation flag compares the noise-free response against the
-    true features (exact vector comparison); prediction, mistake, and
-    proxy are computed from the observed (possibly noisy) response, since
-    that is all the learner ever sees.
+    The observed response is the best response plus i.i.d. Gaussian
+    measurement noise of scale ``sigma``; with ``sigma == 0`` no randomness
+    is consumed, so noiseless runs replay identically.  The manipulation
+    flag compares the noise-free response against the true features (exact
+    vector comparison); prediction and mistake are computed from the
+    observed response, since that is all the learner ever sees.
     """
     clean = respond(agent, clf, m)
     manipulated = not np.array_equal(clean, agent.features)
@@ -156,10 +145,8 @@ def interact(
     if sigma != 0.0:
         observed = clean + sigma * noise_rng.standard_normal(clean.shape[0])
     predicted = predict(clf, m, observed)
-    proxy = proxy_from_response(observed, agent.label, clf, m)
     return Interaction(
         response=observed,
-        proxy=proxy,
         predicted=predicted,
         manipulated=manipulated,
         mistake=predicted != agent.label,

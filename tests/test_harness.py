@@ -13,7 +13,7 @@ from stratclass.harness import (
     ConfigError,
     RunConfig,
     RunMetrics,
-    _arrival_indices,
+    _arrivals,
     _init_consumption,
     _normalized_distance,
     build_dataset,
@@ -89,6 +89,9 @@ class TestParseConfig:
             ("T = 0\nc = 1", "T"),
             ("rounds = 0\nc = 1", "rounds"),
             ("sigma = -1\nc = 1", "sigma"),
+            ("sigma = nan\nc = 1", "sigma"),
+            ("c = inf", "c must be finite"),
+            ("gamma = nan\nc = 1", "gamma"),
             ("tol = 0\nc = 1", "tol"),
             ("c = 0", "positive"),
             ("T = 5", "c or two_over_c"),
@@ -103,30 +106,30 @@ class TestArrivals:
     def test_iid_needs_explicit_horizon(self):
         cfg = RunConfig(c=1.0, mode="iid")
         with pytest.raises(ConfigError):
-            _arrival_indices(cfg, 10, np.random.default_rng(0))
+            _arrivals(cfg, 10)
 
     def test_iid_is_reproducible(self):
-        cfg = RunConfig(c=1.0, T=50)
-        a = _arrival_indices(cfg, 10, np.random.default_rng(3))
-        b = _arrival_indices(cfg, 10, np.random.default_rng(3))
+        cfg = RunConfig(c=1.0, T=50, seed=3)
+        a, _ = _arrivals(cfg, 10)
+        b, _ = _arrivals(cfg, 10)
         assert np.array_equal(a, b)
         assert len(a) == 50 and a.min() >= 0 and a.max() < 10
 
     def test_stream_cycles_one_permutation(self):
         cfg = RunConfig(c=1.0, mode="stream", rounds=3)
-        idx = _arrival_indices(cfg, 7, np.random.default_rng(0))
+        idx, _ = _arrivals(cfg, 7)
         assert len(idx) == 21
         assert sorted(idx[:7]) == list(range(7))
         assert np.array_equal(idx[:7], idx[7:14])
 
     def test_stream_truncates_to_t(self):
         cfg = RunConfig(c=1.0, mode="stream", rounds=2, T=9)
-        assert len(_arrival_indices(cfg, 5, np.random.default_rng(0))) == 9
+        assert len(_arrivals(cfg, 5)[0]) == 9
 
     def test_stream_horizon_cannot_exceed_supply(self):
         cfg = RunConfig(c=1.0, mode="stream", rounds=1, T=11)
         with pytest.raises(ConfigError):
-            _arrival_indices(cfg, 10, np.random.default_rng(0))
+            _arrivals(cfg, 10)
 
 
 def test_normalized_distance():
@@ -322,6 +325,32 @@ class TestCertify:
         assert report.passed
         assert "no finite certificate" in report.render()
 
+    @pytest.mark.parametrize(
+        "algorithm,mode,sigma",
+        [
+            ("smm", "iid", 0.0),
+            ("smm", "stream", 0.0),
+            ("gradsmm", "iid", 0.0),
+            ("gradsmm", "stream", 0.0),
+            ("smm", "iid", 1e-3),
+        ],
+    )
+    def test_rederived_declaration_mistakes_match_the_run(self, tmp_path, algorithm, mode, sigma):
+        # certify --metrics reads only the CSV, so it re-derives the warm-up
+        # length from the run's arrival order; it must land on the run's count
+        ds = generate_synthetic(SynthConfig(seed=1, n=60, d=3))
+        longest = 0
+        for seed in range(8):
+            cfg = self.cfg(algorithm=algorithm, mode=mode, sigma=sigma, seed=seed, T=40)
+            metrics = run_online(cfg, ds)
+            path = tmp_path / f"run{seed}.csv"
+            write_metrics(metrics, path)
+            report = certify(cfg, read_metrics(path), ds)
+            row = next(r for r in report.rows if r.name == "declaration-phase mistakes")
+            assert row.observed == metrics.init_mistakes, f"seed {seed}"
+            longest = max(longest, metrics.init_steps)
+        assert longest > 2  # some warm-up outlasted two rounds, so its end had to be found
+
     def test_inseparable_dataset_without_benchmark_rejected(self):
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1, -1]))
         with pytest.raises(ConfigError, match="separable"):
@@ -394,6 +423,14 @@ class TestCli:
         assert cli.main(["solve-margin", "--points", str(path)]) == 0
         out = capsys.readouterr().out
         assert "margin = 1.41421356237" in out
+
+    def test_solve_margin_rejects_non_finite_features(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("f1,f2,label\n1.0,1.0,1\nnan,0.5,1\n-1.0,-1.0,-1\n")
+        assert cli.main(["solve-margin", "--points", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ":3:" in captured.err and "non-finite" in captured.err
+        assert captured.out == ""
 
     def test_gen_data_cli(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "c = 1\nT = 10\nsynth_n = 50\nsynth_d = 3\n")

@@ -11,8 +11,7 @@ from stratclass.learners import (
     GradSmmLearner,
     PerceptronLearner,
     SmmLearner,
-    _StepSchedule,
-    init_scheme,
+    _step_schedule,
     project_cone,
 )
 from stratclass.norms import L1, L2, CostModel
@@ -30,14 +29,34 @@ def drive(learner, m, stream, sigma=0.0, rng=None):
     return outs
 
 
+def warm_up(m, agents):
+    """Drive a fresh SmmLearner through its warm-up, as ``run_online`` does.
+
+    Returns the learner and the mistakes and rounds the warm-up took.
+    """
+    learner = SmmLearner(m)
+    mistakes = consumed = 0
+    for agent in agents:
+        out = interact(agent, learner.declare(), m)
+        learner.update(out.response, agent.label)
+        mistakes += out.mistake
+        consumed += 1
+        if not learner.in_init:
+            break
+    assert not learner.in_init  # the warm-up ended, so the count covers all of it
+    return learner, mistakes, consumed
+
+
 class TestInitScheme:
+    """The warm-up phase (the paper's initialization scheme) of the margin learners."""
+
     def test_positive_then_negative_makes_one_mistake(self):
         m = CostModel(L2, c=1.0, dim=2)
         agents = [Agent(np.array([0.0, 1.0]), 1), Agent(np.array([0.0, -1.0]), -1)]
-        res = init_scheme(agents, m)
-        assert res.mistakes == 1  # only the first negative is misread
-        assert res.consumed == 2
-        assert res.solution.d == pytest.approx(1.0, abs=1e-9)
+        learner, mistakes, consumed = warm_up(m, agents)
+        assert mistakes == 1  # only the first negative is misread
+        assert consumed == 2
+        assert learner.solution.d == pytest.approx(1.0, abs=1e-9)
 
     def test_two_negatives_then_positive_makes_two_mistakes(self):
         m = CostModel(L2, c=1.0, dim=2)
@@ -46,18 +65,18 @@ class TestInitScheme:
             Agent(np.array([1.0, -1.0]), -1),  # b has flipped, now correct
             Agent(np.array([0.0, 1.0]), 1),  # against the flipped -1
         ]
-        res = init_scheme(agents, m)
-        assert res.mistakes == 2
-        assert res.consumed == 3
-        assert res.pool.n_neg == 2 and res.pool.n_pos == 1
+        learner, mistakes, consumed = warm_up(m, agents)
+        assert mistakes == 2
+        assert consumed == 3
+        assert learner.pool.n_neg == 2 and learner.pool.n_pos == 1
 
     def test_positive_run_then_negative_makes_one_mistake(self):
         m = CostModel(L2, c=1.0, dim=2)
         agents = [Agent(np.array([float(k), 1.0]), 1) for k in range(5)]
         agents.append(Agent(np.array([0.0, -1.0]), -1))
-        res = init_scheme(agents, m)
-        assert res.mistakes == 1
-        assert res.consumed == 6
+        _, mistakes, consumed = warm_up(m, agents)
+        assert mistakes == 1
+        assert consumed == 6
 
     def test_never_more_than_two_mistakes(self):
         m = CostModel(L2, c=1.0, dim=2)
@@ -70,13 +89,7 @@ class TestInitScheme:
             pts = rng.normal(size=(k, 2))
             pts[np.array(labels) == 1, 1] += 3.0  # keep the starter pool separable
             agents = [Agent(pts[i], labels[i]) for i in range(k)]
-            assert init_scheme(agents, m).mistakes <= 2
-
-    def test_single_label_stream_raises(self):
-        m = CostModel(L2, c=1.0, dim=2)
-        agents = [Agent(np.array([0.0, 1.0]), 1)] * 3
-        with pytest.raises(ValueError):
-            init_scheme(agents, m)
+            assert warm_up(m, agents)[1] <= 2
 
 
 class TestSmmLearner:
@@ -332,11 +345,11 @@ def test_project_cone_is_idempotent():
 
 
 def test_step_schedule_tokens():
-    s = _StepSchedule("invsqrt")
+    s = _step_schedule("invsqrt")
     assert s(1) == 1.0 and s(4) == 0.5
-    s = _StepSchedule("const:0.25")
+    s = _step_schedule("const:0.25")
     assert s(1) == 0.25 and s(100) == 0.25
     with pytest.raises(ValueError):
-        _StepSchedule("const:-1")
+        _step_schedule("const:-1")
     with pytest.raises(ValueError):
-        _StepSchedule("linear")
+        _step_schedule("linear")

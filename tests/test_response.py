@@ -14,7 +14,6 @@ from stratclass.response import (
     predict,
     proxy_from_response,
     respond,
-    respond_noisy,
     sign,
 )
 
@@ -111,23 +110,23 @@ def test_proxy_zero_classifier_passthrough():
     assert np.array_equal(proxy_from_response(x, -1, Classifier(np.zeros(2), 0.0), m), x)
 
 
-def test_respond_noisy_sigma_zero_consumes_no_randomness():
+def test_interact_sigma_zero_consumes_no_randomness():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    r = respond_noisy(Agent(np.array([-1.0, 1.0]), 1), clf, m, 0.0, rng)
+    out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m, 0.0, rng)
     assert rng.bit_generator.state == before
-    assert np.array_equal(r, respond(Agent(np.array([-1.0, 1.0]), 1), clf, m))
+    assert np.array_equal(out.response, respond(Agent(np.array([-1.0, 1.0]), 1), clf, m))
 
 
-def test_respond_noisy_adds_gaussian_perturbation():
+def test_interact_noise_adds_gaussian_perturbation():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), 1)
     r0 = respond(agent, clf, m)
-    r = respond_noisy(agent, clf, m, 1e-3, np.random.default_rng(3))
-    delta = np.linalg.norm(r - r0)
+    out = interact(agent, clf, m, 1e-3, np.random.default_rng(3))
+    delta = np.linalg.norm(out.response - r0)
     assert 0 < delta < 1e-2
 
 
@@ -138,14 +137,15 @@ def test_interact_flags():
     out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m)
     assert out.manipulated and out.predicted == 1 and not out.mistake
     # manipulating negative: ends on the boundary, predicted +1 -> mistake,
-    # and the stored proxy is the pulled-back state
+    # and the proxy built from the response is the pulled-back state
     out = interact(Agent(np.array([-1.0, 1.0]), -1), clf, m)
     assert out.manipulated and out.predicted == 1 and out.mistake
-    assert margin_ratio(clf, m, out.proxy) == pytest.approx(0.0, abs=1e-15)
+    proxy = proxy_from_response(out.response, -1, clf, m)
+    assert margin_ratio(clf, m, proxy) == pytest.approx(0.0, abs=1e-15)
     # truthful far positive
     out = interact(Agent(np.array([2.0, 2.0]), 1), clf, m)
     assert not out.manipulated and not out.mistake
-    assert np.array_equal(out.proxy, np.array([2.0, 2.0]))
+    assert np.array_equal(proxy_from_response(out.response, 1, clf, m), np.array([2.0, 2.0]))
 
 
 def test_interact_noisy_uses_observed_response_for_learning():
@@ -156,7 +156,7 @@ def test_interact_noisy_uses_observed_response_for_learning():
     # manipulation is judged on the clean response...
     assert out.manipulated
     # ...but the noisy observation misses the boundary, so no pull-back
-    assert np.array_equal(out.proxy, out.response)
+    assert np.array_equal(proxy_from_response(out.response, -1, clf, m), out.response)
     assert not np.array_equal(out.response, respond(agent, clf, m))
 
 
