@@ -99,17 +99,8 @@ class RunConfig:
 
     @property
     def solve_tol(self) -> float:
-        """Margin-solver certificate tolerance for this run.
-
-        Defaults to 1e-10, loosened to 1e-6 under response noise: noisy
-        pools stack support points that are coplanar only to about the
-        noise-induced drift of the decision boundary, and no double
-        precision certificate can split such a face at 1e-10.  An
-        explicit ``tol`` always wins.
-        """
-        if self.tol is not None:
-            return self.tol
-        return 1e-10 if self.sigma == 0.0 else 1e-6
+        """Margin-solver certificate tolerance for this run: ``tol`` if set, else 1e-10."""
+        return 1e-10 if self.tol is None else self.tol
 
 
 _BOOL_KEYS = {"force_resolve"}
@@ -130,23 +121,30 @@ def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines (#-comments allowed) into a RunConfig."""
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
+    written: dict[str, str] = {}  # field -> the key that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "two_over_c":
-            key = "c"
-            val = str(2.0 / float(val))
+        name, _, val = line.partition("=")
+        name, val = name.strip(), val.strip()
+        key = "c" if name == "two_over_c" else name
         if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+        if key in written:
+            first = written[key]
+            clash = f"duplicate key {name!r}" if first == name else f"{name!r} conflicts with {first!r}"
+            raise ConfigError(f"line {lineno}: {clash}")
+        written[key] = name
         try:
-            if key in _BOOL_KEYS:
+            if name == "two_over_c":
+                reach = float(val)
+                if not 0.0 < reach < math.inf:
+                    raise ValueError(f"two_over_c must be positive and finite, got {val}")
+                values[key] = 2.0 / reach
+            elif key in _BOOL_KEYS:
                 if val.lower() not in ("true", "false", "1", "0"):
                     raise ValueError(f"not a boolean: {val!r}")
                 values[key] = val.lower() in ("true", "1")

@@ -8,17 +8,18 @@ over the dual-norm ball ``||y||_* <= 1``.  For the Euclidean cost norm the
 optimum reduces exactly to the nearest pair of points between the two
 convex hulls: the optimal direction is the unit vector along that pair,
 the margin is half its length, and the intercept centers it.  That
-reduction is solved here with a pairwise Frank-Wolfe iteration over the
-Minkowski-difference vertex set, which hands back convex-combination
-witnesses suitable for warm starts as the clouds grow.  Other norms get a
-best-effort projected supergradient ascent.
+reduction is solved here with Wolfe's nearest-point method on the
+Minkowski difference of the hulls, certified by the Frank-Wolfe duality
+gap; it hands back convex-combination witnesses suitable for warm starts
+as the clouds grow.  Other norms get a best-effort projected supergradient
+ascent.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class NearestPoints:
     ``weights`` is a pair of dictionaries mapping vertex indices in the
     positive/negative clouds to convex coefficients (each summing to one);
     ``gap`` is the final Frank-Wolfe gap on the squared distance
-    objective.
+    objective; ``iterations`` counts Wolfe major cycles.
     """
 
     x_plus: np.ndarray
@@ -141,118 +142,73 @@ def _clean_weights(raw: dict[int, float], limit: int) -> dict[int, float]:
 
 
 def _affine_polish(wp, wn, P, N):
-    """Minimize over the current active vertices exactly (Wolfe minor cycles).
+    """Wolfe's minor cycles: minimize over the affine hulls of the active vertices.
 
-    Solves the equality-constrained least-squares problem on the active
-    sets and walks the feasible iterate toward that affine minimizer,
-    dropping vertices whose coefficients hit zero, until the affine
-    minimizer itself is feasible.  Never increases the objective; snaps
-    the iterate onto the optimal face once the active set contains the
-    true support, which the outer Frank-Wolfe certificate then verifies.
+    With ``p0``/``n0`` the first active vertex of each hull, the affine
+    minimizer solves ``[(P[S+] - p0)^T, -(N[S-] - n0)^T] (a, b) ~ n0 - p0`` in
+    the least-squares sense, on the edge vectors themselves (their Gram
+    matrix would square the condition number), and has convex weights
+    ``(1 - sum a, a)`` and ``(1 - sum b, b)``.  While some of them are
+    negative, the iterate walks toward the minimizer until a weight hits
+    zero, and that vertex leaves the active set.  Never increases the
+    objective.
     """
     idx_p = list(wp)
     idx_n = list(wn)
     v = np.array([wp[i] for i in idx_p] + [wn[j] for j in idx_n])
-    for _ in range(len(v) + 2):
+    for _ in range(len(v)):
         m1 = len(idx_p)
-        B = np.vstack([P[idx_p], -N[idx_n]])
-        G = 2.0 * (B @ B.T)
-        k = len(v)
-        kkt = np.zeros((k + 2, k + 2))
-        kkt[:k, :k] = G
-        kkt[:k, k] = kkt[k, :k] = np.concatenate([np.ones(m1), np.zeros(k - m1)])
-        kkt[:k, k + 1] = kkt[k + 1, :k] = np.concatenate([np.zeros(m1), np.ones(k - m1)])
-        rhs = np.zeros(k + 2)
-        rhs[k] = rhs[k + 1] = 1.0
-        try:
-            v_aff = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        except np.linalg.LinAlgError:
-            break
+        p0 = P[idx_p[0]]
+        n0 = N[idx_n[0]]
+        edges = np.hstack([(P[idx_p[1:]] - p0).T, -(N[idx_n[1:]] - n0).T])
+        ab = np.linalg.lstsq(edges, n0 - p0, rcond=None)[0]
+        a, b = ab[: m1 - 1], ab[m1 - 1 :]
+        v_aff = np.concatenate([[1.0 - a.sum()], a, [1.0 - b.sum()], b])
         if np.all(v_aff >= -1e-12):
             v = np.clip(v_aff, 0.0, None)
             break
-        neg = v_aff < -1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = v[neg] / (v[neg] - v_aff[neg])
-        theta = float(np.min(ratios))
+        neg = np.flatnonzero(v_aff < -1e-12)
+        ratios = v[neg] / (v[neg] - v_aff[neg])
+        theta = float(ratios.min())
         v = np.clip((1.0 - theta) * v + theta * v_aff, 0.0, None)
-        keep_p = [t for t, i in enumerate(idx_p) if v[t] > 0.0]
-        keep_n = [t for t, j in enumerate(idx_n) if v[m1 + t] > 0.0]
-        if not keep_p or not keep_n:
-            return wp, wn, np.subtract(*_combination((wp, wn), P, N))
-        v = np.concatenate([v[keep_p], v[[m1 + t for t in keep_n]]])
-        idx_p = [idx_p[t] for t in keep_p]
-        idx_n = [idx_n[t] for t in keep_n]
+        v[neg[np.argmin(ratios)]] = 0.0  # exactly, whatever the rounding
+        keep = v > 0.0
+        if not keep[:m1].any() or not keep[m1:].any():
+            break
+        idx_p = [i for i, k in zip(idx_p, keep[:m1]) if k]
+        idx_n = [j for j, k in zip(idx_n, keep[m1:]) if k]
+        v = v[keep]
     m1 = len(idx_p)
-    alpha = v[:m1]
-    beta = v[m1:]
-    if alpha.sum() <= 0.0 or beta.sum() <= 0.0:
-        return wp, wn, np.subtract(*_combination((wp, wn), P, N))
-    alpha = alpha / alpha.sum()
-    beta = beta / beta.sum()
-    new_wp = {i: a for i, a in zip(idx_p, alpha) if a > 0.0}
-    new_wn = {j: b for j, b in zip(idx_n, beta) if b > 0.0}
-    if not new_wp or not new_wn:
-        return wp, wn, np.subtract(*_combination((wp, wn), P, N))
-    u_new = np.subtract(*_combination((new_wp, new_wn), P, N))
+    alpha, beta = v[:m1], v[m1:]
     u_old = np.subtract(*_combination((wp, wn), P, N))
+    if alpha.sum() <= 0.0 or beta.sum() <= 0.0:
+        return wp, wn, u_old
+    new_wp = {i: w for i, w in zip(idx_p, alpha / alpha.sum()) if w > 0.0}
+    new_wn = {j: w for j, w in zip(idx_n, beta / beta.sum()) if w > 0.0}
+    u_new = np.subtract(*_combination((new_wp, new_wn), P, N))
     if float(u_new @ u_new) > float(u_old @ u_old):
         return wp, wn, u_old
     return new_wp, new_wn, u_new
 
 
-def _wolfe_burst(wp, wn, u, P, N, tol):
-    """Wolfe major cycles: pull the current supporting vertices into the
-    active set and re-polish until the duality gap certifies ``tol``.
-
-    Pairwise steps alone crawl when the optimal face is spanned by
-    near-duplicate vertices (noisy pools produce these): each step moves
-    weight between points a noise-width apart and progress per iteration
-    collapses.  Adding the protruding vertex to the active set before
-    the affine solve restores finite termination on such faces.
-    """
-    best = float(u @ u)
-    for _ in range(24):
-        sp = P @ u
-        sn = N @ u
-        i_fw = int(np.argmin(sp))
-        j_fw = int(np.argmax(sn))
-        usq = float(u @ u)
-        gap = 2.0 * (usq - (float(sp[i_fw]) - float(sn[j_fw])))
-        if math.sqrt(usq) <= tol or gap <= 2.0 * tol * math.sqrt(usq):
-            break
-        wp.setdefault(i_fw, 0.0)
-        wn.setdefault(j_fw, 0.0)
-        wp, wn, u = _affine_polish(wp, wn, P, N)
-        wp = {i: w for i, w in wp.items() if w > 0.0}
-        wn = {j: w for j, w in wn.items() if w > 0.0}
-        nsq = float(u @ u)
-        if nsq >= best:
-            break
-        best = nsq
-    return wp, wn, u
-
-
 def nearest_points_convex_hulls(
     sets: PointSetPair,
     tol: float = 1e-10,
-    max_iter: int = 200_000,
+    max_iter: int = 1_000,
     warm: tuple[dict[int, float], dict[int, float]] | None = None,
 ) -> NearestPoints:
     """Minimize ``||x_plus - x_minus||_2`` over the two convex hulls.
 
-    Block pairwise Frank-Wolfe on the product of the two vertex
-    simplices: each step picks the hull with the larger internal gap and
-    shifts weight from its worst active vertex to its best supporting
-    vertex with exact line search on the squared-distance objective,
-    falling back to a vanilla Frank-Wolfe step whenever neither pairwise
-    direction can make progress.  (Moving weight within one hull at a
-    time matters: coupling the hulls into vertex *pairs* cripples the
-    away step on degenerate faces and the rate drops to O(1/t).)
-    Terminates when the Frank-Wolfe gap certifies the distance to within
-    ``tol``, or the iterate's length itself drops to ``tol``, which means
-    the hulls intersect to solver precision.  Warm starts reuse a
-    previous weight pair; indices stay valid because clouds only grow.
+    Wolfe's method (Wolfe 1976, *Finding the nearest point in a polytope*)
+    on the Minkowski difference of the hulls.  Each major cycle takes an
+    exact-line-search Frank-Wolfe step toward the supporting vertex pair
+    ``(argmin P.u, argmax N.u)``, which joins the active sets, and then
+    minimizes over the active vertices exactly (``_affine_polish``).
+    Terminates when the Frank-Wolfe gap on the squared distance certifies
+    the distance to within ``tol`` (``gap <= 2 tol ||u||``), or the
+    iterate's length itself drops to ``tol``, which means the hulls
+    intersect to solver precision.  Warm starts reuse a previous weight
+    pair; indices stay valid because clouds only grow.
 
     Raises SolverError if the cap is hit before the certificate holds.
     """
@@ -266,80 +222,34 @@ def nearest_points_convex_hulls(
         wn = _clean_weights(warm[1], sets.n_neg)
     else:
         wp, wn = {0: 1.0}, {0: 1.0}
-    x_plus, x_minus = _combination((wp, wn), P, N)
-    u = x_plus - x_minus
+    u = np.subtract(*_combination((wp, wn), P, N))
 
-    gap = np.inf
     for it in range(max_iter):
-        if it % 64 == 63:
-            # periodic recomputation keeps float drift out of the iterate
-            wp = _clean_weights(wp, sets.n_pos)
-            wn = _clean_weights(wn, sets.n_neg)
-            u = np.subtract(*_combination((wp, wn), P, N))
-        if it % 128 == 1:
-            wp, wn, u = _wolfe_burst(wp, wn, u, P, N, tol)
-
         sp = P @ u
         sn = N @ u
         i_fw = int(np.argmin(sp))
         j_fw = int(np.argmax(sn))
-        s_val = sp[i_fw] - sn[j_fw]
+        s_val = float(sp[i_fw] - sn[j_fw])
         usq = float(u @ u)
-        unorm = math.sqrt(usq)
         gap = 2.0 * (usq - s_val)
-        if unorm <= tol or gap <= 2.0 * tol * unorm:
+        limit = 2.0 * tol * math.sqrt(usq)
+        d_vec = (P[i_fw] - N[j_fw]) - u
+        denom = float(d_vec @ d_vec)
+        # denom == 0: u is the supporting pair itself, so its gap is zero
+        if math.sqrt(usq) <= tol or gap <= limit or denom == 0.0:
             x_plus, x_minus = _combination((wp, wn), P, N)
             return NearestPoints(x_plus, x_minus, gap, (wp, wn), it)
-
-        i_away = max(wp, key=sp.__getitem__)
-        j_away = min(wn, key=sn.__getitem__)
-        gap_pos = float(sp[i_away] - sp[i_fw])
-        gap_neg = float(sn[j_fw] - sn[j_away])
-
-        stepped = False
-        if gap_pos >= gap_neg and gap_pos > 0.0:
-            e = P[i_fw] - P[i_away]
-            ee = float(e @ e)
-            if ee > 0.0:
-                step = min(gap_pos / ee, wp[i_away])
-                wp[i_fw] = wp.get(i_fw, 0.0) + step
-                remaining = wp[i_away] - step
-                if remaining <= 1e-16:
-                    del wp[i_away]
-                else:
-                    wp[i_away] = remaining
-                u = u + step * e
-                stepped = True
-        elif gap_neg > 0.0:
-            e = N[j_fw] - N[j_away]
-            ee = float(e @ e)
-            if ee > 0.0:
-                step = min(gap_neg / ee, wn[j_away])
-                wn[j_fw] = wn.get(j_fw, 0.0) + step
-                remaining = wn[j_away] - step
-                if remaining <= 1e-16:
-                    del wn[j_away]
-                else:
-                    wn[j_away] = remaining
-                u = u - step * e
-                stepped = True
-        if not stepped:
-            # vanilla step: contract both hulls toward the supporting pair
-            d_vec = (P[i_fw] - N[j_fw]) - u
-            denom = float(d_vec @ d_vec)
-            if denom == 0.0:
-                x_plus, x_minus = _combination((wp, wn), P, N)
-                return NearestPoints(x_plus, x_minus, gap, (wp, wn), it)
-            step = min(max((usq - s_val) / denom, 0.0), 1.0)
-            keep = 1.0 - step
-            wp = {i: w * keep for i, w in wp.items() if w * keep > 1e-16}
-            wn = {j: w * keep for j, w in wn.items() if w * keep > 1e-16}
-            wp[i_fw] = wp.get(i_fw, 0.0) + step
-            wn[j_fw] = wn.get(j_fw, 0.0) + step
-            u = u + step * d_vec
+        step = min(max((usq - s_val) / denom, 0.0), 1.0)
+        keep = 1.0 - step
+        wp = {i: w * keep for i, w in wp.items() if w * keep > 0.0}
+        wn = {j: w * keep for j, w in wn.items() if w * keep > 0.0}
+        wp[i_fw] = wp.get(i_fw, 0.0) + step
+        wn[j_fw] = wn.get(j_fw, 0.0) + step
+        wp, wn, u = _affine_polish(wp, wn, P, N)
 
     raise SolverError(
-        f"nearest-point iteration cap {max_iter} reached with gap {gap:.3e} > tol {tol:.3e}"
+        f"nearest-point iteration cap {max_iter} reached with gap {gap:.3e} > "
+        f"2*tol*||u|| = {limit:.3e} (tol {tol:.3e})"
     )
 
 

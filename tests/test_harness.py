@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stratclass.cli as cli
+import stratclass.learners as learners
 from stratclass.bounds import Benchmark
 from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv
 from stratclass.harness import (
@@ -68,9 +69,9 @@ class TestParseConfig:
         cfg = parse_config("two_over_c = 0.5\nT = 10")
         assert cfg.c == 4.0
 
-    def test_solver_tolerance_loosens_under_noise(self):
+    def test_solver_tolerance_defaults_to_1e10_unless_set(self):
         assert RunConfig(c=1.0).solve_tol == 1e-10
-        assert RunConfig(c=1.0, sigma=1e-3).solve_tol == 1e-6
+        assert RunConfig(c=1.0, sigma=1e-3).solve_tol == 1e-10  # noise does not loosen it
         assert RunConfig(c=1.0, sigma=1e-3, tol=1e-12).solve_tol == 1e-12
 
     @pytest.mark.parametrize(
@@ -95,6 +96,9 @@ class TestParseConfig:
             ("tol = 0\nc = 1", "tol"),
             ("c = 0", "positive"),
             ("T = 5", "c or two_over_c"),
+            ("T = 10\ntwo_over_c = 0", "line 2: two_over_c must be positive"),
+            ("two_over_c = abc", "line 1"),
+            ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
@@ -286,6 +290,31 @@ class TestCertify:
         assert "unbounded" in report.render()
         assert report.passed
 
+    def test_l2_smm_on_synthetic_seed_101_is_certified(self, monkeypatch):
+        # an affine step solved through the Gram matrix stalls one of this run's
+        # solves at an FW gap of ~4e-9, so the run raised SolverError
+        solves, solve = [], learners.solve_max_margin
+
+        def recording(pool, *args, **kw):
+            solves.append((pool, solve(pool, *args, **kw)))
+            return solves[-1][1]
+
+        monkeypatch.setattr("stratclass.learners.solve_max_margin", recording)
+        cfg = RunConfig(algorithm="smm", norm="l2", c=125.0, T=10_000, seed=101, synth_seed=101)
+        ds = build_dataset(cfg)
+        metrics = run_online(cfg, ds)
+        assert metrics.solve_count == len(solves) > 0
+        pool, sol = solves[-1]
+        P, N = pool.positives, pool.negatives
+        (wp, wn), slack = sol.support_weights, cfg.solve_tol + 1e-9
+        for w in (wp, wn):
+            assert min(w.values()) > 0.0 and sum(w.values()) == pytest.approx(1.0, abs=1e-12)
+        half = 0.5 * float(np.linalg.norm(sum(w * P[i] for i, w in wp.items())
+                                          - sum(w * N[j] for j, w in wn.items())))
+        achieved = min(float(np.min(P @ sol.y)) + sol.b, -float(np.max(N @ sol.y)) - sol.b)
+        assert sol.separable and abs(sol.d - half) <= slack and achieved >= half - slack
+        assert certify(cfg, metrics, ds).passed
+
     def test_doctored_counts_fail(self):
         ds = two_cluster_dataset()
         cfg = self.cfg()
@@ -407,6 +436,11 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, "algorithm = svm\nc = 1\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_two_over_c_is_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "two_over_c = 0\nT = 10\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "line 1:" in capsys.readouterr().err
 
     def test_missing_file_is_exit_2(self, capsys):
         assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == 2

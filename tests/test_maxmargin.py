@@ -137,7 +137,8 @@ def test_empty_side_raises():
 def test_iteration_cap_raises_solver_error():
     # the solver starts from the first vertex pair, which is far from optimal here
     pair = PointSetPair.from_arrays([[1.0, 1.0], [1.0, -1.0]], [[-1.0, -1.0], [-1.0, 1.0]])
-    with pytest.raises(SolverError):
+    # the message states the test it applied: gap <= 2 * tol * ||u||
+    with pytest.raises(SolverError, match=r"> 2\*tol\*\|\|u\|\| = 5\.657e-14 \(tol 1\.000e-14\)"):
         nearest_points_convex_hulls(pair, tol=1e-14, max_iter=1)
 
 
