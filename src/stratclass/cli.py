@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a check or certificate failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_solve_margin(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     ds = load_csv(args.points)
     model = CostModel(parse_norm(args.norm), c=1.0, dim=ds.dim)
     sol = solve_max_margin(ds.point_sets(), model, tol=args.tol)

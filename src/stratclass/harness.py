@@ -347,9 +347,17 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         h_star = margin_h(bench.y_star, bench.b_star, pair)
 
     metrics = RunMetrics()
+    declared = distance = gap = None
     start = time.perf_counter()
     for step, i in enumerate(idx, start=1):
         clf = learner.declare()
+        # both metrics depend on the declaration alone, which margin learners
+        # change rarely: recompute them only when it differs bitwise
+        key = (clf.y.tobytes(), clf.b)
+        if key != declared:
+            declared = key
+            distance = _normalized_distance(clf.y, clf.b, bench) if want_distance else None
+            gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
         agent = Agent(dataset.features[i], int(dataset.labels[i]))
         inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
@@ -362,12 +370,8 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
             d_now = learner.solution.d
         metrics.d_t.append(d_now)
-        metrics.distance.append(
-            _normalized_distance(clf.y, clf.b, bench) if want_distance else None
-        )
-        metrics.margin_gap.append(
-            h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
-        )
+        metrics.distance.append(distance)
+        metrics.margin_gap.append(gap)
         if in_init:
             metrics.init_steps += 1
             if inter.mistake:

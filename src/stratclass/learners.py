@@ -74,10 +74,12 @@ class _InitPhase:
 class SmmLearner:
     """Strategic max-margin learner: re-solve the margin problem as proxies arrive.
 
-    Every observed response is converted to its proxy and appended to the
-    pool; the classifier is the exact max-margin solution over the pool.
-    A cached solution is reused whenever the incremental margin gate shows
-    the new point cannot have changed the optimum (disable the gate with
+    Every observed response is converted to its proxy and added to the
+    pool, which keeps each distinct point once (a repeat leaves the margin
+    problem unchanged); the classifier is the exact max-margin solution
+    over the pool.  A cached solution is reused whenever the incremental
+    margin gate shows the new point cannot have changed the optimum, a
+    repeated proxy included (disable the gate with
     ``force_resolve`` to re-solve at every step).  If the pool ever turns
     inseparable the learner parks at the degenerate (0, 0) classifier —
     the pool only grows, so separability cannot come back; the fallback is
@@ -161,8 +163,11 @@ class GradSmmLearner:
     step on the pool objective updates an auxiliary direction ``z`` inside
     the Euclidean unit ball, and the published direction is the
     step-weighted running average of all ``z`` iterates; the intercept is
-    re-centered on the pool at every step.  Manipulations die out only as
-    fast as that average converges (about 1/sqrt(t)), so no finite quiet
+    re-centered on the pool at every step.  Those per-step scans run over
+    the pool's distinct points, so they cost time in proportion to those,
+    not to t, and first-index ties make each step exactly the one a pool
+    holding every repeat would take.  Manipulations die out only as fast
+    as that average converges (about 1/sqrt(t)), so no finite quiet
     horizon is promised, matching the "no finite certificate" row of
     ``certify``.
     """

@@ -37,18 +37,21 @@ class SolverError(RuntimeError):
 
 
 class PointSetPair:
-    """Positive and negative point clouds with cheap appends.
+    """Positive and negative point clouds, each a set of distinct rows.
 
-    Backed by doubling arrays; ``positives``/``negatives`` are views, so
-    callers must not hold them across appends.
+    A row is stored the first time it is seen with its label and never
+    again, so indices follow first-occurrence order and stay valid as the
+    clouds grow; a warm start, a witness index or a first-index
+    ``argmin``/``argmax`` tie picks the same point it would pick if every
+    repeat were stored.  Rows are keyed by their bytes.  Backed by doubling
+    arrays; ``positives``/``negatives`` are views, so callers must not hold
+    them across appends.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._pos = np.empty((8, dim))
-        self._neg = np.empty((8, dim))
-        self._n_pos = 0
-        self._n_neg = 0
+        self._rows = {1: np.empty((8, dim)), -1: np.empty((8, dim))}
+        self._index: dict[int, dict[bytes, int]] = {1: {}, -1: {}}
 
     @classmethod
     def from_arrays(cls, positives, negatives) -> "PointSetPair":
@@ -56,45 +59,50 @@ class PointSetPair:
         negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
         if positives.shape[1] != negatives.shape[1]:
             raise ValueError("positive and negative points disagree on dimension")
-        pair = cls(positives.shape[1])
-        for x in positives:
-            pair.add(x, 1)
-        for x in negatives:
-            pair.add(x, -1)
+        dim = positives.shape[1]
+        pair = cls(dim)
+        row_bytes = np.dtype((np.void, 8 * dim))
+        for label, X in ((1, positives), (-1, negatives)):
+            keys = np.ascontiguousarray(X).view(row_bytes).ravel().tolist()
+            first = dict.fromkeys(keys)  # first occurrences, in input order
+            pair._index[label] = dict(zip(first, range(len(first))))
+            rows = np.frombuffer(b"".join(first), dtype=float)
+            pair._rows[label] = rows.reshape(-1, dim).copy()
         return pair
 
     @property
     def positives(self) -> np.ndarray:
-        return self._pos[: self._n_pos]
+        return self._rows[1][: self.n_pos]
 
     @property
     def negatives(self) -> np.ndarray:
-        return self._neg[: self._n_neg]
+        return self._rows[-1][: self.n_neg]
 
     @property
     def n_pos(self) -> int:
-        return self._n_pos
+        return len(self._index[1])
 
     @property
     def n_neg(self) -> int:
-        return self._n_neg
+        return len(self._index[-1])
 
     def add(self, x, label: int) -> None:
+        """Store ``x`` under ``label`` unless that label already holds it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        if label == 1:
-            if self._n_pos == self._pos.shape[0]:
-                self._pos = np.vstack([self._pos, np.empty_like(self._pos)])
-            self._pos[self._n_pos] = x
-            self._n_pos += 1
-        elif label == -1:
-            if self._n_neg == self._neg.shape[0]:
-                self._neg = np.vstack([self._neg, np.empty_like(self._neg)])
-            self._neg[self._n_neg] = x
-            self._n_neg += 1
-        else:
+        if label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {label}")
+        index = self._index[label]
+        key = x.tobytes()
+        if key in index:
+            return
+        n = len(index)
+        rows = self._rows[label]
+        if n == rows.shape[0]:
+            rows = self._rows[label] = np.vstack([rows, np.empty((max(n, 8), self.dim))])
+        rows[n] = x
+        index[key] = n
 
 
 def margin_h(y, b: float, sets: PointSetPair) -> float:

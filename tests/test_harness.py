@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stratclass.cli as cli
+import stratclass.harness as harness
 import stratclass.learners as learners
 from stratclass.bounds import Benchmark
 from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv
@@ -26,6 +27,8 @@ from stratclass.harness import (
     sweep,
     write_metrics,
 )
+from stratclass.maxmargin import margin_h
+from stratclass.response import Classifier
 
 
 def two_cluster_dataset():
@@ -215,6 +218,58 @@ class TestRunOnline:
         assert len(metrics.t) == 500
         assert metrics.inseparable_at is not None
         assert not np.any(metrics.final_y)
+
+    @pytest.mark.parametrize("algorithm", ["smm", "gradsmm", "perceptron"])
+    def test_metric_columns_match_a_per_step_recomputation(self, monkeypatch, algorithm):
+        # the run computes distance and margin gap once per declaration;
+        # recompute both at every step from the classifier declared there
+        declared = []
+        interact = harness.interact
+
+        def recording_interact(agent, clf, *args, **kwargs):
+            declared.append(clf)
+            return interact(agent, clf, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "interact", recording_interact)
+        cfg = RunConfig(algorithm=algorithm, c=8.0, T=400, seed=4, synth_n=60, synth_d=3, track="full")
+        metrics = run_online(cfg)
+        ds = build_dataset(cfg)
+        bench = ds.benchmark
+        P, N = ds.features[ds.labels == 1], ds.features[ds.labels == -1]
+
+        def h(y, b):
+            return min(float(np.min(P @ y)) + b, -float(np.max(N @ y)) - b)
+
+        assert len(declared) == cfg.T
+        assert len({(c.y.tobytes(), c.b) for c in declared}) > 1
+        for t, clf in enumerate(declared):
+            assert metrics.distance[t] == _normalized_distance(clf.y, clf.b, bench)
+            assert metrics.margin_gap[t] == h(bench.y_star, bench.b_star) - h(clf.y, clf.b)
+
+    def test_metrics_follow_a_change_of_y_alone_or_of_b_alone(self, monkeypatch):
+        y1, y2 = np.array([0.0, 1.0]), np.array([0.6, 0.8])
+        script = [Classifier(y1, 0.0), Classifier(y1, 0.25), Classifier(y2, 0.25),
+                  Classifier(y2.copy(), 0.25), Classifier(y1, 0.0)]
+
+        class Scripted:
+            in_init = False
+            steps = 0
+
+            def declare(self):
+                return script[min(self.steps, len(script) - 1)]
+
+            def update(self, response, label):
+                self.steps += 1
+
+        monkeypatch.setattr(harness, "_build_learner", lambda cfg, model: Scripted())
+        ds = two_cluster_dataset()
+        cfg = RunConfig(algorithm="perceptron", c=4.0, T=len(script), seed=0, track="full")
+        metrics = run_online(cfg, ds)
+        h_star = margin_h(ds.benchmark.y_star, ds.benchmark.b_star, ds.point_sets())
+        for t, clf in enumerate(script):
+            assert metrics.distance[t] == _normalized_distance(clf.y, clf.b, ds.benchmark)
+            assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, ds.point_sets())
+        assert len(set(metrics.distance)) == 3
 
     def test_stream_mode_visits_everyone_each_round(self):
         ds = two_cluster_dataset()
@@ -457,6 +512,15 @@ class TestCli:
         assert cli.main(["solve-margin", "--points", str(path)]) == 0
         out = capsys.readouterr().out
         assert "margin = 1.41421356237" in out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_solve_margin_rejects_a_bad_tolerance(self, tmp_path, capsys, tol):
+        path = tmp_path / "pts.csv"
+        path.write_text("f1,f2,label\n0,1,1\n1,1,1\n-2,-1,-1\n")
+        assert cli.main(["solve-margin", "--points", str(path), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "--tol must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_solve_margin_rejects_non_finite_features(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"

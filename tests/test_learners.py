@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stratclass.data import SynthConfig, generate_synthetic
 from stratclass.learners import (
     ConeKind,
     GradSmmLearner,
@@ -14,8 +15,9 @@ from stratclass.learners import (
     _step_schedule,
     project_cone,
 )
+from stratclass.maxmargin import PointSetPair, solve_max_margin
 from stratclass.norms import L1, L2, CostModel
-from stratclass.response import Agent, interact, respond
+from stratclass.response import Agent, Classifier, interact, proxy_from_response, respond
 
 
 def drive(learner, m, stream, sigma=0.0, rng=None):
@@ -239,6 +241,96 @@ class TestGradSmmLearner:
         pool = learner.pool
         margins = np.concatenate([pool.positives @ y_star, -(pool.negatives @ y_star)])
         assert np.min(margins) >= 1.0 - 1e-8  # d* = 1 for this instance
+
+
+def repeating_stream(seed, steps):
+    """An iid stream over 60 agents: nearly every arrival is a repeat.
+
+    It opens with one agent of each label, so the warm-up ends after two
+    steps, on two distinct points.
+    """
+    ds = generate_synthetic(SynthConfig(seed=seed, n=60, d=3))
+    first = [int(np.flatnonzero(ds.labels == 1)[0]), int(np.flatnonzero(ds.labels == -1)[0])]
+    idx = first + list(np.random.default_rng(seed).integers(0, ds.n, size=steps - 2))
+    return [(ds.features[i], int(ds.labels[i])) for i in idx]
+
+
+class FullPool:
+    """A pool that stores every added row, repeats included, in plain arrays."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.positives = np.empty((0, dim))
+        self.negatives = np.empty((0, dim))
+
+    n_pos = property(lambda self: len(self.positives))
+    n_neg = property(lambda self: len(self.negatives))
+
+    def add(self, x, label):
+        if label == 1:
+            self.positives = np.vstack([self.positives, x])
+        else:
+            self.negatives = np.vstack([self.negatives, x])
+
+
+def gradsmm_full_pool(m, stream):
+    """``GradSmmLearner`` with every proxy appended: its declarations, step by step."""
+    P, N = np.empty((0, m.dim)), np.empty((0, m.dim))
+    clf, declared = Classifier(np.zeros(m.dim), 1.0), []
+    for k, (x, label) in enumerate(stream):
+        declared.append(clf)
+        r = interact(Agent(x, label), clf, m).response
+        s = r if k < 2 else proxy_from_response(r, label, clf, m)
+        P, N = (np.vstack([P, s]), N) if label == 1 else (P, np.vstack([N, s]))
+        if k == 1:
+            sol = solve_max_margin(PointSetPair.from_arrays(P, N), m)
+            z, t, wsum, zsum, clf = sol.y.copy(), 1, 1.0, sol.y.copy(), Classifier(sol.y, sol.b)
+        elif k > 1:
+            z_next = z + (1.0 / math.sqrt(t)) * (P[int(np.argmin(P @ z))] - N[int(np.argmax(N @ z))])
+            nrm = float(np.linalg.norm(z_next))
+            z_next = z_next / nrm if nrm > 1.0 else z_next
+            t += 1
+            wsum += 1.0 / math.sqrt(t)
+            zsum = zsum + (1.0 / math.sqrt(t)) * z_next
+            y, z = zsum / wsum, z_next
+            clf = Classifier(y, -0.5 * (float(np.min(P @ y)) + float(np.max(N @ y))))
+    return declared, P, N
+
+
+class TestDistinctPool:
+    """The pool keeps each row once; the learners act as if it kept them all."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradsmm_declarations_match_a_full_pool_reference(self, seed):
+        m = CostModel(L2, c=40.0, dim=3)
+        stream = repeating_stream(seed, 2500)
+        learner = GradSmmLearner(m)
+        declared = []
+        for x, label in stream:
+            declared.append(learner.declare())
+            out = interact(Agent(x, label), declared[-1], m)
+            learner.update(out.response, label)
+        expected, P, N = gradsmm_full_pool(m, stream)
+        assert learner.pool.n_pos + learner.pool.n_neg < (len(P) + len(N)) // 4  # mostly repeats
+        for got, want in zip(declared, expected):
+            assert np.array_equal(got.y, want.y) and got.b == want.b
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_smm_solves_match_a_full_pool_reference(self, seed):
+        m = CostModel(L2, c=40.0, dim=3)
+        stream = repeating_stream(seed, 2500)
+        learner = SmmLearner(m)
+        reference = SmmLearner(m)
+        reference.pool = reference._init.pool = FullPool(m.dim)
+        for x, label in stream:
+            clf = learner.declare()
+            want = reference.declare()
+            assert np.array_equal(clf.y, want.y) and clf.b == want.b
+            out = interact(Agent(x, label), clf, m)
+            learner.update(out.response, label)
+            reference.update(out.response, label)
+        assert learner.solve_count == reference.solve_count > 1
+        assert learner.pool.n_pos + learner.pool.n_neg < reference.pool.n_pos + reference.pool.n_neg
 
 
 class TestPerceptron:

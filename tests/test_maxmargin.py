@@ -60,6 +60,49 @@ class TestPointSetPair:
         with pytest.raises(ValueError):
             PointSetPair.from_arrays([[1.0, 2.0]], [[1.0]])
 
+    def test_repeated_add_stores_nothing(self):
+        pair = PointSetPair.from_arrays(EX1_POS, EX1_NEG)
+        for x in EX1_POS:
+            pair.add(x.copy(), 1)
+        pair.add(list(EX1_NEG[1]), -1)
+        assert pair.n_pos == 3 and pair.n_neg == 3
+        assert np.array_equal(pair.positives, EX1_POS)
+        assert np.array_equal(pair.negatives, EX1_NEG)
+        pair.add(EX1_NEG[0], 1)  # a row is distinct per label
+        assert pair.n_pos == 4 and np.array_equal(pair.positives[3], EX1_NEG[0])
+
+    def test_from_arrays_keeps_first_occurrences_in_input_order(self):
+        P = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        N = np.array([[0.0, 0.0], [0.0, 0.0]])
+        pair = PointSetPair.from_arrays(P, N)
+        assert np.array_equal(pair.positives, P[[0, 1, 3, 5]])
+        assert np.array_equal(pair.negatives, N[:1])
+        pair.add([1.0, 0.0], 1)
+        pair.add([4.0, 0.0], 1)
+        assert np.array_equal(pair.positives, np.vstack([P[[0, 1, 3, 5]], [[4.0, 0.0]]]))
+
+    def test_bad_inputs_raise_before_the_row_is_looked_up(self):
+        pair = PointSetPair(2)
+        pair.add([1.0, 2.0], 1)
+        # same bytes as the stored row, but the wrong shape or label
+        with pytest.raises(ValueError, match="shape"):
+            pair.add(np.array([[1.0, 2.0]]), 1)
+        with pytest.raises(ValueError, match="label"):
+            pair.add([1.0, 2.0], 0)
+        with pytest.raises(ValueError, match="dimension"):
+            PointSetPair.from_arrays([[1.0, 2.0]], [[1.0]])
+        assert pair.n_pos == 1 and pair.n_neg == 0
+
+    def test_growth_from_a_one_row_side(self):
+        pair = PointSetPair.from_arrays([[0.0, 0.0]], [[5.0, 5.0], [6.0, 6.0]])
+        for k in range(1, 40):
+            pair.add([float(k), 0.0], 1)
+            pair.add([float(k - 1), 0.0], 1)  # a repeat between every new row
+        assert pair.n_pos == 40 and pair.n_neg == 2
+        assert np.array_equal(pair.positives[:, 0], np.arange(40.0))
+        pair.add([7.0, 7.0], -1)
+        assert np.array_equal(pair.negatives, [[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]])
+
 
 def test_margin_h_matches_direct_minimum():
     rng = np.random.default_rng(2)
