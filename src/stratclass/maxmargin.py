@@ -11,29 +11,36 @@ the margin is half its length, and the intercept centers it.  That
 reduction is solved here with Wolfe's nearest-point method on the
 Minkowski difference of the hulls, certified by the Frank-Wolfe duality
 gap; it hands back convex-combination witnesses suitable for warm starts
-as the clouds grow.  Other norms get a best-effort projected supergradient
-ascent.
+as the clouds grow.  Every other norm is solved as a linear program with
+cutting planes for the curved part of the dual-norm ball.  Either way the
+answer is certified: the margin achieved by ``(y, b)`` and half the
+cost-norm distance between two hull points named by convex weights are
+within ``tol`` of each other, or the solver raises ``SolverError``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import EPS_GEOM, CostModel, dual_norm_eval
-
-logger = logging.getLogger(__name__)
+from .norms import EPS_GEOM, CostModel, dual_norm_eval, manipulation_direction, norm_eval
 
 # Declare the clouds inseparable when the achievable margin is this many
 # solver tolerances or less.
 _INSEPARABLE_FACTOR = 10.0
 
+# LP solves (one per cutting-plane round) before a non-l2 solve gives up.
+_MAX_CUT_ROUNDS = 200
+# The tightest feasibility tolerances HiGHS accepts.  At its 1e-7 default it
+# takes a cut violated by less for satisfied, and lp-norm rounds repeat the
+# same optimum short of a 1e-10 certificate.
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
 
 class SolverError(RuntimeError):
-    """Raised when an exact solve fails to converge within the iteration cap."""
+    """Raised when a max-margin solve cannot certify its answer to ``tol``."""
 
 
 class PointSetPair:
@@ -265,11 +272,15 @@ def nearest_points_convex_hulls(
 class MarginSolution:
     """Solution of the max-margin problem over the dual-norm ball.
 
-    When separable, ``y`` has unit dual norm, ``d > 0`` is the achieved
-    margin, and the witnesses satisfy ``d = ||x_plus - x_minus|| / 2``,
-    ``b = -y.(x_plus + x_minus)/2`` and ``y.(x_plus - x_minus) =
-    ||x_plus - x_minus|| ||y||_*`` on the exact (l2) path.  When not
-    separable the classifier degenerates to (0, 0) with d = 0.
+    ``support_weights`` are convex weights over the positive/negative
+    cloud indices naming hull points ``x_plus``/``x_minus``; half their
+    cost-norm distance bounds every margin from above, and ``gap`` is that
+    bound minus the margin ``y`` achieves with its best intercept.  When
+    separable, ``y`` has unit dual norm and ``d > 0``.  On the l2 path ``y``
+    points along ``x_plus - x_minus``, ``b`` centers it between them and
+    ``d`` is the bound; elsewhere ``d`` is the achieved margin and ``b`` the
+    best intercept.  When not separable the classifier degenerates to
+    (0, 0) with d = 0, and ``gap`` is the bound.
     """
 
     y: np.ndarray
@@ -278,9 +289,8 @@ class MarginSolution:
     x_plus: np.ndarray
     x_minus: np.ndarray
     separable: bool
-    support_weights: tuple[dict[int, float], dict[int, float]] | None = None
-    gap: float = 0.0
-    converged: bool = True
+    support_weights: tuple[dict[int, float], dict[int, float]]
+    gap: float
 
 
 def solve_max_margin(
@@ -291,35 +301,31 @@ def solve_max_margin(
 ) -> MarginSolution:
     """Maximize h(y, b) subject to ``||y||_* <= 1``.
 
-    The Euclidean cost norm is solved exactly through the nearest-points
-    reduction; every other norm runs a projected supergradient ascent with
-    dual-norm renormalization (best effort: the returned margin is a lower
-    bound on the optimum, within ten tolerances of it on well-conditioned
-    instances).  A margin at or below ``10 * tol`` is reported as
-    inseparable with the degenerate (0, 0) classifier.
+    Every separable answer is certified, ``gap <= tol``, or ``SolverError``
+    is raised.  The Euclidean cost norm is solved through the nearest-points
+    reduction, warm-started from ``warm`` (a previous solution's
+    ``support_weights`` over the same, possibly grown, clouds); every other
+    norm is solved cold as a linear program with cutting planes.  When half
+    the cost-norm distance between the hulls is at most ``10 * tol`` the
+    pair is reported as inseparable with the degenerate (0, 0) classifier.
     """
     if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("solve_max_margin requires at least one point of each label")
     if m.norm.kind == "l2":
         return _solve_l2(sets, tol, warm)
-    # ascent cannot certify tighter than ~1e-8 in double precision
-    return _solve_subgradient(sets, m, max(tol, 1e-8))
+    return _solve_cutting_plane(sets, m, tol)
 
 
-def _inseparable(
-    sets: PointSetPair, res: NearestPoints | None = None, converged: bool = True
-) -> MarginSolution:
-    dim = sets.dim
+def _inseparable(x_plus, x_minus, weights, upper: float) -> MarginSolution:
     return MarginSolution(
-        y=np.zeros(dim),
+        y=np.zeros(len(x_plus)),
         b=0.0,
         d=0.0,
-        x_plus=res.x_plus if res is not None else sets.positives[0].copy(),
-        x_minus=res.x_minus if res is not None else sets.negatives[0].copy(),
+        x_plus=x_plus,
+        x_minus=x_minus,
         separable=False,
-        support_weights=res.weights if res is not None else None,
-        gap=res.gap if res is not None else 0.0,
-        converged=converged,
+        support_weights=weights,
+        gap=upper,
     )
 
 
@@ -328,7 +334,7 @@ def _solve_l2(sets, tol, warm) -> MarginSolution:
     u = res.x_plus - res.x_minus
     dist = float(np.linalg.norm(u))
     if dist / 2.0 <= _INSEPARABLE_FACTOR * tol:
-        return _inseparable(sets, res)
+        return _inseparable(res.x_plus, res.x_minus, res.weights, dist / 2.0)
     y = u / dist
     return MarginSolution(
         y=y,
@@ -338,97 +344,84 @@ def _solve_l2(sets, tol, warm) -> MarginSolution:
         x_minus=res.x_minus,
         separable=True,
         support_weights=res.weights,
-        gap=res.gap,
+        # Frank-Wolfe gap on the squared distance, as half-distance minus achieved margin
+        gap=res.gap / (4.0 * dist),
     )
 
 
-def _solve_subgradient(
-    sets: PointSetPair,
-    m: CostModel,
-    tol: float,
-    max_iter: int = 100_000,
-    epoch_len: int = 250,
-    patience: int = 12,
-) -> MarginSolution:
-    """Projected supergradient ascent over the dual-norm ball.
+def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float) -> MarginSolution:
+    """Max-margin under a non-Euclidean cost norm, certified by LP duality.
 
-    Fixed step within an epoch; an epoch that fails to improve the best
-    objective by ``tol`` halves the step and restarts from the incumbent.
-    Terminates on a step-size floor or after ``patience`` stalled epochs.
+    Solves ``max t`` over ``(y, b, t)`` subject to ``p.y + b >= t`` on the
+    positives and ``-(n.y + b) >= t`` on the negatives, with the dual-norm
+    ball replaced by an outer polyhedron: its bounding box ``|y_i| <=
+    ||e_i||``, exact for l1 and wl1, and one Kelley cut ``v.y <= 1`` with
+    ``v = manipulation_direction(y)`` for each LP optimum that leaves the
+    ball (Kelley 1960, *The cutting-plane method for solving convex
+    programs*).  By arbitrary-norm duality (Mangasarian 1999,
+    *Arbitrary-norm separating plane*) the margin is half the cost-norm
+    distance between the hulls, so the LP's row duals, normalized to hull
+    weights, bound it from above whatever cuts are in place.  Returns once
+    that bound is within ``tol`` of the margin achieved by ``y/||y||_*``.
     """
+    from scipy.optimize import linprog  # deferred: it costs ~50 MB and ~0.35 s to load
+
     P = sets.positives
     N = sets.negatives
-    scale = max(float(np.max(np.linalg.norm(P, axis=1))), float(np.max(np.linalg.norm(N, axis=1))), 1e-12)
-    step0 = 1.0 / scale
-
-    y = np.mean(P, axis=0) - np.mean(N, axis=0)
-    dn = dual_norm_eval(m, y)
-    if dn <= 1e-15:
-        y = np.zeros(sets.dim)
-        y[0] = 1.0
-        dn = dual_norm_eval(m, y)
-    y = y / dn
-
-    def objective(yv):
-        return 0.5 * (float(np.min(P @ yv)) - float(np.max(N @ yv)))
-
-    best_val = objective(y)
-    best_y = y.copy()
-    step = step0
-    stalled = 0
-    total = 0
-    converged = True
-    while total < max_iter:
-        epoch_best = best_val
-        for _ in range(epoch_len):
-            mp = P @ y
-            mn = N @ y
-            i = int(np.argmin(mp))
-            j = int(np.argmax(mn))
-            val = 0.5 * (mp[i] - mn[j])
-            if val > best_val:
-                best_val = val
-                best_y = y.copy()
-            y = y + step * 0.5 * (P[i] - N[j])
-            dn = dual_norm_eval(m, y)
-            if dn > 1.0:
-                y = y / dn
-            total += 1
-        if best_val > epoch_best + tol:
-            stalled = 0
-        else:
-            stalled += 1
-            step *= 0.5
-            y = best_y.copy()
-            if stalled >= patience or step < 1e-13 * step0:
-                break
-    else:
-        converged = False
-        logger.warning(
-            "max-margin supergradient ascent hit the %d-iteration cap; "
-            "returning best objective %.3e",
-            max_iter,
-            best_val,
+    dim, n_pos, n_rows = sets.dim, sets.n_pos, sets.n_pos + sets.n_neg
+    sign = np.r_[-np.ones(n_pos), np.ones(sets.n_neg)][:, None]  # -1 on positives
+    rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
+    cost = np.r_[np.zeros(dim + 1), -1.0]
+    bounds = [(-norm_eval(m, e), norm_eval(m, e)) for e in np.eye(dim)] + [(None, None)] * 2
+    cuts = np.empty((0, dim + 2))
+    for _ in range(_MAX_CUT_ROUNDS):
+        res = linprog(
+            cost,
+            A_ub=np.vstack([rows, cuts]),
+            b_ub=np.r_[np.zeros(n_rows), np.ones(len(cuts))],
+            bounds=bounds,
+            method="highs",
+            options=_LP_OPTIONS,
         )
-
-    y = best_y / dual_norm_eval(m, best_y)
-    mp = P @ y
-    mn = N @ y
-    i = int(np.argmin(mp))
-    j = int(np.argmax(mn))
-    d = 0.5 * (mp[i] - mn[j])
-    if d <= _INSEPARABLE_FACTOR * tol:
-        return _inseparable(sets, converged=converged)
-    return MarginSolution(
-        y=y,
-        b=float(-0.5 * (mp[i] + mn[j])),
-        d=float(d),
-        x_plus=P[i].copy(),
-        x_minus=N[j].copy(),
-        separable=True,
-        support_weights=None,
-        gap=np.nan,
-        converged=converged,
+        if res.status != 0:
+            raise SolverError(f"max-margin LP failed: {res.message}")
+        duals = np.maximum(-res.ineqlin.marginals[:n_rows], 0.0)
+        alpha = duals[:n_pos] / duals[:n_pos].sum()
+        beta = duals[n_pos:] / duals[n_pos:].sum()
+        weights = (
+            {i: float(w) for i, w in enumerate(alpha) if w > 0.0},
+            {j: float(w) for j, w in enumerate(beta) if w > 0.0},
+        )
+        x_plus, x_minus = alpha @ P, beta @ N
+        upper = 0.5 * norm_eval(m, x_plus - x_minus)
+        if upper <= _INSEPARABLE_FACTOR * tol:
+            return _inseparable(x_plus, x_minus, weights, upper)
+        y = res.x[:dim]
+        y_hat = y / dual_norm_eval(m, y)
+        lo = float(np.min(P @ y_hat))
+        hi = float(np.max(N @ y_hat))
+        lower = 0.5 * (lo - hi)
+        if upper - lower <= tol:
+            return MarginSolution(
+                y=y_hat,
+                b=-0.5 * (lo + hi),
+                d=lower,
+                x_plus=x_plus,
+                x_minus=x_minus,
+                separable=True,
+                support_weights=weights,
+                gap=upper - lower,
+            )
+        v = manipulation_direction(m, y)
+        if float(v @ y) <= 1.0:  # y is in the ball: the cut would change nothing
+            raise SolverError(
+                f"max-margin LP optimum lies in the dual-norm ball, but its certificate "
+                f"gap {upper - lower:.3e} exceeds tol {tol:.3e}"
+            )
+        cuts = np.vstack([cuts, np.r_[v, 0.0, 0.0]])
+    raise SolverError(
+        f"max-margin cutting planes hit the {_MAX_CUT_ROUNDS}-round cap with gap "
+        f"{upper - lower:.3e} > tol {tol:.3e}"
     )
 
 

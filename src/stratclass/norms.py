@@ -25,8 +25,8 @@ _KINDS = ("l2", "l1", "linf", "lp", "wl1")
 class NormKind:
     """Tagged norm family: l2, l1, linf, lp (1 < p < inf), or weighted l1.
 
-    ``p`` is set for the ``lp`` family only; ``weights`` (all positive) for
-    ``wl1`` only.
+    ``p`` is set for the ``lp`` family only; ``weights`` (all positive and
+    finite) for ``wl1`` only.
     """
 
     kind: str
@@ -42,8 +42,8 @@ class NormKind:
         elif self.p is not None:
             raise ValueError(f"p is only meaningful for lp norms, got kind {self.kind!r}")
         if self.kind == "wl1":
-            if not self.weights or any(w <= 0 for w in self.weights):
-                raise ValueError("wl1 norm requires positive weights")
+            if not self.weights or not all(0.0 < w < math.inf for w in self.weights):
+                raise ValueError(f"wl1 norm requires positive finite weights, got {self.weights}")
         elif self.weights is not None:
             raise ValueError(f"weights are only meaningful for wl1 norms, got kind {self.kind!r}")
 
@@ -53,11 +53,11 @@ class NormKind:
         return self.kind in ("l2", "lp")
 
     def token(self) -> str:
-        """Config-file token for this norm (inverse of :func:`parse_norm`)."""
+        """Config-file token for this norm; :func:`parse_norm` inverts it exactly."""
         if self.kind == "lp":
-            return f"lp:{self.p:g}"
+            return f"lp:{float(self.p)!r}"
         if self.kind == "wl1":
-            return "wl1:" + ",".join(f"{w:g}" for w in self.weights)
+            return "wl1:" + ",".join(repr(float(w)) for w in self.weights)
         return self.kind
 
 

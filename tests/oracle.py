@@ -1,11 +1,16 @@
-"""Brute-force reference solver for the hull nearest-point problem.
+"""Brute-force reference solvers for the max-margin problem.
 
-Independent of the package's solver on purpose: enumerates every possible
-support subset of the two point clouds, solves the equality-constrained
-least-squares system on each, and keeps the best feasible candidate.  By
-Caratheodory the optimal pair of hull points is a convex combination of
-at most d+2 vertices in total, so the enumeration is exhaustive for the
-small instances it is used on (d <= 4, <= 8 points per side).
+Independent of the package's solvers on purpose.  For the Euclidean norm,
+``oracle_nearest_points`` enumerates every possible support subset of the
+two point clouds, solves the equality-constrained least-squares system on
+each, and keeps the best feasible candidate.  By Caratheodory the optimal
+pair of hull points is a convex combination of at most d+2 vertices in
+total, so the enumeration is exhaustive for the small instances it is used
+on (d <= 4, <= 8 points per side).  For the polyhedral norms (l1, linf,
+wl1), ``oracle_polyhedral_margin`` enumerates every vertex of the
+max-margin LP's feasible region (d <= 3, <= 4 points per side).
+``two_sided_certificate`` re-derives a solution's optimality interval for
+any norm from the norm functions alone.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from stratclass.norms import dual_norm_eval, norm_eval
 
 
 def _subset_candidate(P_sub: np.ndarray, N_sub: np.ndarray):
@@ -78,3 +85,70 @@ def oracle_margin(P: np.ndarray, N: np.ndarray):
     y = (x_plus - x_minus) / dist
     b = float(-y @ (x_plus + x_minus) / 2.0)
     return y, b, dist / 2.0
+
+
+def _dual_ball_facets(kind: str, dim: int, weights=None):
+    """Rows g with the dual-norm unit ball = {y : g.y <= 1 for every row}."""
+    if kind == "linf":  # dual ball is the l1 ball: one facet per sign vector
+        return np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+    # dual of l1 is the unit box, dual of sum_i w_i |x_i| the box |y_i| <= w_i
+    if kind == "l1":
+        box = np.ones(dim)
+    elif kind == "wl1":
+        box = np.asarray(weights, dtype=float)
+    else:
+        raise ValueError(f"no polyhedral dual ball for {kind!r}")
+    eye = np.eye(dim) / box[:, None]
+    return np.vstack([eye, -eye])
+
+
+def oracle_polyhedral_margin(P, N, kind: str, weights=None) -> float:
+    """Optimal value of max t s.t. p.y + b >= t, -(n.y + b) >= t, ||y||_* <= 1.
+
+    The feasible set in (y, b, t) contains no line, so the optimum sits at a
+    vertex: every choice of d+2 constraints whose system is nonsingular and
+    whose solution satisfies all constraints is one.  Returns the largest t
+    over all of them (0 when the clouds are inseparable).
+    """
+    P = np.asarray(P, dtype=float)
+    N = np.asarray(N, dtype=float)
+    dim = P.shape[1]
+    G = _dual_ball_facets(kind, dim, weights)
+    # constraints A z <= c on z = (y, b, t)
+    A = np.vstack(
+        [
+            np.hstack([-P, -np.ones((len(P), 1)), np.ones((len(P), 1))]),
+            np.hstack([N, np.ones((len(N), 1)), np.ones((len(N), 1))]),
+            np.hstack([G, np.zeros((len(G), 2))]),
+        ]
+    )
+    c = np.r_[np.zeros(len(P) + len(N)), np.ones(len(G))]
+    picks = np.array(list(itertools.combinations(range(len(A)), dim + 2)))
+    systems = A[picks]
+    regular = np.abs(np.linalg.det(systems)) > 1e-9
+    z = np.linalg.solve(systems[regular], c[picks[regular]][..., None])[..., 0]
+    feasible = np.all(z @ A.T <= c + 1e-9, axis=1)
+    return float(np.max(z[feasible, -1]))
+
+
+def two_sided_certificate(P, N, sol, m):
+    """(lower, upper) around the max margin, recomputed from a solution.
+
+    ``lower`` is the margin that ``(y, b)``, scaled to unit dual norm,
+    achieves on the clouds (0 for the inseparable fallback's y = 0).
+    ``upper`` is half the cost-norm distance between the hull points the
+    support weights name, after checking the weights are convex: no
+    classifier in the dual-norm ball does better.
+    """
+    wp, wn = sol.support_weights
+    for w, X in ((wp, P), (wn, N)):
+        assert w and all(0 <= i < len(X) and v >= 0.0 for i, v in w.items())
+        assert abs(sum(w.values()) - 1.0) <= 1e-12
+    x_plus = sum(v * P[i] for i, v in wp.items())
+    x_minus = sum(v * N[j] for j, v in wn.items())
+    dn = dual_norm_eval(m, sol.y)
+    lower = 0.0
+    if dn > 0.0:
+        y, b = sol.y / dn, sol.b / dn
+        lower = min(float(np.min(P @ y + b)), float(np.min(-(N @ y + b))))
+    return lower, 0.5 * norm_eval(m, x_plus - x_minus)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import two_sided_certificate
 from stratclass.data import SynthConfig, generate_synthetic
 from stratclass.learners import (
     ConeKind,
@@ -16,7 +17,7 @@ from stratclass.learners import (
     project_cone,
 )
 from stratclass.maxmargin import PointSetPair, solve_max_margin
-from stratclass.norms import L1, L2, CostModel
+from stratclass.norms import L1, L2, CostModel, parse_norm
 from stratclass.response import Agent, Classifier, interact, proxy_from_response, respond
 
 
@@ -153,6 +154,27 @@ class TestSmmLearner:
         drive(learner, m, [((1.0, 1.0), 1), ((0.0, -2.0), -1)] * 10)
         assert learner.solve_count == solves  # parked: no further solving
         assert learner.inseparable_at == 4
+
+    @pytest.mark.parametrize("norm", ["l1", "linf", "lp:3", "wl1:2,0.5,1,1,3,0.25"])
+    def test_non_l2_margins_never_increase_and_the_final_pool_certifies(self, norm):
+        # every solve is certified to tol, so adding points can raise the
+        # reported margin by at most tol; the points stored after the last
+        # solve cleared its margin, so its certificate holds on the final pool
+        tol = 1e-10
+        for seed in (0, 1, 2):
+            ds = generate_synthetic(SynthConfig(seed=seed))
+            m = CostModel(parse_norm(norm), c=125.0, dim=ds.dim)
+            learner = SmmLearner(m, solver_tol=tol)
+            d_t = []
+            for i in np.random.default_rng(seed).integers(0, ds.n, size=1500):
+                drive(learner, m, [(ds.features[i], int(ds.labels[i]))])
+                if not learner.in_init:
+                    d_t.append(learner.solution.d)
+            assert learner.solution.separable and learner.solve_count > 10
+            assert all(d2 <= d1 + tol for d1, d2 in zip(d_t, d_t[1:])), f"seed {seed}"
+            pool = learner.pool
+            lower, upper = two_sided_certificate(pool.positives, pool.negatives, learner.solution, m)
+            assert upper - lower <= tol, f"seed {seed}: [{lower}, {upper}]"
 
 
 class TestGradSmmLearner:

@@ -1,11 +1,16 @@
-"""Max-margin solver: exact Euclidean path, witnesses, warm starts, ascent path."""
+"""Max-margin solver: exact Euclidean path, witnesses, warm starts, cutting-plane path."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracle import oracle_margin, oracle_nearest_points
+from oracle import (
+    oracle_margin,
+    oracle_nearest_points,
+    oracle_polyhedral_margin,
+    two_sided_certificate,
+)
 from stratclass.maxmargin import (
     MarginSolution,
     PointSetPair,
@@ -15,7 +20,7 @@ from stratclass.maxmargin import (
     nearest_points_convex_hulls,
     solve_max_margin,
 )
-from stratclass.norms import L1, L2, LINF, CostModel, NormKind
+from stratclass.norms import L1, L2, LINF, CostModel, NormKind, dual_norm_eval
 
 EX1_POS = np.array([[-3.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
 EX1_NEG = np.array([[-3.0, -1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -266,7 +271,7 @@ def test_incremental_check_gates_on_cached_margin():
     assert incremental_check(sol, np.array([0.0, -1.0]), -1)
 
 
-def test_ascent_l1_cost_frozen_instance():
+def test_cutting_plane_l1_cost_frozen_instance():
     # l1 cost => dual ball is the l-infinity box; the optimum puts margin 1/7
     # on all three points with y = (-1/7, 1) and b = 0
     z = np.array([0.75, 0.25])
@@ -274,33 +279,33 @@ def test_ascent_l1_cost_frozen_instance():
     m = CostModel(L1, c=2.0, dim=2)
     sol = solve_max_margin(pair, m)
     assert sol.separable
-    assert sol.d == pytest.approx(1 / 7, abs=1e-6)
+    assert sol.d == pytest.approx(1 / 7, abs=1e-12)
     assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-12)
-    assert np.max(np.abs(sol.y - np.array([-1 / 7, 1.0]))) <= 1e-4
-    assert abs(sol.b) <= 1e-4
+    assert np.max(np.abs(sol.y - np.array([-1 / 7, 1.0]))) <= 1e-12
+    assert abs(sol.b) <= 1e-12
 
 
-def test_ascent_linf_cost_axis_instance():
+def test_cutting_plane_linf_cost_axis_instance():
     pair = PointSetPair.from_arrays([[1.0, 0.0]], [[-1.0, 0.0]])
     sol = solve_max_margin(pair, CostModel(LINF, c=1.0, dim=2))
-    assert sol.d == pytest.approx(1.0, abs=1e-6)
-    assert np.max(np.abs(sol.y - np.array([1.0, 0.0]))) <= 1e-4
+    assert sol.d == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(sol.y - np.array([1.0, 0.0]))) <= 1e-10
 
 
-def test_ascent_lp_cost_axis_instance():
+def test_cutting_plane_lp_cost_axis_instance():
     pair = PointSetPair.from_arrays([[1.0, 0.0]], [[-1.0, 0.0]])
     sol = solve_max_margin(pair, CostModel(NormKind("lp", p=3.0), c=1.0, dim=2))
-    assert sol.d == pytest.approx(1.0, abs=1e-6)
+    assert sol.d == pytest.approx(1.0, abs=1e-10)
 
 
-def test_ascent_inseparable_overlap():
+def test_cutting_plane_inseparable_overlap():
     pair = PointSetPair.from_arrays([[0.0, 0.0]], [[0.0, 0.0]])
     sol = solve_max_margin(pair, CostModel(L1, c=1.0, dim=2))
     assert not sol.separable and sol.d == 0.0
 
 
-def test_ascent_value_is_a_lower_bound_certified_by_h():
-    # whatever the ascent returns, (y, b, d) must be an achieved margin
+def test_cutting_plane_value_is_a_lower_bound_certified_by_h():
+    # whatever the solver returns, (y, b, d) must be an achieved margin
     rng = np.random.default_rng(9)
     for _ in range(20):
         P, N = random_separable(rng, 3, 5, 5)
@@ -308,7 +313,49 @@ def test_ascent_value_is_a_lower_bound_certified_by_h():
         for m in (CostModel(L1, 1.0, 3), CostModel(LINF, 1.0, 3)):
             sol = solve_max_margin(pair, m)
             if sol.separable:
-                assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-12)
+                assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-15)
+                assert dual_norm_eval(m, sol.y) == pytest.approx(1.0, abs=1e-15)
+
+
+def _small_instance(rng, dim):
+    P, N = random_separable(rng, dim, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+    if rng.random() < 0.2:  # an overlapping pair now and then
+        N = np.vstack([N, P[0] + 0.1 * rng.normal(size=dim)])
+        N = N[-4:]
+    return P, N
+
+
+def test_polyhedral_solutions_match_the_vertex_oracle():
+    rng = np.random.default_rng(10)
+    for trial in range(120):
+        dim = int(rng.integers(1, 4))
+        P, N = _small_instance(rng, dim)
+        kind = ("l1", "linf", "wl1")[trial % 3]
+        weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, dim)) if kind == "wl1" else None
+        m = CostModel(NormKind(kind, weights=weights), 1.0, dim)
+        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m, tol=1e-10)
+        best = oracle_polyhedral_margin(P, N, kind, weights)
+        if sol.separable:
+            assert sol.d == pytest.approx(best, abs=1e-10), f"trial {trial}"
+            lower, upper = two_sided_certificate(P, N, sol, m)
+            assert upper - lower <= 1e-10 and lower == pytest.approx(sol.d, abs=1e-15)
+        else:
+            assert best <= 10 * 1e-10 + 1e-12, f"trial {trial}"
+
+
+def test_lp_norm_solutions_carry_a_two_sided_certificate():
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        dim = int(rng.integers(1, 4))
+        P, N = _small_instance(rng, dim)
+        m = CostModel(NormKind("lp", p=float(np.exp(rng.uniform(0.05, 3.0)))), 1.0, dim)
+        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m, tol=1e-10)
+        lower, upper = two_sided_certificate(P, N, sol, m)
+        if sol.separable:
+            assert upper - lower <= 1e-10, f"trial {trial}"
+            assert lower == pytest.approx(sol.d, abs=1e-15)
+        else:
+            assert upper <= 10 * 1e-10
 
 
 def test_margin_solution_is_frozen_value_object():

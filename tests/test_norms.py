@@ -33,14 +33,19 @@ def test_parse_norm_tokens():
     assert parse_norm("wl1:2,0.5,1") == WL1
 
 
-@pytest.mark.parametrize("token", ["", "l3", "lp", "lp:1", "lp:inf", "lp:abc", "wl1:", "wl1:1,-2", "wl1:0"])
+@pytest.mark.parametrize(
+    "token",
+    ["", "l3", "lp", "lp:1", "lp:inf", "lp:abc", "wl1:", "wl1:1,-2", "wl1:0",
+     "wl1:nan,1,1,1,1,1", "wl1:inf,1,1,1,1,1"],
+)
 def test_parse_norm_rejects_bad_tokens(token):
     with pytest.raises(ValueError):
         parse_norm(token)
 
 
 def test_norm_token_round_trip():
-    for m in (L2, L1, LINF, LP3, WL1, parse_norm("lp:2.5")):
+    for m in (L2, L1, LINF, LP3, WL1, parse_norm("lp:2.5"), parse_norm("lp:1.23456789"),
+              parse_norm("wl1:0.123456789,2")):
         assert parse_norm(m.token()) == m
 
 
