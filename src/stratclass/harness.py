@@ -30,12 +30,16 @@ from .learners import (
     GradSmmLearner,
     PerceptronLearner,
     SmmLearner,
+    _step_schedule,
 )
 from .maxmargin import PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, parse_norm
-from .response import Agent, Classifier, interact, proxy_from_response, respond
+from .response import Agent, Classifier, interact, proxy_from_response, respond, screen
 
 _D_MONOTONE_TOL = 1e-8
+# Largest block of agents screened in one vector pass: blocks double while
+# the classifier holds, and a change discards the rest of the block.
+_MAX_BLOCK = 4096
 
 ALGORITHMS = ("smm", "gradsmm", "perceptron")
 MODES = ("iid", "stream")
@@ -96,6 +100,7 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         ConeKind(self.cone)  # validates
         parse_norm(self.norm)  # validates
+        _step_schedule(self.schedule)  # validates
 
     @property
     def solve_tol(self) -> float:
@@ -267,8 +272,16 @@ def write_metrics(metrics: RunMetrics, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+_FLAGS = {"0": False, "1": True}
+_LABELS = {"1": 1, "-1": -1}
+
+
 def read_metrics(path) -> RunMetrics:
-    """Read a metrics CSV back; summary counters are left at defaults."""
+    """Read a metrics CSV back; summary counters are left at defaults.
+
+    Flags must read 0 or 1 and labels 1 or -1; any other field raises a
+    ``ValueError`` naming ``path:line``.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0].split(",") != _CSV_HEADER:
@@ -280,13 +293,19 @@ def read_metrics(path) -> RunMetrics:
         parts = line.split(",")
         if len(parts) != len(_CSV_HEADER):
             raise ValueError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields")
-        out.t.append(int(parts[0]))
-        out.mistake.append(bool(int(parts[1])))
-        out.manipulated.append(bool(int(parts[2])))
-        out.label.append(int(parts[3]))
-        out.d_t.append(float(parts[4]) if parts[4] else None)
-        out.distance.append(float(parts[5]) if parts[5] else None)
-        out.margin_gap.append(float(parts[6]) if parts[6] else None)
+        try:
+            out.t.append(int(parts[0]))
+            out.mistake.append(_FLAGS[parts[1]])
+            out.manipulated.append(_FLAGS[parts[2]])
+            out.label.append(_LABELS[parts[3]])
+            out.d_t.append(float(parts[4]) if parts[4] else None)
+            out.distance.append(float(parts[5]) if parts[5] else None)
+            out.margin_gap.append(float(parts[6]) if parts[6] else None)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}:{lineno}: bad row {line!r}: expected an integer t, flags 0 or 1, "
+                "a label of 1 or -1 and numbers or blanks"
+            ) from None
     return out
 
 
@@ -332,8 +351,82 @@ def _normalized_distance(y, b, bench: Benchmark) -> float | None:
     return float(math.hypot(np.linalg.norm(diff_y), diff_b))
 
 
+class _NoiseRows:
+    """The response-noise generator, read ahead a block at a time.
+
+    ``Generator.standard_normal((k, d))`` yields the same numbers as k
+    calls of ``standard_normal(d)``, so the rows a block reads ahead but
+    does not reach stay buffered for the next block and a noisy run
+    replays exactly.  ``interact`` draws through ``standard_normal``:
+    buffered row ``used`` first, the generator once the buffer is spent.
+    """
+
+    def __init__(self, rng: np.random.Generator, dim: int):
+        self._rng = rng
+        self.rows = np.empty((0, dim))
+        self.used = 0
+
+    def ahead(self, k: int) -> np.ndarray:
+        """The next ``k`` rows, none of them used yet."""
+        rows = self.rows[self.used :]
+        if len(rows) < k:
+            rows = np.concatenate([rows, self._rng.standard_normal((k - len(rows), rows.shape[1]))])
+        self.rows, self.used = rows, 0
+        return rows[:k]
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        if self.used == len(self.rows):
+            return self._rng.standard_normal(size)
+        self.used += 1
+        return self.rows[self.used - 1]
+
+
+def _play_block(learner, clf, model, A, labels, sigma, noise, metrics) -> tuple[int, bool]:
+    """Answer and feed a block of agents until the learner declares anew.
+
+    Appends the rows played to the per-agent columns of ``metrics``;
+    returns how many were played and whether the last one's update
+    changed the classifier.
+    """
+    Z = None if noise is None else noise.ahead(len(A))
+    observed = A if Z is None else A + sigma * Z
+    edge, predicted = screen(A, observed, clf, model)
+    mistake = (predicted != labels).tolist()
+    manipulated = [False] * len(A)
+    labels = labels.tolist()
+    n, changed = len(A), False
+    for j, scalar in enumerate(edge.tolist()):
+        if scalar:
+            if noise is not None:
+                noise.used = j
+            inter = interact(Agent(A[j], labels[j]), clf, model, sigma=sigma, noise_rng=noise)
+            response, mistake[j], manipulated[j] = inter.response, inter.mistake, inter.manipulated
+        else:
+            response = observed[j]
+        learner.update(response, labels[j])
+        if learner.declare() is not clf:
+            n, changed = j + 1, True
+            break
+    if noise is not None:
+        noise.used = n
+    metrics.mistake.extend(mistake[:n])
+    metrics.manipulated.extend(manipulated[:n])
+    metrics.label.extend(labels[:n])
+    return n, changed
+
+
 def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
-    """Stream the dataset through the configured learner and record metrics."""
+    """Stream the dataset through the configured learner and record metrics.
+
+    The learner's classifier changes only when an update makes it, so the
+    agents are played in blocks: a block is screened under the declared
+    classifier in one vector pass (``response.screen``), ``interact``
+    answers the rows the screen leaves to it, and the rows feed
+    ``learner.update`` in order until an update declares a new classifier.
+    A block twice as long follows a block that ran to its end; a change
+    restarts at one agent, which ``interact`` answers alone.  Every output
+    equals that of calling ``interact`` at every step.
+    """
     if dataset is None:
         dataset = build_dataset(cfg)
     model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
@@ -345,40 +438,54 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     if want_gap:
         pair = dataset.point_sets()
         h_star = margin_h(bench.y_star, bench.b_star, pair)
+    noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
+    features, labels = dataset.features, dataset.labels
 
     metrics = RunMetrics()
+    blocks = []  # (agents, d_t, distance, margin_gap) of each block
     declared = distance = gap = None
+    T, step, k = len(idx), 0, 1
     start = time.perf_counter()
-    for step, i in enumerate(idx, start=1):
+    while step < T:
         clf = learner.declare()
-        # both metrics depend on the declaration alone, which margin learners
-        # change rarely: recompute them only when it differs bitwise
+        # both metrics depend on the declaration alone: recompute them only
+        # when it differs bitwise
         key = (clf.y.tobytes(), clf.b)
         if key != declared:
             declared = key
             distance = _normalized_distance(clf.y, clf.b, bench) if want_distance else None
             gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
-        agent = Agent(dataset.features[i], int(dataset.labels[i]))
-        inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
-
-        metrics.t.append(step)
-        metrics.mistake.append(inter.mistake)
-        metrics.manipulated.append(inter.manipulated)
-        metrics.label.append(agent.label)
         d_now = None
         if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
             d_now = learner.solution.d
-        metrics.d_t.append(d_now)
-        metrics.distance.append(distance)
-        metrics.margin_gap.append(gap)
+
+        if k == 1:
+            i = idx[step]
+            agent = Agent(features[i], int(labels[i]))
+            inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise)
+            learner.update(inter.response, agent.label)
+            metrics.mistake.append(inter.mistake)
+            metrics.manipulated.append(inter.manipulated)
+            metrics.label.append(agent.label)
+            n, changed = 1, learner.declare() is not clf
+        else:
+            rows = idx[step : step + k]
+            n, changed = _play_block(
+                learner, clf, model, features[rows], labels[rows], cfg.sigma, noise, metrics
+            )
+        blocks.append((n, d_now, distance, gap))
         if in_init:
-            metrics.init_steps += 1
-            if inter.mistake:
-                metrics.init_mistakes += 1
+            metrics.init_steps += n
+            metrics.init_mistakes += sum(metrics.mistake[step:])
+        step += n
+        k = 1 if changed else min(2 * k, _MAX_BLOCK, T - step)
 
-        learner.update(inter.response, agent.label)
-
+    metrics.t = list(range(1, T + 1))
+    for n, d_now, distance, gap in blocks:
+        metrics.d_t += [d_now] * n
+        metrics.distance += [distance] * n
+        metrics.margin_gap += [gap] * n
     metrics.wall_time = time.perf_counter() - start
     final = learner.declare()
     metrics.final_y = final.y
@@ -439,6 +546,21 @@ def _init_consumption(labels_in_order: np.ndarray) -> int:
     return len(labels_in_order)
 
 
+def _check_labels(metrics: RunMetrics, labels: np.ndarray) -> None:
+    """Reject metrics not recorded under this config: row count and labels must match its arrivals."""
+    if len(metrics.label) != len(labels):
+        raise ConfigError(
+            f"metrics hold {len(metrics.label)} rows but the config runs {len(labels)} steps"
+        )
+    bad = np.flatnonzero(np.asarray(metrics.label) != labels)
+    if bad.size:
+        row = int(bad[0])
+        raise ConfigError(
+            f"metrics row t={metrics.t[row]} has label {metrics.label[row]} but the config's "
+            f"arrival order gives {int(labels[row])}: the metrics come from a different run"
+        )
+
+
 def certify(
     cfg: RunConfig, metrics: RunMetrics | None = None, dataset: Dataset | None = None
 ) -> CertifyReport:
@@ -461,10 +583,10 @@ def certify(
 
     init_steps = init_mistakes = None
     if metrics is not None:
+        idx, _ = _arrivals(cfg, dataset.n)
+        _check_labels(metrics, dataset.labels[idx])
         if cfg.algorithm in ("smm", "gradsmm"):
-            idx, _ = _arrivals(cfg, dataset.n)
-            k = _init_consumption(dataset.labels[idx])
-            init_steps = min(k, len(metrics.t))
+            init_steps = _init_consumption(dataset.labels[idx])
             init_mistakes = sum(metrics.mistake[:init_steps])
         else:
             init_steps, init_mistakes = 0, 0

@@ -3,11 +3,15 @@
 All learners speak the same protocol the harness drives: ``declare()``
 publishes the classifier the next agent will respond to, and
 ``update(response, label)`` digests the observed response once the true
-label is revealed.  The margin-based learners bootstrap themselves with a
-shared zero-classifier initialization phase (no agent can gain by moving
-against ``y = 0``, so the first few responses are truthful): predict a
-constant sign, flip it once a label has been seen, and stop as soon as
-both labels are present — at most two of those rounds are mistakes.
+label is revealed.  ``declare()`` returns the same ``Classifier`` object
+until an update changes it, and ``in_init`` (and the margin learner's
+``solution``) change only together with it: the harness answers every
+agent up to the next new object in one block.  The margin-based
+learners bootstrap themselves with a shared zero-classifier
+initialization phase (no agent can gain by moving against ``y = 0``, so
+the first few responses are truthful): predict a constant sign, flip it
+once a label has been seen, and stop as soon as both labels are present
+— at most two of those rounds are mistakes.
 """
 
 from __future__ import annotations
@@ -150,8 +154,8 @@ def _step_schedule(token: str):
         return lambda t: 1.0 / math.sqrt(t)
     if token.startswith("const:"):
         v = float(token[6:])
-        if v <= 0:
-            raise ValueError("constant step size must be positive")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"constant step size must be positive and finite, got {token!r}")
         return lambda t: v
     raise ValueError(f"unknown step schedule {token!r}")
 
@@ -244,14 +248,24 @@ class PerceptronLearner:
         self.mistakes = 0
 
     @property
+    def q(self) -> np.ndarray:
+        """The stacked vector ``(y, b)``; assigning it declares a new classifier."""
+        return self._q
+
+    @q.setter
+    def q(self, value) -> None:
+        self._q = value
+        self.classifier = Classifier(value[:-1], value[-1])
+
+    @property
     def in_init(self) -> bool:
         return False
 
     def declare(self) -> Classifier:
-        return Classifier(self.q[:-1], self.q[-1])
+        return self.classifier
 
     def update(self, response, label: int) -> None:
-        clf = self.declare()
+        clf = self.classifier
         if predict(clf, self.model, response) == label:
             return
         self.mistakes += 1

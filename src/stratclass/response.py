@@ -8,7 +8,10 @@ moves exactly far enough to flip a negative prediction whenever the gain
 ``(y.A + b)/||y||_*`` lies in ``[0, 2/c)``; an agent indifferent at cost
 exactly 2 manipulates.  The learner never observes ``A`` — only the
 response — but can reconstruct a separability-preserving proxy from the
-response alone, which is what the learners train on.
+response alone, which is what the learners train on.  ``interact`` plays
+one round; ``screen`` answers a block of agents under one classifier in
+one vector pass, up to the rows whose answer rounding could change, which
+it leaves to ``interact``.
 """
 
 from __future__ import annotations
@@ -121,6 +124,55 @@ def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> 
     if label == -1 and abs(margin_ratio(clf, m, response) - m.two_over_c) <= EPS_GEOM:
         return response - m.two_over_c * manipulation_direction(m, clf.y)
     return response
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``: the relative error bound of an n-term float sum."""
+    nu = n * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu)
+
+
+def screen(A: np.ndarray, observed: np.ndarray, clf: Classifier, m: CostModel):
+    """One vector pass over a block of agents answering the same classifier.
+
+    ``A`` holds the agents' true features, one row each, and ``observed``
+    what each reports if it stays truthful (``A`` itself, or ``A`` plus
+    its response noise).  Returns ``(edge, predicted)``: ``predicted`` is
+    the offset prediction of each observed row, and it and "truthful" are
+    the answer of :func:`interact` for every row not flagged ``edge``.
+
+    ``edge`` flags the rows that :func:`interact` must decide itself: rows
+    whose margin ratio is inside the manipulation window, and rows within a
+    rounding-error band of a window edge or of the offset threshold.  The
+    band is rigorous, not a guessed constant.  A score here and the same
+    score in :func:`interact` are each a (d+2)-term float sum (d products,
+    the intercept and the offset), summed in whatever order the library
+    picks, so each lies within ``gamma_{d+2}`` times the sum of the terms'
+    magnitudes of the exact value, and the two within twice that;
+    ``gamma_{d+4}`` also covers evaluating the band and comparing against
+    it.  The margin ratio's band adds the division's rounding.
+    """
+    y, b = clf.y, clf.b
+    dn = dual_norm_eval(m, y)
+    gamma2 = 2.0 * _gamma(y.shape[0] + 4)
+    abs_y = np.abs(y)
+    q = A @ y + b
+    size = np.abs(A) @ abs_y + abs(b)  # magnitude sum of the terms of q
+    if dn > 0.0:
+        ratio = q / dn
+        width = gamma2 * (size + np.abs(q)) / dn
+        edge = (ratio + width >= -EPS_GEOM) & (ratio - width < m.two_over_c)
+    else:  # respond() moves nobody for y == 0; a nonzero y of zero norm stays scalar
+        edge = np.full(A.shape[0], bool(np.any(y)))
+    offset = m.two_over_c * dn
+    threshold = -EPS_GEOM * dn
+    if observed is not A:
+        q = observed @ y + b
+        size = np.abs(observed) @ abs_y + abs(b)
+    score = q - offset
+    band = gamma2 * (size + (offset - threshold))
+    edge |= (score >= threshold - band) & (score < threshold + band)
+    return edge, np.where(score >= threshold, 1, -1)
 
 
 def interact(

@@ -10,16 +10,23 @@ on (d <= 4, <= 8 points per side).  For the polyhedral norms (l1, linf,
 wl1), ``oracle_polyhedral_margin`` enumerates every vertex of the
 max-margin LP's feasible region (d <= 3, <= 4 points per side).
 ``two_sided_certificate`` re-derives a solution's optimality interval for
-any norm from the norm functions alone.
+any norm from the norm functions alone.  ``oracle_run_online`` is the
+online protocol one scalar ``interact`` per step, the reference the
+harness's block engine must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 
-from stratclass.norms import dual_norm_eval, norm_eval
+from stratclass import harness
+from stratclass.learners import SmmLearner
+from stratclass.maxmargin import margin_h
+from stratclass.norms import CostModel, dual_norm_eval, norm_eval, parse_norm
+from stratclass.response import Agent, interact
 
 
 def _subset_candidate(P_sub: np.ndarray, N_sub: np.ndarray):
@@ -152,3 +159,61 @@ def two_sided_certificate(P, N, sol, m):
         y, b = sol.y / dn, sol.b / dn
         lower = min(float(np.min(P @ y + b)), float(np.min(-(N @ y + b))))
     return lower, 0.5 * norm_eval(m, x_plus - x_minus)
+
+
+def oracle_run_online(cfg, dataset=None):
+    """``harness.run_online`` as one scalar ``interact`` per step.
+
+    Uses the harness's own config, arrival order, learner factory and
+    metrics record, so only the protocol loop differs from the engine.
+    """
+    if dataset is None:
+        dataset = harness.build_dataset(cfg)
+    model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
+    idx, noise_rng = harness._arrivals(cfg, dataset.n)
+    learner = harness._build_learner(cfg, model)
+    bench = dataset.benchmark
+    want_distance = cfg.track in ("distance", "full") and bench is not None
+    want_gap = cfg.track == "full" and bench is not None
+    if want_gap:
+        pair = dataset.point_sets()
+        h_star = margin_h(bench.y_star, bench.b_star, pair)
+
+    metrics = harness.RunMetrics()
+    declared = distance = gap = None
+    start = time.perf_counter()
+    for step, i in enumerate(idx, start=1):
+        clf = learner.declare()
+        key = (clf.y.tobytes(), clf.b)
+        if key != declared:
+            declared = key
+            distance = harness._normalized_distance(clf.y, clf.b, bench) if want_distance else None
+            gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
+        in_init = learner.in_init
+        agent = Agent(dataset.features[i], int(dataset.labels[i]))
+        inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
+
+        metrics.t.append(step)
+        metrics.mistake.append(inter.mistake)
+        metrics.manipulated.append(inter.manipulated)
+        metrics.label.append(agent.label)
+        d_now = None
+        if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
+            d_now = learner.solution.d
+        metrics.d_t.append(d_now)
+        metrics.distance.append(distance)
+        metrics.margin_gap.append(gap)
+        if in_init:
+            metrics.init_steps += 1
+            if inter.mistake:
+                metrics.init_mistakes += 1
+
+        learner.update(inter.response, agent.label)
+
+    metrics.wall_time = time.perf_counter() - start
+    final = learner.declare()
+    metrics.final_y = final.y
+    metrics.final_b = final.b
+    metrics.solve_count = getattr(learner, "solve_count", 0)
+    metrics.inseparable_at = getattr(learner, "inseparable_at", None)
+    return metrics

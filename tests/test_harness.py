@@ -1,6 +1,7 @@
 """Config parsing, online runs, metrics files, certification, CLI plumbing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from stratclass.harness import (
     write_metrics,
 )
 from stratclass.maxmargin import margin_h
+from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import Classifier
+
+from oracle import oracle_run_online
 
 
 def two_cluster_dataset():
@@ -102,6 +106,8 @@ class TestParseConfig:
             ("T = 10\ntwo_over_c = 0", "line 2: two_over_c must be positive"),
             ("two_over_c = abc", "line 1"),
             ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
+            ("algorithm = smm\nschedule = bogus\nc = 1", "step schedule"),
+            ("algorithm = gradsmm\nschedule = const:nan\nc = 125", "positive and finite"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
@@ -222,15 +228,23 @@ class TestRunOnline:
     @pytest.mark.parametrize("algorithm", ["smm", "gradsmm", "perceptron"])
     def test_metric_columns_match_a_per_step_recomputation(self, monkeypatch, algorithm):
         # the run computes distance and margin gap once per declaration;
-        # recompute both at every step from the classifier declared there
+        # recompute both at every step from the classifier in force there,
+        # which each update sees declared
         declared = []
-        interact = harness.interact
+        build = harness._build_learner
 
-        def recording_interact(agent, clf, *args, **kwargs):
-            declared.append(clf)
-            return interact(agent, clf, *args, **kwargs)
+        def recording_build(cfg, model):
+            learner = build(cfg, model)
+            update = learner.update
 
-        monkeypatch.setattr(harness, "interact", recording_interact)
+            def recording_update(response, label):
+                declared.append(learner.declare())
+                update(response, label)
+
+            learner.update = recording_update
+            return learner
+
+        monkeypatch.setattr(harness, "_build_learner", recording_build)
         cfg = RunConfig(algorithm=algorithm, c=8.0, T=400, seed=4, synth_n=60, synth_d=3, track="full")
         metrics = run_online(cfg)
         ds = build_dataset(cfg)
@@ -279,6 +293,147 @@ class TestRunOnline:
         assert sum(1 for l in metrics.label if l == 1) == ds.n
 
 
+_COLUMNS = ("t", "mistake", "manipulated", "label", "d_t", "distance", "margin_gap")
+
+
+def assert_same_run(got, want):
+    """Every column, counter and the final classifier agree bit for bit."""
+    for col in _COLUMNS:
+        assert repr(getattr(got, col)) == repr(getattr(want, col)), col
+    for attr in ("init_steps", "init_mistakes", "solve_count", "inseparable_at", "final_b"):
+        assert repr(getattr(got, attr)) == repr(getattr(want, attr)), attr
+    assert got.final_y.tobytes() == want.final_y.tobytes()
+
+
+class _Scripted:
+    """Declares ``script[i]`` after i updates (the last entry from then on); keeps what it is fed."""
+
+    in_init = False
+
+    def __init__(self, script):
+        self.script = script
+        self.fed = []
+
+    def declare(self):
+        return self.script[min(len(self.fed), len(self.script) - 1)]
+
+    def update(self, response, label):
+        self.fed.append((np.asarray(response).tobytes(), label))
+
+
+def _straddling_intercept(x, y, model, T):
+    """An intercept that puts ``x`` inside the window, on its lower edge, as ``interact``
+    computes its margin ratio, but outside it as the screen of some block of a
+    ``T``-step run computes the ratio of one of its rows.
+
+    ``None`` if no block shape rounds ``x . y`` below ``np.dot``.
+    """
+    dn = dual_norm_eval(model, y)
+    q = float(np.dot(y, x))
+    sizes = [k for k in (2**i for i in range(1, 13)) if k < T]
+    b = -EPS_GEOM * dn - q
+    for _ in range(64):
+        b = np.nextafter(b, -np.inf)
+    for _ in range(128):
+        if (q + b) / dn >= -EPS_GEOM:
+            for k in sizes:
+                if np.any((np.tile(x, (k, 1)) @ y + b) / dn < -EPS_GEOM):
+                    return float(b)
+        b = np.nextafter(b, np.inf)
+    return None
+
+
+class TestBlockEngine:
+    """``run_online`` against the one-``interact``-per-step loop in ``tests/oracle.py``."""
+
+    CASES = [
+        dict(algorithm="smm"),
+        dict(algorithm="smm", mode="stream", rounds=3),
+        dict(algorithm="smm", sigma=1e-3),
+        dict(algorithm="smm", force_resolve=True),
+        dict(algorithm="smm", norm="l1"),
+        dict(algorithm="smm", norm="linf", mode="stream", rounds=2, sigma=1e-3),
+        dict(algorithm="gradsmm"),
+        dict(algorithm="gradsmm", mode="stream", rounds=3, sigma=1e-3),
+        dict(algorithm="perceptron"),
+        dict(algorithm="perceptron", sigma=1e-3),
+        dict(algorithm="perceptron", norm="l1", mode="stream", rounds=3),
+        dict(algorithm="perceptron", cone="zero-b"),
+        dict(algorithm="perceptron", cone="zero-b", norm="linf", sigma=1e-3),
+        dict(algorithm="perceptron", cone="nonneg"),
+        dict(algorithm="perceptron", cone="nonneg", norm="l1", mode="stream", rounds=3, sigma=1e-3),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_matches_the_per_step_loop(self, case):
+        ds = generate_synthetic(SynthConfig(seed=3, n=400, d=4))
+        cfg = RunConfig(c=125.0, T=None if case.get("mode") == "stream" else 2500, seed=7,
+                        **case)
+        assert_same_run(run_online(cfg, ds), oracle_run_online(cfg, ds))
+
+    def _scripted_run(self, monkeypatch, ds, script, **kw):
+        learners_built = []
+
+        def build(cfg, model):
+            learners_built.append(_Scripted(script))
+            return learners_built[-1]
+
+        monkeypatch.setattr(harness, "_build_learner", build)
+        cfg = RunConfig(algorithm="perceptron", c=4.0, seed=1, track="counts", **kw)
+        got = run_online(cfg, ds)
+        want = oracle_run_online(cfg, ds)
+        assert_same_run(got, want)
+        engine_fed, oracle_fed = (learner.fed for learner in learners_built)
+        assert engine_fed == oracle_fed
+        return got
+
+    def test_agents_on_the_window_edges_and_the_offset_threshold(self, monkeypatch):
+        # y = (0, 1), b = 0, 2/c = 1/2: every ratio and score here is exact.  The
+        # window [-EPS_GEOM, 1/2) holds ratios 0 and -EPS_GEOM; a ratio of 1/2 - EPS_GEOM
+        # scores exactly on the offset threshold -EPS_GEOM
+        heights = {0.0: True, -EPS_GEOM: True, 0.5 - EPS_GEOM: True, 0.5: False,
+                   np.nextafter(-EPS_GEOM, -1.0): False, 0.75: False, -0.75: False}
+        xs = np.linspace(-1.0, 1.0, 5)
+        feats = np.array([[x, h] for x in xs for h in heights])
+        labels = np.where(feats[:, 1] >= 0.0, 1, -1)
+        clf = Classifier(np.array([0.0, 1.0]), 0.0)
+        got = self._scripted_run(monkeypatch, Dataset(feats, labels), [clf], T=3000)
+        idx, _ = _arrivals(RunConfig(c=4.0, seed=1, T=3000), len(feats))
+        assert got.manipulated == [heights[h] for h in feats[idx, 1]]
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, 1.0])
+    def test_zero_classifier(self, monkeypatch, b):
+        ds = two_cluster_dataset()
+        got = self._scripted_run(monkeypatch, ds, [Classifier(np.zeros(2), b)], T=500)
+        assert not any(got.manipulated)
+        assert set(got.mistake) == {False, True}
+
+    def test_noisy_block_cut_partway_through_its_buffer(self, monkeypatch):
+        # blocks of 1, 2, 4 and 8 agents start at steps 1, 2, 4 and 8; the change
+        # after step 10 cuts the fourth with five rows of noise read ahead
+        ds = two_cluster_dataset()
+        first, second = Classifier(np.array([0.0, 1.0]), 0.0), Classifier(np.array([0.6, 0.8]), -0.1)
+        got = self._scripted_run(monkeypatch, ds, [first] * 10 + [second], T=400, sigma=0.05)
+        assert not any(got.manipulated[:10]) and any(got.manipulated[10:])
+
+    def test_rounding_on_the_lower_window_edge(self, monkeypatch):
+        # an intercept that puts the agent on the edge as interact computes its
+        # ratio, but off it as some block's matrix-vector product does
+        model = CostModel(parse_norm("l2"), 4.0, 6)
+        rng = np.random.default_rng(11)
+        T = 255  # blocks of 1, 2, ..., 128 agents
+        for _ in range(50):
+            x, y = rng.standard_normal(6), rng.standard_normal(6)
+            b = _straddling_intercept(x, y, model, T)
+            if b is not None:
+                break
+        # on a BLAS that rounds no block below np.dot no such intercept exists,
+        # and the run below compares an ordinary agent
+        got = self._scripted_run(monkeypatch, Dataset(x[None, :], np.array([-1])),
+                                 [Classifier(y, 0.0 if b is None else b)], T=T)
+        assert b is None or all(got.manipulated)
+
+
 class TestMetricsIO:
     def test_round_trip_is_exact(self, tmp_path):
         ds = two_cluster_dataset()
@@ -305,6 +460,14 @@ class TestMetricsIO:
         path = tmp_path / "x.csv"
         path.write_text("t,mistake,manipulated,label,d_t,distance,margin_gap\n1,0,0\n")
         with pytest.raises(ValueError, match=":2:"):
+            read_metrics(path)
+
+    @pytest.mark.parametrize("row", ["2,2,0,1,,,", "2,0,-1,1,,,", "2,0,0,0,,,", "2,0,0,2,,,",
+                                     "2,true,0,1,,,", "2,0,0,+1,,,", "2,0,0,1,x,,"])
+    def test_corrupt_flags_and_labels_rejected_with_path_and_line(self, tmp_path, row):
+        path = tmp_path / "x.csv"
+        path.write_text("t,mistake,manipulated,label,d_t,distance,margin_gap\n1,1,0,-1,,,\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
             read_metrics(path)
 
 
@@ -482,6 +645,24 @@ class TestCli:
         cli.main(["simulate", "--config", cfg, "--out", out])
         assert cli.main(["certify", "--config", cfg, "--metrics", out]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", ["smm", "perceptron"])
+    def test_certify_rejects_metrics_of_another_run(self, tmp_path, capsys, algorithm):
+        text = f"algorithm = {algorithm}\nc = 4\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n"
+        cfg = self.write_cfg(tmp_path, text + "T = 30\nseed = 1\n")
+        out = tmp_path / "m.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        for other, fragment in (("T = 30\nseed = 2\n", "different run"),
+                                ("T = 31\nseed = 1\n", "30 rows but the config runs 31 steps")):
+            other_cfg = tmp_path / "other.cfg"
+            other_cfg.write_text(text + other)
+            assert cli.main(["certify", "--config", str(other_cfg), "--metrics", str(out)]) == 2
+            assert fragment in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        lines[1] = "1,2" + lines[1][3:]  # a mistake flag of 2
+        out.write_text("\n".join(lines) + "\n")
+        assert cli.main(["certify", "--config", cfg, "--metrics", str(out)]) == 2
+        assert f"{out}:2:" in capsys.readouterr().err
 
     def test_reproduce_example_cli(self, capsys):
         assert cli.main(["reproduce-example", EXAMPLE_NAMES[0]]) == 0

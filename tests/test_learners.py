@@ -463,7 +463,8 @@ def test_step_schedule_tokens():
     assert s(1) == 1.0 and s(4) == 0.5
     s = _step_schedule("const:0.25")
     assert s(1) == 0.25 and s(100) == 0.25
-    with pytest.raises(ValueError):
-        _step_schedule("const:-1")
+    for bad in ("const:-1", "const:0", "const:nan", "const:inf"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _step_schedule(bad)
     with pytest.raises(ValueError):
         _step_schedule("linear")

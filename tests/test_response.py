@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stratclass.norms import EPS_GEOM, L1, L2, CostModel, parse_norm
+from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import (
     Agent,
     Classifier,
@@ -14,6 +14,7 @@ from stratclass.response import (
     predict,
     proxy_from_response,
     respond,
+    screen,
     sign,
 )
 
@@ -182,3 +183,41 @@ def test_l1_response_moves_single_coordinate():
     r = respond(Agent(np.array([0.0, 0.0]), 1), clf, m)
     # all movement lands on the heaviest coordinate
     assert r[1] == 0.0 and r[0] == pytest.approx(1.0)
+
+
+class _Draws:
+    """A noise source that hands out given rows in order."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def standard_normal(self, size):
+        return next(self.rows)
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "linf", "lp:3"])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_screen_answers_like_interact_on_every_row_it_decides(norm, sigma):
+    rng = np.random.default_rng(5)
+    d = 5
+    m = CostModel(parse_norm(norm), c=8.0, dim=d)
+    for y, b in ((rng.standard_normal(d), 0.1), (rng.standard_normal(d), -0.3), (np.zeros(d), 0.0)):
+        clf = Classifier(y, b)
+        dn = dual_norm_eval(m, y)
+        # rows with ratios spread over and around the window, and rows placed on
+        # its edges and on the offset threshold up to the rounding of the placement
+        targets = np.r_[rng.uniform(-3.0, 3.0, 600) * m.two_over_c,
+                        np.repeat([0.0, -EPS_GEOM, m.two_over_c, m.two_over_c - EPS_GEOM], 50)]
+        A = rng.standard_normal((len(targets), d))
+        if dn > 0:
+            A += np.outer(targets * dn - (A @ y + b), y / (y @ y))
+        Z = rng.standard_normal(A.shape)
+        observed = A if sigma == 0.0 else A + sigma * Z
+        edge, predicted = screen(A, observed, clf, m)
+        in_window = np.array([dn > 0 and -EPS_GEOM <= margin_ratio(clf, m, a) < m.two_over_c for a in A])
+        assert np.all(edge[in_window])
+        assert not np.all(edge)
+        for j in np.flatnonzero(~edge):
+            out = interact(Agent(A[j], 1), clf, m, sigma, _Draws([Z[j]]))
+            assert not out.manipulated and np.array_equal(out.response, observed[j])
+            assert out.predicted == predicted[j]
