@@ -6,6 +6,12 @@ times the envelope constant of the cost norm, and on the benchmark margin
 ``d_*``.  Certificates that do not apply (margin not exceeding the reach,
 or a cone hypothesis the benchmark violates) are reported as unbounded or
 rejected — never silently computed.
+
+The radii are exact and near-linear to measure: each half-diameter scans
+pairs only among the points a triangle-inequality cut cannot rule out as
+an endpoint of a farthest pair (see ``_half_diameter``), and returns the
+full pairwise scan's value bit for bit.  Labels must be +1/-1, one per
+row, and features finite; anything else is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -76,15 +82,54 @@ class DatasetConstants:
 
 
 def _half_diameter(X: np.ndarray, chunk: int = 512) -> float:
-    """Half the largest pairwise Euclidean distance (0 for < 2 points)."""
-    n = X.shape[0]
+    """Half the largest pairwise Euclidean distance (0 for < 2 points).
+
+    The value is the full scan's, bit for bit: the largest entry of
+    ``sq_i + sq_j - 2 X X^T``, computed in row chunks of ``chunk`` points.
+    Only the rows that can hold that entry are scored, found in two steps.
+
+    *Candidates.*  A double farthest-point sweep gives a pair at distance
+    ``L``; with ``c`` the centroid and ``R`` the largest
+    ``r_i = ||x_i - c||``, the triangle inequality puts both endpoints of
+    any pair at least ``L`` apart at ``r_i >= L - R``.  Every evaluation of
+    the kernel is within ``err = 8 (d + 2) eps max||x||^2`` of the true
+    squared distance, so the pair holding the full scan's maximum is at
+    least ``L - sqrt(2 err)`` long; the cut is lowered by twice that, which
+    also covers the rounding of ``r``, ``R`` and ``L``.
+
+    *Rows.*  The kernel over the candidates alone puts that pair within
+    ``4 err`` of the candidates' maximum.  A matrix product rounds an entry
+    differently depending on where it sits in the product, so the rows of
+    such pairs are scored again from the full scan's own product for their
+    chunk.  On points spread through a ball most points are cut and one or
+    two chunk products rerun; on points on a sphere nothing is cut, and
+    the scan over the candidates is the full scan.
+    """
+    n, d = X.shape
     if n < 2:
         return 0.0
     sq = np.einsum("ij,ij->i", X, X)
+    r = np.linalg.norm(X - X.mean(axis=0), axis=1)
+    a = int(np.argmax(np.linalg.norm(X - X[int(np.argmax(r))], axis=1)))
+    L = float(np.max(np.linalg.norm(X - X[a], axis=1)))
+    err = 8.0 * (d + 2) * np.finfo(float).eps * float(np.max(sq))
+    cand = np.flatnonzero(r >= L - float(np.max(r)) - 2.0 * math.sqrt(2.0 * err))
+    every = len(cand) == n
+    Y, ysq = (X, sq) if every else (X[cand], sq[cand])
+    row_best = np.empty(len(cand))
+    for start in range(0, len(cand), chunk):
+        d2 = ysq[start : start + chunk, None] + ysq[None, :] - 2.0 * Y[start : start + chunk] @ Y.T
+        row_best[start : start + chunk] = np.max(d2, axis=1)
+    if every:  # that was the full scan
+        return 0.5 * math.sqrt(max(float(np.max(row_best)), 0.0))
+    rows = cand[row_best >= np.max(row_best) - 4.0 * err]
+
     best = 0.0
-    for start in range(0, n, chunk):
-        block = X[start : start + chunk]
-        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * block @ X.T
+    for start in np.unique(rows // chunk) * chunk:
+        # the full scan's expression: (2 * block) @ X.T, same operands
+        gram2 = 2.0 * X[start : start + chunk] @ X.T
+        mine = rows[(rows >= start) & (rows < start + chunk)]
+        d2 = sq[mine, None] + sq[None, :] - gram2[mine - start]
         best = max(best, float(np.max(d2)))
     return 0.5 * math.sqrt(max(best, 0.0))
 
@@ -95,6 +140,16 @@ def dataset_constants(features, labels, m: CostModel) -> DatasetConstants:
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("dataset_constants requires a nonempty 2-D feature array")
+    if labels.shape != (X.shape[0],):
+        raise ValueError(
+            f"dataset_constants needs one label per row: {X.shape[0]} rows, "
+            f"labels of shape {labels.shape}"
+        )
+    bad = np.setdiff1d(labels, (1, -1))
+    if bad.size:
+        raise ValueError(f"labels must be +1/-1, got {bad.tolist()}")
+    if not np.isfinite(X).all():
+        raise ValueError("dataset_constants requires finite features")
     return DatasetConstants(
         D=float(np.max(np.linalg.norm(X, axis=1))),
         D_pm=_half_diameter(X),

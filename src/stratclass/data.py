@@ -78,15 +78,42 @@ class SynthConfig:
 
 
 def sample_truncated_normal(rng, cfg: SynthConfig) -> np.ndarray:
-    """One draw from N(0, variance * I_d) conditioned on ``||x||_2 <= radius``."""
-    for _ in range(_MAX_REJECTION_TRIES):
-        x = rng.normal(0.0, math.sqrt(cfg.variance), cfg.d)
-        if np.linalg.norm(x) <= cfg.radius:
-            return x
-    raise RuntimeError(
-        f"rejection sampling failed after {_MAX_REJECTION_TRIES} tries; "
-        "radius is too small for the variance"
-    )
+    """``cfg.n`` draws from N(0, variance * I_d) conditioned on ``||x||_2 <= radius``.
+
+    Rejection sampling in ``(k, d)`` blocks from ``rng``: the rows are the
+    ones a loop drawing ``d`` normals at a time and keeping those with
+    ``np.linalg.norm(x) <= radius`` would keep, bit for bit, because a block
+    is the same stream.  Rows whose vectorised norm lies within a rounding
+    band of ``radius`` are decided by that scalar test.  ``rng`` may advance
+    past the last kept row.  Raises ``RuntimeError`` when one row would
+    take more than ``_MAX_REJECTION_TRIES`` draws.
+    """
+    scale = math.sqrt(cfg.variance)
+    band = 4.0 * (cfg.d + 2) * np.finfo(float).eps * cfg.radius
+    cap = max(1, 2**20 // cfg.d)
+    blocks, kept, misses = [], 0, 0
+    k = min(cap, cfg.n)
+    while kept < cfg.n:
+        B = rng.normal(0.0, scale, (k, cfg.d))
+        norms = np.sqrt(np.einsum("ij,ij->i", B, B))
+        ok = norms <= cfg.radius
+        for i in np.flatnonzero(np.abs(norms - cfg.radius) <= band):
+            ok[i] = np.linalg.norm(B[i]) <= cfg.radius
+        hits = np.flatnonzero(ok)[: cfg.n - kept]
+        # rejections before each kept row; then those after the last one
+        gaps = np.diff(hits, prepend=-1 - misses) - 1
+        kept += hits.size
+        misses = misses + k if hits.size == 0 else k - 1 - int(hits[-1])
+        if gaps.max(initial=0) >= _MAX_REJECTION_TRIES or (
+            kept < cfg.n and misses >= _MAX_REJECTION_TRIES
+        ):
+            raise RuntimeError(
+                f"rejection sampling failed after {_MAX_REJECTION_TRIES} tries; "
+                "radius is too small for the variance"
+            )
+        blocks.append(B[hits])
+        k = min(cap, 2 * k)
+    return np.concatenate(blocks)
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -100,7 +127,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     points.
     """
     rng = np.random.default_rng(cfg.seed)
-    X = np.vstack([sample_truncated_normal(rng, cfg) for _ in range(cfg.n)])
+    X = sample_truncated_normal(rng, cfg)
     sums = X.sum(axis=1)
     labels = np.where(sums >= 0, 1, -1)
     keep = np.abs(sums) / math.sqrt(cfg.d) >= cfg.rho

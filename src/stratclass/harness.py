@@ -254,22 +254,38 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of each value, formatting a run of one repeated object once.
+
+    Repeats are found by identity, never equality, so ``0.0`` and ``-0.0``
+    stay distinct; the block engine shares one object across a block.
+    """
+    out, last, text = [], object(), ""
+    for v in values:
+        if v is not last:
+            last, text = v, _fmt(v)
+        out.append(text)
+    return out
+
+
 def write_metrics(metrics: RunMetrics, path) -> None:
     """Write the per-iteration table as CSV: one header row plus one row per t."""
-    path = Path(path)
-    with path.open("w") as fh:
+    rows = zip(
+        metrics.t,
+        metrics.mistake,
+        metrics.manipulated,
+        metrics.label,
+        _fmt_column(metrics.d_t),
+        _fmt_column(metrics.distance),
+        _fmt_column(metrics.margin_gap),
+        strict=True,
+    )
+    with Path(path).open("w") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
-        for i in range(len(metrics.t)):
-            row = [
-                str(metrics.t[i]),
-                str(int(metrics.mistake[i])),
-                str(int(metrics.manipulated[i])),
-                str(metrics.label[i]),
-                _fmt(metrics.d_t[i]),
-                _fmt(metrics.distance[i]),
-                _fmt(metrics.margin_gap[i]),
-            ]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(
+            f"{t},{int(mis)},{int(man)},{lbl},{d_t},{dist},{gap}\n"
+            for t, mis, man, lbl, d_t, dist, gap in rows
+        )
 
 
 _FLAGS = {"0": False, "1": True}

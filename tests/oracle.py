@@ -12,17 +12,22 @@ max-margin LP's feasible region (d <= 3, <= 4 points per side).
 ``two_sided_certificate`` re-derives a solution's optimality interval for
 any norm from the norm functions alone.  ``oracle_run_online`` is the
 online protocol one scalar ``interact`` per step, the reference the
-harness's block engine must reproduce bit for bit.
+harness's block engine must reproduce bit for bit.  ``oracle_half_diameter``
+scans every pair of points, the reference for the pruned scan in
+``bounds``; ``oracle_truncated_normal`` draws one row at a time, the
+reference for the batched sampler in ``data``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
 
 from stratclass import harness
+from stratclass.data import _MAX_REJECTION_TRIES, SynthConfig
 from stratclass.learners import SmmLearner
 from stratclass.maxmargin import margin_h
 from stratclass.norms import CostModel, dual_norm_eval, norm_eval, parse_norm
@@ -217,3 +222,31 @@ def oracle_run_online(cfg, dataset=None):
     metrics.solve_count = getattr(learner, "solve_count", 0)
     metrics.inseparable_at = getattr(learner, "inseparable_at", None)
     return metrics
+
+
+def oracle_half_diameter(X: np.ndarray, chunk: int = 512) -> float:
+    """Half the largest pairwise distance, every pair scanned in row chunks."""
+    n = X.shape[0]
+    if n < 2:
+        return 0.0
+    sq = np.einsum("ij,ij->i", X, X)
+    best = 0.0
+    for start in range(0, n, chunk):
+        block = X[start : start + chunk]
+        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * block @ X.T
+        best = max(best, float(np.max(d2)))
+    return 0.5 * math.sqrt(max(best, 0.0))
+
+
+def oracle_truncated_normal(rng, cfg: SynthConfig) -> np.ndarray:
+    """``cfg.n`` truncated-normal rows, each drawn and tested on its own."""
+    rows = []
+    for _ in range(cfg.n):
+        for _ in range(_MAX_REJECTION_TRIES):
+            x = rng.normal(0.0, math.sqrt(cfg.variance), cfg.d)
+            if np.linalg.norm(x) <= cfg.radius:
+                rows.append(x)
+                break
+        else:
+            raise RuntimeError("rejection sampling failed")
+    return np.vstack(rows)

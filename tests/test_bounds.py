@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import oracle_half_diameter
 from stratclass.bounds import (
     Benchmark,
     DatasetConstants,
     HypothesisViolation,
+    _half_diameter,
     dataset_constants,
     kappa_l2_upper,
     perceptron_mistake_bound,
     smm_manipulation_bounds,
     smm_mistake_bound,
 )
+from stratclass.data import SynthConfig, generate_synthetic
 from stratclass.learners import ConeKind
 from stratclass.norms import L1, L2, LINF, CostModel
 
@@ -76,6 +81,99 @@ def test_dataset_constants_rejects_empty_or_flat_input():
         dataset_constants(np.empty((0, 2)), np.array([]), m)
     with pytest.raises(ValueError):
         dataset_constants(np.array([1.0, 2.0]), np.array([1]), m)
+
+
+@pytest.mark.parametrize(
+    "features, labels, message",
+    [
+        (np.eye(3, 2), np.array([1, -1]), "one label per row"),
+        (np.eye(2), np.array([[1, -1]]), "one label per row"),
+        (np.eye(2), np.array([1, 0]), "must be \\+1/-1"),
+        (np.eye(2), np.array([1, 2]), "must be \\+1/-1"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([1, -1]), "finite"),
+        (np.array([[0.0, 0.0], [np.inf, 0.0]]), np.array([1, -1]), "finite"),
+    ],
+)
+def test_dataset_constants_rejects_mismatched_labels_or_nonfinite_features(
+    features, labels, message
+):
+    with pytest.raises(ValueError, match=message):
+        dataset_constants(features, labels, CostModel(L2, c=1.0, dim=2))
+
+
+def _sphere(n, d, seed):
+    g = np.random.default_rng(seed).normal(size=(n, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+class TestPrunedHalfDiameter:
+    """The pruned scan returns the full scan's value bit for bit."""
+
+    @staticmethod
+    def check(X):
+        X = np.ascontiguousarray(X, dtype=float)
+        got = _half_diameter(X)
+        assert got == oracle_half_diameter(X)
+        return got
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_sets(self, n):
+        X = np.arange(3.0 * n).reshape(n, 3)
+        assert self.check(X) == (0.0 if n < 2 else 0.5 * math.sqrt(27.0))
+
+    @pytest.mark.parametrize("n, d", [(700, 2), (1100, 6)])
+    def test_points_on_a_sphere_all_survive(self, n, d):
+        assert self.check(3.0 * _sphere(n, d, seed=n)) == pytest.approx(3.0, rel=1e-2)
+
+    def test_gaussian_cloud_across_chunks(self):
+        self.check(np.random.default_rng(1).normal(size=(1500, 6)))
+
+    def test_duplicates(self):
+        X = np.random.default_rng(2).normal(size=(40, 3))
+        self.check(np.repeat(X, 30, axis=0))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_identical_points_give_zero(self, offset):
+        assert self.check(np.full((600, 4), offset)) == 0.0
+
+    def test_collinear_points(self):
+        t = np.random.default_rng(3).uniform(-5.0, 5.0, size=900)
+        self.check(np.outer(t, [1.0, -2.0, 0.5]) + [0.25, 1.0, -3.0])
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0])
+    def test_cloud_far_from_the_origin(self, spread):
+        # Cancellation in sq_i + sq_j - 2 x_i.x_j is about eps * 1e12 here,
+        # larger than the true squared distances at the small spread.
+        rng = np.random.default_rng(4)
+        self.check(1e6 + spread * rng.normal(size=(1200, 3)))
+
+    def test_pair_the_candidate_product_rounds_differently(self):
+        # With OpenBLAS, the farthest pair's entry in the product over the
+        # candidates alone is one ulp above its entry in the full scan's
+        # chunk product on this class; the full scan's value must win.
+        ds = generate_synthetic(SynthConfig(seed=26, n=2000))
+        self.check(ds.features[ds.labels == 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 700),
+        d=st.integers(1, 5),
+        shape=st.sampled_from(["normal", "sphere", "uniform"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+        repeats=st.integers(1, 3),
+    )
+    def test_matches_the_full_scan(self, seed, n, d, shape, scale, offset, repeats):
+        rng = np.random.default_rng(seed)
+        if shape == "normal":
+            X = rng.normal(size=(n, d))
+        elif shape == "sphere":
+            X = _sphere(n, d, seed)
+        else:
+            X = rng.uniform(-1.0, 1.0, size=(n, d))
+        X = np.repeat(offset + scale * X, repeats, axis=0)
+        self.check(rng.permutation(X))
 
 
 class TestKappa:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from oracle import oracle_truncated_normal
+from stratclass import data
 from stratclass.data import (
     Dataset,
     SynthConfig,
@@ -51,9 +53,9 @@ class TestSynthConfig:
 
 
 def test_truncated_sampling_respects_the_radius():
-    cfg = SynthConfig(seed=0, n=10, d=6)
+    cfg = SynthConfig(seed=0, n=500, d=6)
     rng = np.random.default_rng(1)
-    draws = np.array([sample_truncated_normal(rng, cfg) for _ in range(500)])
+    draws = sample_truncated_normal(rng, cfg)
     assert np.all(np.linalg.norm(draws, axis=1) <= cfg.radius)
 
 
@@ -61,6 +63,80 @@ def test_truncated_sampling_gives_up_eventually():
     cfg = SynthConfig(seed=0, n=10, d=6, radius=1e-12)
     with pytest.raises(RuntimeError):
         sample_truncated_normal(np.random.default_rng(0), cfg)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SynthConfig(seed=0, n=2000),
+        SynthConfig(seed=5, n=3),
+        SynthConfig(seed=9, n=700, d=2),
+        # accepts about one draw in 70
+        SynthConfig(seed=1, n=400, radius=0.2),
+        SynthConfig(seed=2, n=50, d=1, radius=0.01, variance=1.0),
+    ],
+)
+def test_truncated_sampling_replays_the_per_row_stream(cfg):
+    got = sample_truncated_normal(np.random.default_rng(cfg.seed), cfg)
+    want = oracle_truncated_normal(np.random.default_rng(cfg.seed), cfg)
+    assert got.shape == want.shape == (cfg.n, cfg.d)
+    assert _bits(got) == _bits(want)
+
+
+class _ScriptedRng:
+    """Serves ``normal`` draws from a fixed array, in order."""
+
+    def __init__(self, values):
+        self.values = values
+        self.pos = 0
+
+    def normal(self, loc, scale, size):
+        count = int(np.prod(size))
+        out = self.values[self.pos : self.pos + count].reshape(size)
+        self.pos += count
+        return out
+
+
+def test_truncated_sampling_decides_knife_edge_rows_like_the_per_row_loop():
+    # Rows whose norm, summed in another order, lands on the other side of
+    # a radius equal to np.linalg.norm of the row (kept) or just below it
+    # (rejected).
+    B = np.random.default_rng(0).normal(size=(2000, 6))
+    scalar = np.array([np.linalg.norm(b) for b in B])
+    vector = np.sqrt(np.einsum("ij,ij->i", B, B))
+    over = B[np.flatnonzero(vector > scalar)[0]]
+    under = B[np.flatnonzero(vector < scalar)[0]]
+    inside = np.full(6, 0.01)
+    for row, radius, want in (
+        (over, np.linalg.norm(over), [over, inside]),
+        (under, np.nextafter(np.linalg.norm(under), 0.0), [inside, inside]),
+        (np.eye(6)[0], 1.0, [np.eye(6)[0], inside]),
+    ):
+        cfg = SynthConfig(seed=0, n=2, d=6, radius=radius)
+        values = np.concatenate([row, np.tile(inside, 40)])
+        for sampler in (sample_truncated_normal, oracle_truncated_normal):
+            assert _bits(sampler(_ScriptedRng(values), cfg)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "misses, ok", [(data._MAX_REJECTION_TRIES - 1, True), (data._MAX_REJECTION_TRIES, False)]
+)
+def test_truncated_sampling_allows_exactly_the_try_budget_per_row(misses, ok):
+    # Row 1 is accepted at once; row 2 after `misses` rejections.
+    cfg = SynthConfig(seed=0, n=2, d=2, radius=1.0)
+    stream = np.concatenate([[0.5, 0.0], np.full(2 * misses, 2.0), [0.0, 0.5]])
+    values = np.concatenate([stream, np.full(4 * len(stream), 3.0)])
+    for sampler in (sample_truncated_normal, oracle_truncated_normal):
+        if ok:
+            rows = sampler(_ScriptedRng(values), cfg)
+            assert _bits(rows) == _bits([[0.5, 0.0], [0.0, 0.5]])
+        else:
+            with pytest.raises(RuntimeError):
+                sampler(_ScriptedRng(values), cfg)
 
 
 class TestGenerateSynthetic:
@@ -104,6 +180,25 @@ class TestGenerateSynthetic:
         assert ds.provenance["kind"] == "synthetic"
         assert ds.provenance["seed"] == 12
         assert ds.provenance["rho"] == 0.02
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(seed=0),
+            SynthConfig(seed=7),
+            SynthConfig(seed=31, n=10_000),
+            SynthConfig(seed=4, n=500, d=3),
+            SynthConfig(seed=2, n=600, radius=0.2),
+        ],
+    )
+    def test_matches_the_per_row_sampler(self, cfg, monkeypatch):
+        got = generate_synthetic(cfg)
+        monkeypatch.setattr(data, "sample_truncated_normal", oracle_truncated_normal)
+        want = generate_synthetic(cfg)
+        assert _bits(got.features) == _bits(want.features)
+        assert np.array_equal(got.labels, want.labels)
+        for field in ("y_star", "b_star", "d_star"):
+            assert _bits(getattr(got.benchmark, field)) == _bits(getattr(want.benchmark, field))
 
     def test_impossible_trim_raises(self):
         with pytest.raises(ValueError):

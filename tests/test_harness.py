@@ -450,6 +450,33 @@ class TestMetricsIO:
         assert back.distance == metrics.distance
         assert back.margin_gap == metrics.margin_gap
 
+    def test_shared_values_are_written_like_distinct_ones(self, tmp_path):
+        # Runs of one shared object, and equal values held by different
+        # objects (0.0 and -0.0 compare equal), each keep their own text.
+        x, z, nz = 0.1, 0.0, -0.0
+        metrics = RunMetrics(
+            t=[1, 2, 3, 4, 5, 6, 7],
+            mistake=[True, False, False, True, False, False, False],
+            manipulated=[False, True, False, False, False, True, False],
+            label=[1, -1, -1, 1, 1, -1, 1],
+            d_t=[None, x, x, z, nz, nz, None],
+            distance=[z, nz, z, z, x, None, None],
+            margin_gap=[x, x, x, float(str(x)), 1.0 / 3.0, 1.0 / 3.0, x],
+        )
+        path = tmp_path / "run.metrics.csv"
+        write_metrics(metrics, path)
+        cell = lambda v: "" if v is None else f"{v:.17g}"  # noqa: E731
+        want = "t,mistake,manipulated,label,d_t,distance,margin_gap\n" + "".join(
+            f"{t},{int(a)},{int(b)},{lbl},{cell(d)},{cell(e)},{cell(g)}\n"
+            for t, a, b, lbl, d, e, g in zip(
+                metrics.t, metrics.mistake, metrics.manipulated, metrics.label,
+                metrics.d_t, metrics.distance, metrics.margin_gap,
+            )
+        )
+        assert path.read_text() == want
+        assert path.read_text().splitlines()[4:6] == ["4,1,0,1,0,0,0.10000000000000001",
+                                                      "5,0,0,1,-0,0.10000000000000001,0.33333333333333331"]
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")
