@@ -10,14 +10,17 @@ rejected — never silently computed.
 The radii are exact and near-linear to measure: each half-diameter scans
 pairs only among the points a triangle-inequality cut cannot rule out as
 an endpoint of a farthest pair (see ``_half_diameter``), and returns the
-full pairwise scan's value bit for bit.  Labels must be +1/-1, one per
-row, and features finite; anything else is a ``ValueError``.
+full pairwise scan's value bit for bit.  Each set is measured about its
+own centroid, so data far from the origin does not cancel the distances.
+Labels must be +1/-1, one per row, and features finite; anything else is
+a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +44,12 @@ class Benchmark:
         object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
         if not (self.d_star > 0):
             raise ValueError(f"benchmark margin must be positive, got {self.d_star}")
+
+    @cached_property
+    def l2_normalized(self) -> tuple[np.ndarray, float]:
+        """``(y*, b*) / ||y*||_2``, computed once."""
+        nstar = float(np.linalg.norm(self.y_star))
+        return self.y_star / nstar, self.b_star / nstar
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,16 @@ def _half_diameter(X: np.ndarray, chunk: int = 512) -> float:
     return 0.5 * math.sqrt(max(best, 0.0))
 
 
+def _centred_half_diameter(X: np.ndarray) -> float:
+    """``_half_diameter`` of ``X`` moved to its own centroid.
+
+    The kernel ``sq_i + sq_j - 2 x_i.x_j`` cancels when the points sit far
+    from the origin compared with their spread; distances do not change
+    under a shift, so the set is measured about its centroid instead.
+    """
+    return _half_diameter(X - X.mean(axis=0)) if len(X) else 0.0
+
+
 def dataset_constants(features, labels, m: CostModel) -> DatasetConstants:
     """Measure the radii of a finite agent population under the cost model."""
     X = np.asarray(features, dtype=float)
@@ -152,9 +171,9 @@ def dataset_constants(features, labels, m: CostModel) -> DatasetConstants:
         raise ValueError("dataset_constants requires finite features")
     return DatasetConstants(
         D=float(np.max(np.linalg.norm(X, axis=1))),
-        D_pm=_half_diameter(X),
-        D_plus=_half_diameter(X[labels == 1]),
-        D_minus=_half_diameter(X[labels == -1]),
+        D_pm=_centred_half_diameter(X),
+        D_plus=_centred_half_diameter(X[labels == 1]),
+        D_minus=_centred_half_diameter(X[labels == -1]),
         C=l2_envelope_constant(m),
         reach=m.two_over_c,
     )

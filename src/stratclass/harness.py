@@ -34,10 +34,10 @@ from .learners import (
 )
 from .maxmargin import PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, parse_norm
-from .response import Agent, Classifier, interact, proxy_from_response, respond, screen
+from .response import Agent, Classifier, answer, interact, proxy_from_response, respond
 
 _D_MONOTONE_TOL = 1e-8
-# Largest block of agents screened in one vector pass: blocks double while
+# Largest block of agents answered in one vector pass: blocks double while
 # the classifier holds, and a change discards the rest of the block.
 _MAX_BLOCK = 4096
 
@@ -361,9 +361,9 @@ def _normalized_distance(y, b, bench: Benchmark) -> float | None:
     ny = float(np.linalg.norm(y))
     if ny == 0.0:
         return None
-    nstar = float(np.linalg.norm(bench.y_star))
-    diff_y = y / ny - bench.y_star / nstar
-    diff_b = b / ny - bench.b_star / nstar
+    y_star, b_star = bench.l2_normalized
+    diff_y = y / ny - y_star
+    diff_b = b / ny - b_star
     return float(math.hypot(np.linalg.norm(diff_y), diff_b))
 
 
@@ -373,8 +373,10 @@ class _NoiseRows:
     ``Generator.standard_normal((k, d))`` yields the same numbers as k
     calls of ``standard_normal(d)``, so the rows a block reads ahead but
     does not reach stay buffered for the next block and a noisy run
-    replays exactly.  ``interact`` draws through ``standard_normal``:
-    buffered row ``used`` first, the generator once the buffer is spent.
+    replays exactly.  A block takes its rows with ``ahead`` and marks how
+    many it played in ``used``; ``interact``, which answers one-agent
+    blocks, draws through ``standard_normal``: buffered row ``used``
+    first, the generator once the buffer is spent.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int):
@@ -397,51 +399,17 @@ class _NoiseRows:
         return self.rows[self.used - 1]
 
 
-def _play_block(learner, clf, model, A, labels, sigma, noise, metrics) -> tuple[int, bool]:
-    """Answer and feed a block of agents until the learner declares anew.
-
-    Appends the rows played to the per-agent columns of ``metrics``;
-    returns how many were played and whether the last one's update
-    changed the classifier.
-    """
-    Z = None if noise is None else noise.ahead(len(A))
-    observed = A if Z is None else A + sigma * Z
-    edge, predicted = screen(A, observed, clf, model)
-    mistake = (predicted != labels).tolist()
-    manipulated = [False] * len(A)
-    labels = labels.tolist()
-    n, changed = len(A), False
-    for j, scalar in enumerate(edge.tolist()):
-        if scalar:
-            if noise is not None:
-                noise.used = j
-            inter = interact(Agent(A[j], labels[j]), clf, model, sigma=sigma, noise_rng=noise)
-            response, mistake[j], manipulated[j] = inter.response, inter.mistake, inter.manipulated
-        else:
-            response = observed[j]
-        learner.update(response, labels[j])
-        if learner.declare() is not clf:
-            n, changed = j + 1, True
-            break
-    if noise is not None:
-        noise.used = n
-    metrics.mistake.extend(mistake[:n])
-    metrics.manipulated.extend(manipulated[:n])
-    metrics.label.extend(labels[:n])
-    return n, changed
-
-
 def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     """Stream the dataset through the configured learner and record metrics.
 
     The learner's classifier changes only when an update makes it, so the
-    agents are played in blocks: a block is screened under the declared
-    classifier in one vector pass (``response.screen``), ``interact``
-    answers the rows the screen leaves to it, and the rows feed
+    agents are played in blocks: ``response.answer`` answers a block under
+    the declared classifier in one vector pass, and its rows feed
     ``learner.update`` in order until an update declares a new classifier.
     A block twice as long follows a block that ran to its end; a change
-    restarts at one agent, which ``interact`` answers alone.  Every output
-    equals that of calling ``interact`` at every step.
+    restarts at one agent, which ``interact`` answers alone.  ``answer``
+    and ``interact`` score a row by the same row-stable expression, so
+    every output equals that of calling ``interact`` at every step.
     """
     if dataset is None:
         dataset = build_dataset(cfg)
@@ -455,7 +423,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         pair = dataset.point_sets()
         h_star = margin_h(bench.y_star, bench.b_star, pair)
     noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
-    features, labels = dataset.features, dataset.labels
+    features, labels = dataset.features, dataset.labels[idx].tolist()
 
     metrics = RunMetrics()
     blocks = []  # (agents, d_t, distance, margin_gap) of each block
@@ -477,27 +445,36 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
             d_now = learner.solution.d
 
         if k == 1:
-            i = idx[step]
-            agent = Agent(features[i], int(labels[i]))
-            inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise)
-            learner.update(inter.response, agent.label)
+            inter = interact(Agent(features[idx[step]], labels[step]), clf, model,
+                             sigma=cfg.sigma, noise_rng=noise)
+            learner.update(inter.response, labels[step])
             metrics.mistake.append(inter.mistake)
             metrics.manipulated.append(inter.manipulated)
-            metrics.label.append(agent.label)
             n, changed = 1, learner.declare() is not clf
         else:
-            rows = idx[step : step + k]
-            n, changed = _play_block(
-                learner, clf, model, features[rows], labels[rows], cfg.sigma, noise, metrics
+            Z = None if noise is None else noise.ahead(k)
+            observed, predicted, manipulated = answer(
+                features[idx[step : step + k]], clf, model, Z, cfg.sigma
             )
+            n, changed = k, False
+            for j in range(k):
+                learner.update(observed[j], labels[step + j])
+                if learner.declare() is not clf:
+                    n, changed = j + 1, True
+                    break
+            if noise is not None:
+                noise.used = n
+            metrics.mistake += (predicted[:n] != labels[step : step + n]).tolist()
+            metrics.manipulated += manipulated[:n].tolist()
         blocks.append((n, d_now, distance, gap))
         if in_init:
             metrics.init_steps += n
-            metrics.init_mistakes += sum(metrics.mistake[step:])
         step += n
         k = 1 if changed else min(2 * k, _MAX_BLOCK, T - step)
 
     metrics.t = list(range(1, T + 1))
+    metrics.label = labels
+    metrics.init_mistakes = sum(metrics.mistake[: metrics.init_steps])
     for n, d_now, distance, gap in blocks:
         metrics.d_t += [d_now] * n
         metrics.distance += [distance] * n

@@ -8,10 +8,12 @@ moves exactly far enough to flip a negative prediction whenever the gain
 ``(y.A + b)/||y||_*`` lies in ``[0, 2/c)``; an agent indifferent at cost
 exactly 2 manipulates.  The learner never observes ``A`` — only the
 response — but can reconstruct a separability-preserving proxy from the
-response alone, which is what the learners train on.  ``interact`` plays
-one round; ``screen`` answers a block of agents under one classifier in
-one vector pass, up to the rows whose answer rounding could change, which
-it leaves to ``interact``.
+response alone, which is what the learners train on.
+
+Every ``y.x`` here is one expression, :func:`_score`, whose rounding of a
+row does not depend on the rows beside it.  ``interact`` plays one round
+and ``answer`` plays a block of agents under one classifier; built from
+that score, they agree on every row bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ def sign(x: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Classifier:
-    """Linear classifier with intercept; ``y`` may be the zero vector."""
+    """Linear classifier with intercept; ``y`` may be the zero vector.
+
+    ``y`` must not be changed in place: :meth:`dual_norm` keeps its value.
+    """
 
     y: np.ndarray
     b: float
@@ -38,6 +43,14 @@ class Classifier:
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "b", float(self.b))
+
+    def dual_norm(self, m: CostModel) -> float:
+        """``||y||_*`` under ``m``'s norm, evaluated once per norm object."""
+        norm, value = self.__dict__.get("_dual", (None, 0.0))
+        if norm is not m.norm:
+            value = dual_norm_eval(m, self.y)
+            object.__setattr__(self, "_dual", (m.norm, value))
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +81,19 @@ class Interaction:
     mistake: bool
 
 
+def _score(X, y):
+    """``X . y`` of each row of ``X`` (of ``X`` itself if it is one row).
+
+    The products are laid out row by row and each row is summed on its
+    own, so a row rounds the same alone or in a block of any size; a
+    matrix-vector product does not.
+    """
+    return np.add.reduce(np.multiply(X, y, order="C"), axis=-1)
+
+
 def margin_ratio(clf: Classifier, m: CostModel, x) -> float:
-    """Signed margin ``(y.x + b) / ||y||_*``; +inf-safe only for y != 0."""
-    return (float(np.dot(clf.y, x)) + clf.b) / dual_norm_eval(m, clf.y)
+    """Signed margin ``(y.x + b) / ||y||_*``; defined only for ``||y||_* > 0``."""
+    return (float(_score(x, clf.y)) + clf.b) / clf.dual_norm(m)
 
 
 def predict(clf: Classifier, m: CostModel, x) -> int:
@@ -81,8 +104,8 @@ def predict(clf: Classifier, m: CostModel, x) -> int:
     manipulated responses land exactly on that boundary, where the sign(0)
     convention must survive rounding in either direction.
     """
-    dn = dual_norm_eval(m, clf.y)
-    score = float(np.dot(clf.y, x)) + clf.b - m.two_over_c * dn
+    dn = clf.dual_norm(m)
+    score = float(_score(x, clf.y)) + clf.b - m.two_over_c * dn
     if score >= -EPS_GEOM * dn:
         return 1
     return -1
@@ -93,13 +116,13 @@ def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
 
     Returns ``A + (2/c - ratio) * v(y)`` when the margin ratio lies in the
     manipulation window ``[0, 2/c)`` and ``A`` itself otherwise (including
-    for ``y == 0``, where no movement can change the prediction).  The
-    lower window edge is guarded by EPS_GEOM so that agents sitting on the
-    decision boundary up to float noise still manipulate (indifference at
-    cost exactly 2 resolves to manipulating); the upper edge is strict.
+    for ``||y||_* == 0``, where no movement can change the prediction).
+    The lower window edge is guarded by EPS_GEOM so that agents sitting on
+    the decision boundary up to float noise still manipulate (indifference
+    at cost exactly 2 resolves to manipulating); the upper edge is strict.
     """
     A = agent.features
-    if not np.any(clf.y):
+    if clf.dual_norm(m) == 0.0:
         return A
     ratio = margin_ratio(clf, m, A)
     if -EPS_GEOM <= ratio < m.two_over_c:
@@ -119,60 +142,11 @@ def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> 
     never exactly on the boundary) are stored unmodified.
     """
     response = np.asarray(response, dtype=float)
-    if not np.any(clf.y):
+    if clf.dual_norm(m) == 0.0:
         return response
     if label == -1 and abs(margin_ratio(clf, m, response) - m.two_over_c) <= EPS_GEOM:
         return response - m.two_over_c * manipulation_direction(m, clf.y)
     return response
-
-
-def _gamma(n: int) -> float:
-    """Higham's ``gamma_n = n u / (1 - n u)``: the relative error bound of an n-term float sum."""
-    nu = n * np.finfo(float).eps / 2.0
-    return nu / (1.0 - nu)
-
-
-def screen(A: np.ndarray, observed: np.ndarray, clf: Classifier, m: CostModel):
-    """One vector pass over a block of agents answering the same classifier.
-
-    ``A`` holds the agents' true features, one row each, and ``observed``
-    what each reports if it stays truthful (``A`` itself, or ``A`` plus
-    its response noise).  Returns ``(edge, predicted)``: ``predicted`` is
-    the offset prediction of each observed row, and it and "truthful" are
-    the answer of :func:`interact` for every row not flagged ``edge``.
-
-    ``edge`` flags the rows that :func:`interact` must decide itself: rows
-    whose margin ratio is inside the manipulation window, and rows within a
-    rounding-error band of a window edge or of the offset threshold.  The
-    band is rigorous, not a guessed constant.  A score here and the same
-    score in :func:`interact` are each a (d+2)-term float sum (d products,
-    the intercept and the offset), summed in whatever order the library
-    picks, so each lies within ``gamma_{d+2}`` times the sum of the terms'
-    magnitudes of the exact value, and the two within twice that;
-    ``gamma_{d+4}`` also covers evaluating the band and comparing against
-    it.  The margin ratio's band adds the division's rounding.
-    """
-    y, b = clf.y, clf.b
-    dn = dual_norm_eval(m, y)
-    gamma2 = 2.0 * _gamma(y.shape[0] + 4)
-    abs_y = np.abs(y)
-    q = A @ y + b
-    size = np.abs(A) @ abs_y + abs(b)  # magnitude sum of the terms of q
-    if dn > 0.0:
-        ratio = q / dn
-        width = gamma2 * (size + np.abs(q)) / dn
-        edge = (ratio + width >= -EPS_GEOM) & (ratio - width < m.two_over_c)
-    else:  # respond() moves nobody for y == 0; a nonzero y of zero norm stays scalar
-        edge = np.full(A.shape[0], bool(np.any(y)))
-    offset = m.two_over_c * dn
-    threshold = -EPS_GEOM * dn
-    if observed is not A:
-        q = observed @ y + b
-        size = np.abs(observed) @ abs_y + abs(b)
-    score = q - offset
-    band = gamma2 * (size + (offset - threshold))
-    edge |= (score >= threshold - band) & (score < threshold + band)
-    return edge, np.where(score >= threshold, 1, -1)
 
 
 def interact(
@@ -203,3 +177,29 @@ def interact(
         manipulated=manipulated,
         mistake=predicted != agent.label,
     )
+
+
+def answer(A: np.ndarray, clf: Classifier, m: CostModel, Z=None, sigma: float = 0.0):
+    """One protocol round for each row of ``A`` under the same classifier.
+
+    ``A`` holds the agents' true features, one row each, and ``Z`` (for
+    ``sigma != 0``) one standard-normal noise row per agent.  Returns
+    ``(observed, predicted, manipulated)``: row ``j`` of each is what
+    :func:`interact` reports for agent ``A[j]`` when its noise draw is
+    ``Z[j]``, bit for bit, since every step is the same float operation on
+    the same operands, row by row.
+    """
+    dn = clf.dual_norm(m)
+    q = _score(A, clf.y) + clf.b
+    clean = A
+    if dn != 0.0:
+        ratio = q / dn
+        move = (ratio >= -EPS_GEOM) & (ratio < m.two_over_c)
+        if move.any():
+            clean = A.copy()
+            clean[move] += (m.two_over_c - ratio[move])[:, None] * manipulation_direction(m, clf.y)
+    observed = clean if Z is None else clean + sigma * Z
+    if observed is not A:
+        q = _score(observed, clf.y) + clf.b
+    predicted = np.where(q - m.two_over_c * dn >= -EPS_GEOM * dn, 1, -1)
+    return observed, predicted, np.any(clean != A, axis=1)

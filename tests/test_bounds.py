@@ -75,6 +75,25 @@ def test_half_diameter_matches_brute_force_across_chunks():
     assert consts.D_plus == pytest.approx(pos.max() / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("spread", [1e-3, 1.0])
+def test_radii_of_clouds_far_from_the_origin(offset, spread):
+    # distances do not depend on where the clouds sit; a kernel of squared
+    # norms about the origin would cancel them away at 1e6
+    rng = np.random.default_rng(8)
+    X = offset + spread * rng.normal(size=(700, 3))
+    labels = np.where(rng.random(700) < 0.5, 1, -1)
+    consts = dataset_constants(X, labels, CostModel(L2, c=1.0, dim=3))
+
+    def brute(S):
+        return 0.5 * max(float(np.max(np.linalg.norm(S - s, axis=1))) for s in S)
+
+    assert consts.D_pm == pytest.approx(brute(X), rel=1e-9)
+    assert consts.D_plus == pytest.approx(brute(X[labels == 1]), rel=1e-9)
+    assert consts.D_minus == pytest.approx(brute(X[labels == -1]), rel=1e-9)
+    assert consts.D == float(np.max(np.linalg.norm(X, axis=1)))
+
+
 def test_dataset_constants_rejects_empty_or_flat_input():
     m = CostModel(L2, c=1.0, dim=2)
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from stratclass.harness import (
 )
 from stratclass.maxmargin import margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
-from stratclass.response import Classifier
+from stratclass.response import Classifier, margin_ratio
 
 from oracle import oracle_run_online
 
@@ -323,19 +323,18 @@ class _Scripted:
 
 def _straddling_intercept(x, y, model, T):
     """An intercept that puts ``x`` inside the window, on its lower edge, as ``interact``
-    computes its margin ratio, but outside it as the screen of some block of a
-    ``T``-step run computes the ratio of one of its rows.
+    computes its margin ratio, but outside it as a matrix-vector product over some
+    block of a ``T``-step run would compute the ratio of one of its rows.
 
-    ``None`` if no block shape rounds ``x . y`` below ``np.dot``.
+    ``None`` if no block shape rounds ``x . y`` below ``interact``'s score.
     """
     dn = dual_norm_eval(model, y)
-    q = float(np.dot(y, x))
     sizes = [k for k in (2**i for i in range(1, 13)) if k < T]
-    b = -EPS_GEOM * dn - q
+    b = -EPS_GEOM * dn - float(np.dot(y, x))
     for _ in range(64):
         b = np.nextafter(b, -np.inf)
     for _ in range(128):
-        if (q + b) / dn >= -EPS_GEOM:
+        if margin_ratio(Classifier(y, b), model, x) >= -EPS_GEOM:
             for k in sizes:
                 if np.any((np.tile(x, (k, 1)) @ y + b) / dn < -EPS_GEOM):
                     return float(b)
@@ -418,7 +417,9 @@ class TestBlockEngine:
 
     def test_rounding_on_the_lower_window_edge(self, monkeypatch):
         # an intercept that puts the agent on the edge as interact computes its
-        # ratio, but off it as some block's matrix-vector product does
+        # ratio, but off it as some block's matrix-vector product would: the
+        # blocks score their rows as interact does, so the agent manipulates
+        # at every step
         model = CostModel(parse_norm("l2"), 4.0, 6)
         rng = np.random.default_rng(11)
         T = 255  # blocks of 1, 2, ..., 128 agents
@@ -427,8 +428,8 @@ class TestBlockEngine:
             b = _straddling_intercept(x, y, model, T)
             if b is not None:
                 break
-        # on a BLAS that rounds no block below np.dot no such intercept exists,
-        # and the run below compares an ordinary agent
+        # on a BLAS whose products round no block below interact's score no such
+        # intercept exists, and the run below compares an ordinary agent
         got = self._scripted_run(monkeypatch, Dataset(x[None, :], np.array([-1])),
                                  [Classifier(y, 0.0 if b is None else b)], T=T)
         assert b is None or all(got.manipulated)

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import (
     Agent,
     Classifier,
+    answer,
     interact,
     margin_ratio,
     predict,
     proxy_from_response,
     respond,
-    screen,
     sign,
 )
 
@@ -195,9 +197,33 @@ class _Draws:
         return next(self.rows)
 
 
+def _assert_answers_like_interact(A, clf, m, sigma, Z):
+    """``answer`` on the block ``A`` reports, row by row and bit for bit, what ``interact`` does."""
+    observed, predicted, manipulated = answer(A, clf, m, None if sigma == 0.0 else Z, sigma)
+    assert observed.shape == A.shape and predicted.shape == manipulated.shape == (len(A),)
+    for j in range(len(A)):
+        out = interact(Agent(A[j], 1), clf, m, sigma, _Draws([Z[j]]))
+        assert out.response.tobytes() == observed[j].tobytes()
+        assert out.predicted == predicted[j]
+        assert out.manipulated == manipulated[j]
+    return manipulated
+
+
+def _placed_rows(rng, m, clf, targets, d, scale=1.0):
+    """Random rows moved along ``y`` so their margin ratios hit ``targets`` up to rounding."""
+    A = scale * rng.standard_normal((len(targets), d))
+    y, dn = clf.y, dual_norm_eval(m, clf.y)
+    if dn > 0:
+        A += np.outer(targets * dn - (A @ y + clf.b), y / (y @ y))
+    return A
+
+
 @pytest.mark.parametrize("norm", ["l2", "l1", "linf", "lp:3"])
 @pytest.mark.parametrize("sigma", [0.0, 1e-3])
 def test_screen_answers_like_interact_on_every_row_it_decides(norm, sigma):
+    # a block of agents answered by ``answer`` in one pass: every row decided
+    # as interact decides it, the rows on the window edges and the offset
+    # threshold included
     rng = np.random.default_rng(5)
     d = 5
     m = CostModel(parse_norm(norm), c=8.0, dim=d)
@@ -208,16 +234,34 @@ def test_screen_answers_like_interact_on_every_row_it_decides(norm, sigma):
         # its edges and on the offset threshold up to the rounding of the placement
         targets = np.r_[rng.uniform(-3.0, 3.0, 600) * m.two_over_c,
                         np.repeat([0.0, -EPS_GEOM, m.two_over_c, m.two_over_c - EPS_GEOM], 50)]
-        A = rng.standard_normal((len(targets), d))
-        if dn > 0:
-            A += np.outer(targets * dn - (A @ y + b), y / (y @ y))
+        A = _placed_rows(rng, m, clf, targets, d)
         Z = rng.standard_normal(A.shape)
-        observed = A if sigma == 0.0 else A + sigma * Z
-        edge, predicted = screen(A, observed, clf, m)
+        manipulated = _assert_answers_like_interact(A, clf, m, sigma, Z)
         in_window = np.array([dn > 0 and -EPS_GEOM <= margin_ratio(clf, m, a) < m.two_over_c for a in A])
-        assert np.all(edge[in_window])
-        assert not np.all(edge)
-        for j in np.flatnonzero(~edge):
-            out = interact(Agent(A[j], 1), clf, m, sigma, _Draws([Z[j]]))
-            assert not out.manipulated and np.array_equal(out.response, observed[j])
-            assert out.predicted == predicted[j]
+        # an agent just below the upper edge may move by less than an ulp
+        assert not np.any(manipulated & ~in_window)
+        assert np.any(manipulated) == (dn > 0) and not np.all(in_window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 33),
+    k=st.integers(1, 90),
+    norm=st.sampled_from(["l2", "l1", "linf", "lp:3"]),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    zero_y=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_answer_equals_interact_row_by_row(seed, d, k, norm, sigma, zero_y, scale):
+    rng = np.random.default_rng(seed)
+    m = CostModel(parse_norm(norm), c=float(rng.uniform(0.5, 50.0)), dim=d)
+    y = np.zeros(d) if zero_y else scale * rng.standard_normal(d)
+    clf = Classifier(y, scale * float(rng.standard_normal()))
+    # each row's ratio: anywhere around the window, on either window edge, or
+    # (at 2/c - EPS_GEOM) with its score on the offset threshold
+    edges = [0.0, -EPS_GEOM, m.two_over_c, m.two_over_c - EPS_GEOM]
+    targets = np.where(rng.random(k) < 0.5, rng.choice(edges, k),
+                       rng.uniform(-2.0, 3.0, k) * m.two_over_c)
+    A = _placed_rows(rng, m, clf, targets, d, scale)
+    _assert_answers_like_interact(A, clf, m, sigma, rng.standard_normal(A.shape))
