@@ -142,7 +142,7 @@ class SmmLearner:
             return
         self._adopt(
             solve_max_margin(
-                self.pool, self.model, self.solver_tol, warm=self.solution.support_weights
+                self.pool, self.model, self.solver_tol, warm=self.solution
             )
         )
         self.solve_count += 1

@@ -12,10 +12,11 @@ reduction is solved here with Wolfe's nearest-point method on the
 Minkowski difference of the hulls, certified by the Frank-Wolfe duality
 gap; it hands back convex-combination witnesses suitable for warm starts
 as the clouds grow.  Every other norm is solved as a linear program with
-cutting planes for the curved part of the dual-norm ball.  Either way the
-answer is certified: the margin achieved by ``(y, b)`` and half the
-cost-norm distance between two hull points named by convex weights are
-within ``tol`` of each other, or the solver raises ``SolverError``.
+cutting planes for the curved part of the dual-norm ball, and the cuts
+carry over to the next solve.  Either way the answer is certified: the
+margin achieved by ``(y, b)`` and half the cost-norm distance between two
+hull points named by convex weights are within ``tol`` of each other, or
+the solver raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import EPS_GEOM, CostModel, dual_norm_eval, manipulation_direction, norm_eval
+from .norms import (
+    EPS_GEOM,
+    CostModel,
+    dual_norm_eval,
+    manipulation_direction,
+    norm_eval,
+    norming_functional,
+)
 
 # Declare the clouds inseparable when the achievable margin is this many
 # solver tolerances or less.
@@ -37,6 +45,10 @@ _MAX_CUT_ROUNDS = 200
 # takes a cut violated by less for satisfied, and lp-norm rounds repeat the
 # same optimum short of a 1e-10 certificate.
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Newton steps per lp-norm polish, and the Newton decrement, relative to the
+# objective, below which the polish counts as converged.
+_MAX_POLISH_STEPS = 50
+_POLISH_DECREMENT = 1e-30
 
 
 class SolverError(RuntimeError):
@@ -280,7 +292,11 @@ class MarginSolution:
     points along ``x_plus - x_minus``, ``b`` centers it between them and
     ``d`` is the bound; elsewhere ``d`` is the achieved margin and ``b`` the
     best intercept.  When not separable the classifier degenerates to
-    (0, 0) with d = 0, and ``gap`` is the bound.
+    (0, 0) with d = 0, and ``gap`` is the bound.  ``rounds`` counts the
+    solve's LPs on the cutting-plane path and its Wolfe major cycles on the
+    l2 path.  ``cuts`` holds the rows ``v`` of every Kelley cut ``v.y <= 1``
+    in place at the end (none on the l2 path); each has ``||v|| = 1``, so
+    it holds on the whole dual-norm ball and a later solve can start from it.
     """
 
     y: np.ndarray
@@ -291,32 +307,37 @@ class MarginSolution:
     separable: bool
     support_weights: tuple[dict[int, float], dict[int, float]]
     gap: float
+    rounds: int
+    cuts: np.ndarray
 
 
 def solve_max_margin(
     sets: PointSetPair,
     m: CostModel,
     tol: float = 1e-10,
-    warm: tuple[dict[int, float], dict[int, float]] | None = None,
+    warm: MarginSolution | None = None,
 ) -> MarginSolution:
     """Maximize h(y, b) subject to ``||y||_* <= 1``.
 
     Every separable answer is certified, ``gap <= tol``, or ``SolverError``
-    is raised.  The Euclidean cost norm is solved through the nearest-points
-    reduction, warm-started from ``warm`` (a previous solution's
-    ``support_weights`` over the same, possibly grown, clouds); every other
-    norm is solved cold as a linear program with cutting planes.  When half
-    the cost-norm distance between the hulls is at most ``10 * tol`` the
-    pair is reported as inseparable with the degenerate (0, 0) classifier.
+    is raised.  ``warm`` is a previous solution under the same cost model
+    over the same, possibly grown, clouds.  The Euclidean cost norm is
+    solved through the nearest-points reduction, started from the warm
+    solution's ``support_weights``; every other norm is solved as a linear
+    program with cutting planes, starting from the warm solution's
+    ``cuts``.  When half the cost-norm distance between the hulls is at
+    most ``10 * tol`` the pair is reported as inseparable with the
+    degenerate (0, 0) classifier.
     """
     if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("solve_max_margin requires at least one point of each label")
     if m.norm.kind == "l2":
-        return _solve_l2(sets, tol, warm)
-    return _solve_cutting_plane(sets, m, tol)
+        return _solve_l2(sets, tol, warm.support_weights if warm else None)
+    cuts = warm.cuts if warm else np.empty((0, sets.dim))
+    return _solve_cutting_plane(sets, m, tol, cuts)
 
 
-def _inseparable(x_plus, x_minus, weights, upper: float) -> MarginSolution:
+def _inseparable(x_plus, x_minus, weights, upper: float, rounds: int, cuts) -> MarginSolution:
     return MarginSolution(
         y=np.zeros(len(x_plus)),
         b=0.0,
@@ -326,6 +347,8 @@ def _inseparable(x_plus, x_minus, weights, upper: float) -> MarginSolution:
         separable=False,
         support_weights=weights,
         gap=upper,
+        rounds=rounds,
+        cuts=cuts,
     )
 
 
@@ -333,8 +356,10 @@ def _solve_l2(sets, tol, warm) -> MarginSolution:
     res = nearest_points_convex_hulls(sets, tol=tol, warm=warm)
     u = res.x_plus - res.x_minus
     dist = float(np.linalg.norm(u))
+    no_cuts = np.empty((0, sets.dim))
     if dist / 2.0 <= _INSEPARABLE_FACTOR * tol:
-        return _inseparable(res.x_plus, res.x_minus, res.weights, dist / 2.0)
+        half = dist / 2.0
+        return _inseparable(res.x_plus, res.x_minus, res.weights, half, res.iterations, no_cuts)
     y = u / dist
     return MarginSolution(
         y=y,
@@ -346,23 +371,89 @@ def _solve_l2(sets, tol, warm) -> MarginSolution:
         support_weights=res.weights,
         # Frank-Wolfe gap on the squared distance, as half-distance minus achieved margin
         gap=res.gap / (4.0 * dist),
+        rounds=res.iterations,
+        cuts=no_cuts,
     )
 
 
-def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float) -> MarginSolution:
+def _lp_polish(alpha, beta, P, N, p: float):
+    """Nearest points in the lp norm over the affine hulls of the weighted points.
+
+    The lp counterpart of ``_affine_polish``: with ``p0``/``n0`` the first
+    weighted point of each cloud and ``E`` the edge vectors from them,
+    minimizes ``sum |u_i|^p`` over ``u = p0 - n0 + E z`` by Newton steps
+    damped by backtracking, starting from the given weights.  Returns the
+    minimizer's weights ``(alpha, beta)`` when they are convex, or ``None``
+    when they are not, when there is nothing to move, or when the Hessian
+    is not finite (p < 2 with a zero coordinate of ``u``).
+    """
+    idx_p = np.flatnonzero(alpha)
+    idx_n = np.flatnonzero(beta)
+    if len(idx_p) + len(idx_n) == 2:
+        return None
+    scale = float(np.max(np.abs(alpha @ P - beta @ N)))
+    if scale == 0.0:
+        return None
+    p0, n0 = P[idx_p[0]], N[idx_n[0]]
+    base = (p0 - n0) / scale
+    E = np.hstack([(P[idx_p[1:]] - p0).T, -(N[idx_n[1:]] - n0).T]) / scale
+    z = np.r_[alpha[idx_p[1:]], beta[idx_n[1:]]]
+    u = base + E @ z
+    f = float(np.sum(np.abs(u) ** p))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_POLISH_STEPS):
+            a = np.abs(u)
+            curv = p * (p - 1.0) * a ** (p - 2.0)
+            if not np.all(np.isfinite(curv)):
+                return None
+            grad = E.T @ (p * a ** (p - 1.0) * np.sign(u))
+            step = -np.linalg.lstsq((E.T * curv) @ E, grad, rcond=None)[0]
+            decrement = -float(grad @ step)
+            if not decrement > _POLISH_DECREMENT * f:
+                break
+            t = 1.0
+            while True:
+                u_new = base + E @ (z + t * step)
+                f_new = float(np.sum(np.abs(u_new) ** p))
+                if f_new <= f - 0.25 * t * decrement or t < 1e-6:
+                    break
+                t *= 0.5
+            if not f_new < f:
+                break
+            z, u, f = z + t * step, u_new, f_new
+    m1 = len(idx_p) - 1
+    a_new = np.zeros(len(alpha))
+    b_new = np.zeros(len(beta))
+    a_new[idx_p] = np.r_[1.0 - z[:m1].sum(), z[:m1]]
+    b_new[idx_n] = np.r_[1.0 - z[m1:].sum(), z[m1:]]
+    if min(a_new.min(), b_new.min()) < -1e-12:
+        return None
+    a_new = np.clip(a_new, 0.0, None)
+    b_new = np.clip(b_new, 0.0, None)
+    return a_new / a_new.sum(), b_new / b_new.sum()
+
+
+def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> MarginSolution:
     """Max-margin under a non-Euclidean cost norm, certified by LP duality.
 
     Solves ``max t`` over ``(y, b, t)`` subject to ``p.y + b >= t`` on the
     positives and ``-(n.y + b) >= t`` on the negatives, with the dual-norm
     ball replaced by an outer polyhedron: its bounding box ``|y_i| <=
-    ||e_i||``, exact for l1 and wl1, and one Kelley cut ``v.y <= 1`` with
-    ``v = manipulation_direction(y)`` for each LP optimum that leaves the
-    ball (Kelley 1960, *The cutting-plane method for solving convex
-    programs*).  By arbitrary-norm duality (Mangasarian 1999,
-    *Arbitrary-norm separating plane*) the margin is half the cost-norm
-    distance between the hulls, so the LP's row duals, normalized to hull
-    weights, bound it from above whatever cuts are in place.  Returns once
-    that bound is within ``tol`` of the margin achieved by ``y/||y||_*``.
+    ||e_i||``, exact for l1 and wl1, the Kelley cuts ``v.y <= 1`` in
+    ``cuts`` (rows of unit cost norm, valid on the whole ball whatever the
+    clouds), and one more cut with ``v = manipulation_direction(y)`` for
+    each LP optimum that leaves the ball (Kelley 1960, *The cutting-plane
+    method for solving convex programs*).  By arbitrary-norm duality
+    (Mangasarian 1999, *Arbitrary-norm separating plane*) the margin is half
+    the cost-norm distance between the hulls, so the LP's row duals,
+    normalized to hull weights, bound it from above whatever cuts are in
+    place.  Under an lp norm those weights are first polished to the
+    nearest points of the affine hulls they span (``_lp_polish``), which
+    are the exact nearest points once the LP has found the support points.
+    Two directions are then tested against that bound: the LP's
+    ``y/||y||_*`` and the norming functional of ``x_plus - x_minus``, the
+    optimal direction when those points are the nearest ones.  Returns the
+    first whose achieved margin is within ``tol`` of the bound.
     """
     from scipy.optimize import linprog  # deferred: it costs ~50 MB and ~0.35 s to load
 
@@ -373,11 +464,10 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float) -> Margin
     rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
     cost = np.r_[np.zeros(dim + 1), -1.0]
     bounds = [(-norm_eval(m, e), norm_eval(m, e)) for e in np.eye(dim)] + [(None, None)] * 2
-    cuts = np.empty((0, dim + 2))
-    for _ in range(_MAX_CUT_ROUNDS):
+    for rounds in range(1, _MAX_CUT_ROUNDS + 1):
         res = linprog(
             cost,
-            A_ub=np.vstack([rows, cuts]),
+            A_ub=np.vstack([rows, np.hstack([cuts, np.zeros((len(cuts), 2))])]),
             b_ub=np.r_[np.zeros(n_rows), np.ones(len(cuts))],
             bounds=bounds,
             method="highs",
@@ -388,6 +478,8 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float) -> Margin
         duals = np.maximum(-res.ineqlin.marginals[:n_rows], 0.0)
         alpha = duals[:n_pos] / duals[:n_pos].sum()
         beta = duals[n_pos:] / duals[n_pos:].sum()
+        if m.norm.kind == "lp":
+            alpha, beta = _lp_polish(alpha, beta, P, N, m.norm.p) or (alpha, beta)
         weights = (
             {i: float(w) for i, w in enumerate(alpha) if w > 0.0},
             {j: float(w) for j, w in enumerate(beta) if w > 0.0},
@@ -395,30 +487,33 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float) -> Margin
         x_plus, x_minus = alpha @ P, beta @ N
         upper = 0.5 * norm_eval(m, x_plus - x_minus)
         if upper <= _INSEPARABLE_FACTOR * tol:
-            return _inseparable(x_plus, x_minus, weights, upper)
+            return _inseparable(x_plus, x_minus, weights, upper, rounds, cuts)
         y = res.x[:dim]
-        y_hat = y / dual_norm_eval(m, y)
-        lo = float(np.min(P @ y_hat))
-        hi = float(np.max(N @ y_hat))
-        lower = 0.5 * (lo - hi)
-        if upper - lower <= tol:
-            return MarginSolution(
-                y=y_hat,
-                b=-0.5 * (lo + hi),
-                d=lower,
-                x_plus=x_plus,
-                x_minus=x_minus,
-                separable=True,
-                support_weights=weights,
-                gap=upper - lower,
-            )
+        for direction in (y, norming_functional(m, x_plus - x_minus)):
+            y_hat = direction / dual_norm_eval(m, direction)
+            lo = float(np.min(P @ y_hat))
+            hi = float(np.max(N @ y_hat))
+            lower = 0.5 * (lo - hi)
+            if upper - lower <= tol:
+                return MarginSolution(
+                    y=y_hat,
+                    b=-0.5 * (lo + hi),
+                    d=lower,
+                    x_plus=x_plus,
+                    x_minus=x_minus,
+                    separable=True,
+                    support_weights=weights,
+                    gap=upper - lower,
+                    rounds=rounds,
+                    cuts=cuts,
+                )
         v = manipulation_direction(m, y)
         if float(v @ y) <= 1.0:  # y is in the ball: the cut would change nothing
             raise SolverError(
                 f"max-margin LP optimum lies in the dual-norm ball, but its certificate "
                 f"gap {upper - lower:.3e} exceeds tol {tol:.3e}"
             )
-        cuts = np.vstack([cuts, np.r_[v, 0.0, 0.0]])
+        cuts = np.vstack([cuts, v])
     raise SolverError(
         f"max-margin cutting planes hit the {_MAX_CUT_ROUNDS}-round cap with gap "
         f"{upper - lower:.3e} > tol {tol:.3e}"

@@ -188,6 +188,36 @@ def manipulation_direction(m: CostModel | NormKind, y) -> np.ndarray:
     return v
 
 
+def norming_functional(m: CostModel | NormKind, x) -> np.ndarray:
+    """Dual-ball vector y with ``||y||_* == 1`` and ``y . x == ||x||``.
+
+    The supporting functional of the cost-norm ball at ``x``, the dual
+    counterpart of :func:`manipulation_direction`; returns the zero vector
+    for ``x == 0``.  On the polyhedral norms it is the face picked by
+    signs: ``sign(x)`` for l1, ``w * sign(x)`` for wl1 and the signed
+    coordinate vector of the first largest ``|x_i|`` for linf.
+    """
+    kind = m.norm if isinstance(m, CostModel) else m
+    x = np.asarray(x, dtype=float)
+    y = np.zeros_like(x)
+    if not np.any(x):
+        return y
+    x = x / np.max(np.abs(x))  # y depends on the direction only; this keeps powers in range
+    if kind.kind == "l2":
+        return x / np.linalg.norm(x)
+    if kind.kind == "l1":
+        return np.sign(x)
+    if kind.kind == "linf":
+        i = int(np.argmax(np.abs(x)))
+        y[i] = np.sign(x[i])
+        return y
+    if kind.kind == "lp":
+        a = np.abs(x)
+        mag = (a / np.sum(a**kind.p) ** (1.0 / kind.p)) ** (kind.p - 1.0)
+        return np.where(x >= 0, mag, -mag)
+    return np.asarray(kind.weights) * np.sign(x)
+
+
 def l2_envelope_constant(m: CostModel | NormKind, dim: int | None = None) -> float:
     """Largest Euclidean length of any manipulation direction.
 

@@ -750,3 +750,19 @@ class TestCli:
         self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n")
         assert cli.main(["sweep", "--configs", str(tmp_path)]) == 0
         assert "run.cfg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("norm, most_lps", [("lp:3", 40), ("linf", 25)])
+def test_smm_solves_curved_norms_in_few_lps(monkeypatch, norm, most_lps):
+    # cold cutting planes took 414 LPs under lp:3 and 38 under linf for these runs
+    solves, solve = [], learners.solve_max_margin
+
+    def recording(pool, *args, **kw):
+        solves.append(solve(pool, *args, **kw))
+        return solves[-1]
+
+    monkeypatch.setattr("stratclass.learners.solve_max_margin", recording)
+    cfg = RunConfig(algorithm="smm", norm=norm, c=125.0, T=20, seed=0, synth_seed=0)
+    metrics = run_online(cfg, build_dataset(cfg))
+    assert metrics.solve_count == len(solves) > 5
+    assert sum(sol.rounds for sol in solves) <= most_lps

@@ -17,6 +17,7 @@ from stratclass.norms import (
     l2_envelope_constant,
     manipulation_direction,
     norm_eval,
+    norming_functional,
     parse_norm,
 )
 
@@ -198,3 +199,15 @@ class TestDualNormIsANorm:
             rel_tol=1e-9,
             abs_tol=1e-12,
         )
+
+
+@given(_norm_and_vectors())
+def test_norming_functional_supports_the_ball_at_x(arg):
+    norm, x, _ = arg
+    y = norming_functional(norm, x)
+    if not np.any(x):
+        assert not np.any(y)
+        return
+    assert math.isclose(dual_norm_eval(norm, y), 1.0, rel_tol=1e-12)
+    x = x / np.max(np.abs(x))  # norm_eval's powers underflow on tiny x; y.x is homogeneous
+    assert math.isclose(float(y @ x), norm_eval(norm, x), rel_tol=1e-12)
