@@ -33,13 +33,15 @@ from .learners import (
     _step_schedule,
 )
 from .maxmargin import PointSetPair, margin_h, solve_max_margin
-from .norms import CostModel, parse_norm
+from .norms import CostModel, l2_norm, parse_norm
 from .response import Agent, Classifier, answer, interact, proxy_from_response, respond
 
 _D_MONOTONE_TOL = 1e-8
 # Largest block of agents answered in one vector pass: blocks double while
 # the classifier holds, and a change discards the rest of the block.
 _MAX_BLOCK = 4096
+# Noise rows a one-agent block reads ahead once the buffer is spent.
+_NOISE_AHEAD = 64
 
 ALGORITHMS = ("smm", "gradsmm", "perceptron")
 MODES = ("iid", "stream")
@@ -358,13 +360,11 @@ def _arrivals(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.random.Generator]:
 
 
 def _normalized_distance(y, b, bench: Benchmark) -> float | None:
-    ny = float(np.linalg.norm(y))
+    ny = l2_norm(y)
     if ny == 0.0:
         return None
     y_star, b_star = bench.l2_normalized
-    diff_y = y / ny - y_star
-    diff_b = b / ny - b_star
-    return float(math.hypot(np.linalg.norm(diff_y), diff_b))
+    return math.hypot(l2_norm(y / ny - y_star), b / ny - b_star)
 
 
 class _NoiseRows:
@@ -375,8 +375,8 @@ class _NoiseRows:
     does not reach stay buffered for the next block and a noisy run
     replays exactly.  A block takes its rows with ``ahead`` and marks how
     many it played in ``used``; ``interact``, which answers one-agent
-    blocks, draws through ``standard_normal``: buffered row ``used``
-    first, the generator once the buffer is spent.
+    blocks, draws through ``standard_normal``: buffered row ``used``,
+    after reading ``_NOISE_AHEAD`` rows ahead once the buffer is spent.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int):
@@ -394,7 +394,7 @@ class _NoiseRows:
 
     def standard_normal(self, size: int) -> np.ndarray:
         if self.used == len(self.rows):
-            return self._rng.standard_normal(size)
+            self.ahead(_NOISE_AHEAD)
         self.used += 1
         return self.rows[self.used - 1]
 
@@ -421,12 +421,14 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     want_gap = cfg.track == "full" and bench is not None
     if want_gap:
         pair = dataset.point_sets()
-        h_star = margin_h(bench.y_star, bench.b_star, pair)
+        P, N = pair.positives, pair.negatives
+        h_star = margin_h(bench.y_star, bench.b_star, P, N)
     noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
     features, labels = dataset.features, dataset.labels[idx].tolist()
 
     metrics = RunMetrics()
-    blocks = []  # (agents, d_t, distance, margin_gap) of each block
+    mistake, manipulated = metrics.mistake, metrics.manipulated
+    smm = isinstance(learner, SmmLearner)
     declared = distance = gap = None
     T, step, k = len(idx), 0, 1
     start = time.perf_counter()
@@ -438,22 +440,20 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         if key != declared:
             declared = key
             distance = _normalized_distance(clf.y, clf.b, bench) if want_distance else None
-            gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
+            gap = h_star - margin_h(clf.y, clf.b, P, N) if want_gap else None
         in_init = learner.in_init
-        d_now = None
-        if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
-            d_now = learner.solution.d
+        d_now = learner.solution.d if smm and not in_init else None
 
         if k == 1:
-            inter = interact(Agent(features[idx[step]], labels[step]), clf, model,
-                             sigma=cfg.sigma, noise_rng=noise)
-            learner.update(inter.response, labels[step])
-            metrics.mistake.append(inter.mistake)
-            metrics.manipulated.append(inter.manipulated)
+            label = labels[step]
+            inter = interact(Agent(features[idx[step]], label), clf, model, cfg.sigma, noise)
+            learner.update(inter.response, label)
+            mistake.append(inter.mistake)
+            manipulated.append(inter.manipulated)
             n, changed = 1, learner.declare() is not clf
         else:
             Z = None if noise is None else noise.ahead(k)
-            observed, predicted, manipulated = answer(
+            observed, predicted, moved = answer(
                 features[idx[step : step + k]], clf, model, Z, cfg.sigma
             )
             n, changed = k, False
@@ -464,9 +464,11 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
                     break
             if noise is not None:
                 noise.used = n
-            metrics.mistake += (predicted[:n] != labels[step : step + n]).tolist()
-            metrics.manipulated += manipulated[:n].tolist()
-        blocks.append((n, d_now, distance, gap))
+            mistake.extend((predicted[:n] != labels[step : step + n]).tolist())
+            manipulated.extend(moved[:n].tolist())
+        metrics.d_t += [d_now] * n
+        metrics.distance += [distance] * n
+        metrics.margin_gap += [gap] * n
         if in_init:
             metrics.init_steps += n
         step += n
@@ -474,11 +476,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
 
     metrics.t = list(range(1, T + 1))
     metrics.label = labels
-    metrics.init_mistakes = sum(metrics.mistake[: metrics.init_steps])
-    for n, d_now, distance, gap in blocks:
-        metrics.d_t += [d_now] * n
-        metrics.distance += [distance] * n
-        metrics.margin_gap += [gap] * n
+    metrics.init_mistakes = sum(mistake[: metrics.init_steps])
     metrics.wall_time = time.perf_counter() - start
     final = learner.declare()
     metrics.final_y = final.y

@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .maxmargin import MarginSolution, PointSetPair, incremental_check, solve_max_margin
-from .norms import CostModel
+from .maxmargin import MarginSolution, PointSetPair, _max, _min, incremental_check, solve_max_margin
+from .norms import CostModel, l2_norm
 from .response import Classifier, predict, proxy_from_response
 
 logger = logging.getLogger(__name__)
@@ -215,17 +215,18 @@ class GradSmmLearner:
         self.pool.add(s, label)
         P = self.pool.positives
         N = self.pool.negatives
-        grad = P[int(np.argmin(P @ self._z))] - N[int(np.argmax(N @ self._z))]
+        # ndarray.dot is the BLAS product of ``@`` with less overhead per call
+        grad = P[P.dot(self._z).argmin()] - N[N.dot(self._z).argmax()]
         z_next = self._z + self.schedule(self._t) * grad
-        nrm = float(np.linalg.norm(z_next))
+        nrm = l2_norm(z_next)
         if nrm > 1.0:
-            z_next = z_next / nrm
+            z_next /= nrm
         self._t += 1
         w = self.schedule(self._t)
         self._wsum += w
-        self._zsum = self._zsum + w * z_next
+        self._zsum += w * z_next
         y = self._zsum / self._wsum
-        b = -0.5 * (float(np.min(P @ y)) + float(np.max(N @ y)))
+        b = -0.5 * (_min(P.dot(y)) + _max(N.dot(y)))
         self._z = z_next
         self.classifier = Classifier(y, b)
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 # Shared tolerance for geometric boundary tests (manipulation window edges,
 # proxy pull-back trigger, incremental margin gate).
 EPS_GEOM = 1e-9
+_TINY = float(np.finfo(float).tiny)
 
 _KINDS = ("l2", "l1", "linf", "lp", "wl1")
 
@@ -110,9 +112,28 @@ class CostModel:
                 f"wl1 norm has {len(self.norm.weights)} weights but dim={self.dim}"
             )
 
-    @property
+    @cached_property
     def two_over_c(self) -> float:
         return 2.0 / self.c
+
+
+def l2_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a float array: ``np.linalg.norm(x)``, bit for bit, in range.
+
+    numpy takes the square root of the flattened ``x.dot(x)``; ``vdot`` is
+    the same product without the overflow warning.  When that sum of squares
+    overflows, or falls below the normal range for a nonzero ``x``, the norm
+    is ``s * ||x / s||`` with ``s = max|x|``, as LAPACK's ``dnrm2`` scales it.
+    """
+    x = x.ravel(order="K")
+    sq = np.vdot(x, x)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    s = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < s < math.inf:  # x is zero or holds an inf or a nan: the sum stands
+        return math.sqrt(sq)
+    x = x / s
+    return s * math.sqrt(np.vdot(x, x))
 
 
 def norm_eval(m: CostModel | NormKind, x) -> float:
@@ -120,7 +141,7 @@ def norm_eval(m: CostModel | NormKind, x) -> float:
     kind = m.norm if isinstance(m, CostModel) else m
     x = np.asarray(x, dtype=float)
     if kind.kind == "l2":
-        return float(np.linalg.norm(x))
+        return l2_norm(x)
     if kind.kind == "l1":
         return float(np.sum(np.abs(x)))
     if kind.kind == "linf":
@@ -136,7 +157,7 @@ def dual_norm_eval(m: CostModel | NormKind, y) -> float:
     kind = m.norm if isinstance(m, CostModel) else m
     y = np.asarray(y, dtype=float)
     if kind.kind == "l2":
-        return float(np.linalg.norm(y))
+        return l2_norm(y)
     if kind.kind == "l1":
         # dual of l1 is l-infinity
         return float(np.max(np.abs(y))) if y.size else 0.0
@@ -166,7 +187,7 @@ def manipulation_direction(m: CostModel | NormKind, y) -> np.ndarray:
     if not np.any(y):
         return v
     if kind.kind == "l2":
-        return y / np.linalg.norm(y)
+        return y / l2_norm(y)
     if kind.kind == "l1":
         # extreme points of the l1 ball are signed coordinate vectors
         i = int(np.argmax(np.abs(y)))
@@ -204,7 +225,7 @@ def norming_functional(m: CostModel | NormKind, x) -> np.ndarray:
         return y
     x = x / np.max(np.abs(x))  # y depends on the direction only; this keeps powers in range
     if kind.kind == "l2":
-        return x / np.linalg.norm(x)
+        return x / l2_norm(x)
     if kind.kind == "l1":
         return np.sign(x)
     if kind.kind == "linf":

@@ -12,8 +12,9 @@ response alone, which is what the learners train on.
 
 Every ``y.x`` here is one expression, :func:`_score`, whose rounding of a
 row does not depend on the rows beside it.  ``interact`` plays one round
-and ``answer`` plays a block of agents under one classifier; built from
-that score, they agree on every row bit for bit.
+on the best response and score of the helper behind ``respond``, and
+``answer`` plays a block of agents under one classifier; built from that
+score and one prediction formula, they agree on every row bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Agent:
             raise ValueError(f"label must be +1 or -1, got {self.label}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Interaction:
     """One protocol round as the harness sees it.
 
@@ -91,6 +92,11 @@ def _score(X, y):
     return np.add.reduce(np.multiply(X, y, order="C"), axis=-1)
 
 
+def _clears_offset(q, dn: float, m: CostModel):
+    """Whether a score ``y.x + b`` (or each of an array of them) predicts +1 given ``||y||_* = dn``."""
+    return q - m.two_over_c * dn >= -EPS_GEOM * dn
+
+
 def margin_ratio(clf: Classifier, m: CostModel, x) -> float:
     """Signed margin ``(y.x + b) / ||y||_*``; defined only for ``||y||_* > 0``."""
     return (float(_score(x, clf.y)) + clf.b) / clf.dual_norm(m)
@@ -104,11 +110,21 @@ def predict(clf: Classifier, m: CostModel, x) -> int:
     manipulated responses land exactly on that boundary, where the sign(0)
     convention must survive rounding in either direction.
     """
+    return 1 if _clears_offset(float(_score(x, clf.y)) + clf.b, clf.dual_norm(m), m) else -1
+
+
+def _respond(A: np.ndarray, clf: Classifier, m: CostModel):
+    """:func:`respond` for features ``A``, with the score ``y.A + b`` and ``||y||_*``.
+
+    The response is ``A`` itself, the same object, unless the agent moves.
+    """
+    q = float(_score(A, clf.y)) + clf.b
     dn = clf.dual_norm(m)
-    score = float(_score(x, clf.y)) + clf.b - m.two_over_c * dn
-    if score >= -EPS_GEOM * dn:
-        return 1
-    return -1
+    if dn != 0.0:
+        ratio = q / dn
+        if -EPS_GEOM <= ratio < m.two_over_c:
+            return A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y), q, dn
+    return A, q, dn
 
 
 def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
@@ -121,13 +137,7 @@ def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
     the decision boundary up to float noise still manipulate (indifference
     at cost exactly 2 resolves to manipulating); the upper edge is strict.
     """
-    A = agent.features
-    if clf.dual_norm(m) == 0.0:
-        return A
-    ratio = margin_ratio(clf, m, A)
-    if -EPS_GEOM <= ratio < m.two_over_c:
-        return A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
-    return A
+    return _respond(agent.features, clf, m)[0]
 
 
 def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> np.ndarray:
@@ -158,25 +168,25 @@ def interact(
 ) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
-    The observed response is the best response plus i.i.d. Gaussian
-    measurement noise of scale ``sigma``; with ``sigma == 0`` no randomness
-    is consumed, so noiseless runs replay identically.  The manipulation
-    flag compares the noise-free response against the true features (exact
-    vector comparison); prediction and mistake are computed from the
-    observed response, since that is all the learner ever sees.
+    The best response and the agent's score ``y.A + b`` come from the helper
+    behind :func:`respond`.  The observed response adds i.i.d. Gaussian
+    noise of scale ``sigma``; with ``sigma == 0`` no randomness is consumed,
+    so noiseless runs replay identically.  Prediction and mistake are made
+    on the observed response, all the learner ever sees, as :func:`predict`
+    makes them; when it is ``A`` itself (a truthful agent, no noise) the
+    score is reused.  The manipulation flag compares the noise-free
+    response with ``A`` exactly.
     """
-    clean = respond(agent, clf, m)
-    manipulated = not np.array_equal(clean, agent.features)
+    A = agent.features
+    clean, q, dn = _respond(A, clf, m)
     observed = clean
     if sigma != 0.0:
         observed = clean + sigma * noise_rng.standard_normal(clean.shape[0])
-    predicted = predict(clf, m, observed)
-    return Interaction(
-        response=observed,
-        predicted=predicted,
-        manipulated=manipulated,
-        mistake=predicted != agent.label,
-    )
+    if observed is not A:
+        q = float(_score(observed, clf.y)) + clf.b
+    predicted = 1 if _clears_offset(q, dn, m) else -1
+    manipulated = clean is not A and bool((clean != A).any())
+    return Interaction(observed, predicted, manipulated, predicted != agent.label)
 
 
 def answer(A: np.ndarray, clf: Classifier, m: CostModel, Z=None, sigma: float = 0.0):
@@ -201,5 +211,5 @@ def answer(A: np.ndarray, clf: Classifier, m: CostModel, Z=None, sigma: float = 
     observed = clean if Z is None else clean + sigma * Z
     if observed is not A:
         q = _score(observed, clf.y) + clf.b
-    predicted = np.where(q - m.two_over_c * dn >= -EPS_GEOM * dn, 1, -1)
+    predicted = np.where(_clears_offset(q, dn, m), 1, -1)
     return observed, predicted, np.any(clean != A, axis=1)

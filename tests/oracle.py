@@ -14,8 +14,11 @@ any norm from the norm functions alone.  ``oracle_cutting_plane`` solves a
 non-Euclidean max-margin problem cold, adding one Kelley cut per LP until
 the LP's own row duals certify it, the reference for the package's
 polished, warm-startable cutting-plane solver.  ``oracle_run_online`` is the
-online protocol one scalar ``interact`` per step, the reference the
-harness's block engine must reproduce bit for bit.  ``oracle_half_diameter``
+online protocol one scalar ``oracle_interact`` per step, the reference the
+harness's block engine and its lean one-agent step must reproduce bit for
+bit; ``oracle_interact`` and ``oracle_normalized_distance`` keep the
+protocol round and the distance column as first written, scoring each
+response afresh and measuring the distance with ``np.linalg.norm``.  ``oracle_half_diameter``
 scans every pair of points, the reference for the pruned scan in
 ``bounds``; ``oracle_truncated_normal`` draws one row at a time, the
 reference for the batched sampler in ``data``.
@@ -32,15 +35,16 @@ import numpy as np
 from stratclass import harness
 from stratclass.data import _MAX_REJECTION_TRIES, SynthConfig
 from stratclass.learners import SmmLearner
-from stratclass.maxmargin import MarginSolution, margin_h
+from stratclass.maxmargin import MarginSolution
 from stratclass.norms import (
+    EPS_GEOM,
     CostModel,
     dual_norm_eval,
     manipulation_direction,
     norm_eval,
     parse_norm,
 )
-from stratclass.response import Agent, interact
+from stratclass.response import Agent, Interaction, _score
 
 
 def _subset_candidate(P_sub: np.ndarray, N_sub: np.ndarray):
@@ -240,11 +244,52 @@ def oracle_cutting_plane(P, N, m, tol: float = 1e-10, max_rounds: int = 200) -> 
     return sol
 
 
+def oracle_interact(agent, clf, m, sigma: float = 0.0, noise_rng=None) -> Interaction:
+    """One protocol round: the best response, then the prediction on what is observed.
+
+    The response is ``A + (2/c - ratio) v(y)`` for a margin ratio in
+    ``[-EPS_GEOM, 2/c)`` and ``A`` otherwise; the prediction scores the
+    observed response afresh, whether or not it is ``A``; the manipulation
+    flag is ``np.array_equal`` of the clean response and ``A``.  Scores use
+    the package's row-stable ``_score``, the premise the block engine rests
+    on; ``||y||_*`` and ``v(y)`` come from ``norms``, whose l2 kernel
+    ``tests/test_norms.py`` holds to ``np.linalg.norm`` bit for bit.
+    """
+    A = agent.features
+    dn = dual_norm_eval(m, clf.y)
+    clean = A
+    if dn != 0.0:
+        ratio = (float(_score(A, clf.y)) + clf.b) / dn
+        if -EPS_GEOM <= ratio < m.two_over_c:
+            clean = A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
+    manipulated = not np.array_equal(clean, A)
+    observed = clean
+    if sigma != 0.0:
+        observed = clean + sigma * noise_rng.standard_normal(clean.shape[0])
+    score = float(_score(observed, clf.y)) + clf.b - m.two_over_c * dn
+    predicted = 1 if score >= -EPS_GEOM * dn else -1
+    return Interaction(observed, predicted, manipulated, predicted != agent.label)
+
+
+def oracle_normalized_distance(y, b, bench) -> float | None:
+    """Euclidean distance of ``(y, b) / ||y||`` from the benchmark's; None for ``y = 0``."""
+    ny = float(np.linalg.norm(y))
+    if ny == 0.0:
+        return None
+    y_star, b_star = bench.l2_normalized
+    return float(math.hypot(np.linalg.norm(y / ny - y_star), b / ny - b_star))
+
+
+def _oracle_margin_h(y, b, pair) -> float:
+    return float(min(np.min(pair.positives @ y) + b, -np.max(pair.negatives @ y) - b))
+
+
 def oracle_run_online(cfg, dataset=None):
-    """``harness.run_online`` as one scalar ``interact`` per step.
+    """``harness.run_online`` as one scalar ``oracle_interact`` per step.
 
     Uses the harness's own config, arrival order, learner factory and
-    metrics record, so only the protocol loop differs from the engine.
+    metrics record, so only the protocol loop and the per-declaration
+    columns differ from the engine.
     """
     if dataset is None:
         dataset = harness.build_dataset(cfg)
@@ -256,7 +301,7 @@ def oracle_run_online(cfg, dataset=None):
     want_gap = cfg.track == "full" and bench is not None
     if want_gap:
         pair = dataset.point_sets()
-        h_star = margin_h(bench.y_star, bench.b_star, pair)
+        h_star = _oracle_margin_h(bench.y_star, bench.b_star, pair)
 
     metrics = harness.RunMetrics()
     declared = distance = gap = None
@@ -266,11 +311,11 @@ def oracle_run_online(cfg, dataset=None):
         key = (clf.y.tobytes(), clf.b)
         if key != declared:
             declared = key
-            distance = harness._normalized_distance(clf.y, clf.b, bench) if want_distance else None
-            gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
+            distance = oracle_normalized_distance(clf.y, clf.b, bench) if want_distance else None
+            gap = h_star - _oracle_margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
         agent = Agent(dataset.features[i], int(dataset.labels[i]))
-        inter = interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
+        inter = oracle_interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
 
         metrics.t.append(step)
         metrics.mistake.append(inter.mistake)

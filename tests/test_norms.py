@@ -1,10 +1,11 @@
 """Norm families, dual norms, best-response directions, envelope constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratclass.norms import (
@@ -15,6 +16,7 @@ from stratclass.norms import (
     NormKind,
     dual_norm_eval,
     l2_envelope_constant,
+    l2_norm,
     manipulation_direction,
     norm_eval,
     norming_functional,
@@ -211,3 +213,47 @@ def test_norming_functional_supports_the_ball_at_x(arg):
     assert math.isclose(dual_norm_eval(norm, y), 1.0, rel_tol=1e-12)
     x = x / np.max(np.abs(x))  # norm_eval's powers underflow on tiny x; y.x is homogeneous
     assert math.isclose(float(y @ x), norm_eval(norm, x), rel_tol=1e-12)
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(0,), (1,), (6,), (33,), (300,), (4, 5)]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    exponent=st.integers(-100, 100),
+)
+def test_l2_norm_is_numpys_norm_bit_for_bit_in_range(seed, shape, layout, exponent):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0**exponent
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = np.repeat(x, 2, axis=-1)[..., ::2]
+    assert l2_norm(x) == float(np.linalg.norm(x))
+
+
+def test_l2_kernels_rescale_inputs_whose_squares_leave_the_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(manipulation_direction(L2, [5.2e-187, 0.0]), [1.0, 0.0])
+        assert norm_eval(L2, [1e300, 1e300]) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+        assert dual_norm_eval(L2, [-3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert norm_eval(L2, [3e-170, 4e-170]) == pytest.approx(5e-170, rel=1e-15)
+        assert norm_eval(L2, [0.0, 0.0]) == 0.0
+        assert norm_eval(L2, [math.inf, 1.0]) == math.inf
+        assert math.isnan(norm_eval(L2, [math.nan, 1.0]))
+
+
+@given(
+    x=st.lists(st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=1, max_size=8),
+    exponent=st.integers(-200, 200),
+)
+def test_l2_norms_scale_exactly_at_any_magnitude(x, exponent):
+    x, s = np.array(x), 10.0**exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (norm_eval, dual_norm_eval):
+            assert math.isclose(f(L2, s * x), s * f(L2, x), rel_tol=1e-14)
+        if np.any(x):
+            v = manipulation_direction(L2, s * x)
+            assert np.allclose(v, x / norm_eval(L2, x), rtol=1e-14, atol=1e-15)

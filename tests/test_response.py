@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_interact
 from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import (
     Agent,
@@ -265,3 +266,45 @@ def test_answer_equals_interact_row_by_row(seed, d, k, norm, sigma, zero_y, scal
                        rng.uniform(-2.0, 3.0, k) * m.two_over_c)
     A = _placed_rows(rng, m, clf, targets, d, scale)
     _assert_answers_like_interact(A, clf, m, sigma, rng.standard_normal(A.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    norm=st.sampled_from(["l2", "l1", "linf", "lp:3", "wl1"]),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    y_kind=st.sampled_from(["random", "unit", "zero"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_interact_equals_the_frozen_round_bit_for_bit(seed, d, norm, sigma, y_kind, scale):
+    # the one-agent round against its first formulation in ``tests/oracle.py``:
+    # random rows, rows placed on the window edges and the offset threshold, and
+    # (for a unit y, b = 0, whose ratios are the rows' k-th coordinates) rows
+    # exactly on them
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(d))
+    if norm == "wl1":  # weight 1 at coordinate k keeps ||e_k||_* = 1
+        weights = rng.uniform(0.25, 4.0, d)
+        weights[k] = 1.0
+        norm = "wl1:" + ",".join(repr(float(w)) for w in weights)
+    m = CostModel(parse_norm(norm), c=float(rng.uniform(0.5, 50.0)), dim=d)
+    edges = [0.0, -EPS_GEOM, m.two_over_c, m.two_over_c - EPS_GEOM]
+    targets = np.where(rng.random(40) < 0.5, rng.choice(edges, 40),
+                       rng.uniform(-2.0, 3.0, 40) * m.two_over_c)
+    if y_kind == "unit":
+        clf = Classifier(np.eye(d)[k], 0.0)
+        A = scale * rng.standard_normal((40, d))
+        A[:, k] = targets
+    else:
+        y = np.zeros(d) if y_kind == "zero" else scale * rng.standard_normal(d)
+        clf = Classifier(y, scale * float(rng.standard_normal()))
+        A = _placed_rows(rng, m, clf, targets, d, scale)
+    Z = rng.standard_normal(A.shape)
+    for a, z, label in zip(A, Z, rng.choice([-1, 1], len(A)).tolist()):
+        got = interact(Agent(a, label), clf, m, sigma, _Draws([z]))
+        want = oracle_interact(Agent(a, label), clf, m, sigma, _Draws([z]))
+        assert got.response.tobytes() == want.response.tobytes()
+        assert (got.predicted, got.manipulated, got.mistake) == (
+            want.predicted, want.manipulated, want.mistake)
+        assert type(got.manipulated) is bool and type(got.mistake) is bool
