@@ -40,8 +40,6 @@ _D_MONOTONE_TOL = 1e-8
 # Largest block of agents answered in one vector pass: blocks double while
 # the classifier holds, and a change discards the rest of the block.
 _MAX_BLOCK = 4096
-# Noise rows a one-agent block reads ahead once the buffer is spent.
-_NOISE_AHEAD = 64
 
 ALGORITHMS = ("smm", "gradsmm", "perceptron")
 MODES = ("iid", "stream")
@@ -375,8 +373,8 @@ class _NoiseRows:
     does not reach stay buffered for the next block and a noisy run
     replays exactly.  A block takes its rows with ``ahead`` and marks how
     many it played in ``used``; ``interact``, which answers one-agent
-    blocks, draws through ``standard_normal``: buffered row ``used``,
-    after reading ``_NOISE_AHEAD`` rows ahead once the buffer is spent.
+    blocks, draws through ``standard_normal``: buffered row ``used``
+    first, the generator once the buffer is spent.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int):
@@ -394,7 +392,7 @@ class _NoiseRows:
 
     def standard_normal(self, size: int) -> np.ndarray:
         if self.used == len(self.rows):
-            self.ahead(_NOISE_AHEAD)
+            return self._rng.standard_normal(size)
         self.used += 1
         return self.rows[self.used - 1]
 
@@ -421,8 +419,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     want_gap = cfg.track == "full" and bench is not None
     if want_gap:
         pair = dataset.point_sets()
-        P, N = pair.positives, pair.negatives
-        h_star = margin_h(bench.y_star, bench.b_star, P, N)
+        h_star = margin_h(bench.y_star, bench.b_star, pair)
     noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
     features, labels = dataset.features, dataset.labels[idx].tolist()
 
@@ -440,7 +437,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         if key != declared:
             declared = key
             distance = _normalized_distance(clf.y, clf.b, bench) if want_distance else None
-            gap = h_star - margin_h(clf.y, clf.b, P, N) if want_gap else None
+            gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
         d_now = learner.solution.d if smm and not in_init else None
 

@@ -215,7 +215,6 @@ class GradSmmLearner:
         self.pool.add(s, label)
         P = self.pool.positives
         N = self.pool.negatives
-        # ndarray.dot is the BLAS product of ``@`` with less overhead per call
         grad = P[P.dot(self._z).argmin()] - N[N.dot(self._z).argmax()]
         z_next = self._z + self.schedule(self._t) * grad
         nrm = l2_norm(z_next)

@@ -124,6 +124,8 @@ class PointSetPair:
         index[key] = n
 
 
+
+
 def _min(v: np.ndarray) -> float:
     """``v.min()`` bit for bit, read at the cheaper ``v.argmin()``; a zero may be +0 or -0: ``min`` decides."""
     m = v[v.argmin()]
@@ -136,11 +138,12 @@ def _max(v: np.ndarray) -> float:
     return float(v.max() if m == 0.0 else m)
 
 
-def margin_h(y, b: float, P: np.ndarray, N: np.ndarray) -> float:
-    """Evaluate the concave margin objective h(y, b) on positives ``P`` and negatives ``N``."""
-    if not len(P) or not len(N):
+def margin_h(y, b: float, sets: PointSetPair) -> float:
+    """Evaluate the concave margin objective h(y, b) on the point pair."""
+    if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("margin_h requires at least one point of each label")
-    return min(_min(P.dot(y)) + b, -_max(N.dot(y)) - b)
+    y = np.asarray(y, dtype=float)
+    return min(_min(sets.positives.dot(y)) + b, -_max(sets.negatives.dot(y)) - b)
 
 
 @dataclass(eq=False)

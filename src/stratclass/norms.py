@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +111,7 @@ class CostModel:
                 f"wl1 norm has {len(self.norm.weights)} weights but dim={self.dim}"
             )
 
-    @cached_property
+    @property
     def two_over_c(self) -> float:
         return 2.0 / self.c
 

@@ -12,9 +12,8 @@ response alone, which is what the learners train on.
 
 Every ``y.x`` here is one expression, :func:`_score`, whose rounding of a
 row does not depend on the rows beside it.  ``interact`` plays one round
-on the best response and score of the helper behind ``respond``, and
-``answer`` plays a block of agents under one classifier; built from that
-score and one prediction formula, they agree on every row bit for bit.
+and ``answer`` a block of agents under one classifier; built from that
+score, one best response and one prediction, they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class Agent:
             raise ValueError(f"label must be +1 or -1, got {self.label}")
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Interaction:
     """One protocol round as the harness sees it.
 
@@ -114,10 +113,7 @@ def predict(clf: Classifier, m: CostModel, x) -> int:
 
 
 def _respond(A: np.ndarray, clf: Classifier, m: CostModel):
-    """:func:`respond` for features ``A``, with the score ``y.A + b`` and ``||y||_*``.
-
-    The response is ``A`` itself, the same object, unless the agent moves.
-    """
+    """:func:`respond` to ``A`` (``A`` itself unless it moves), with ``y.A + b`` and ``||y||_*``."""
     q = float(_score(A, clf.y)) + clf.b
     dn = clf.dual_norm(m)
     if dn != 0.0:
@@ -168,14 +164,12 @@ def interact(
 ) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
-    The best response and the agent's score ``y.A + b`` come from the helper
-    behind :func:`respond`.  The observed response adds i.i.d. Gaussian
-    noise of scale ``sigma``; with ``sigma == 0`` no randomness is consumed,
-    so noiseless runs replay identically.  Prediction and mistake are made
-    on the observed response, all the learner ever sees, as :func:`predict`
-    makes them; when it is ``A`` itself (a truthful agent, no noise) the
-    score is reused.  The manipulation flag compares the noise-free
-    response with ``A`` exactly.
+    The best response and the score ``y.A + b`` come from the helper behind
+    :func:`respond`; the observed response adds Gaussian noise of scale
+    ``sigma`` (none is drawn for ``sigma == 0``).  Prediction and mistake are
+    :func:`predict`'s on the observed response, reusing the score when that
+    is ``A`` itself; the manipulation flag compares the noise-free response
+    with ``A`` exactly.
     """
     A = agent.features
     clean, q, dn = _respond(A, clf, m)

@@ -279,11 +279,10 @@ class TestRunOnline:
         ds = two_cluster_dataset()
         cfg = RunConfig(algorithm="perceptron", c=4.0, T=len(script), seed=0, track="full")
         metrics = run_online(cfg, ds)
-        P, N = ds.point_sets().positives, ds.point_sets().negatives
-        h_star = margin_h(ds.benchmark.y_star, ds.benchmark.b_star, P, N)
+        h_star = margin_h(ds.benchmark.y_star, ds.benchmark.b_star, ds.point_sets())
         for t, clf in enumerate(script):
             assert metrics.distance[t] == _normalized_distance(clf.y, clf.b, ds.benchmark)
-            assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, P, N)
+            assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, ds.point_sets())
         assert len(set(metrics.distance)) == 3
 
     def test_stream_mode_visits_everyone_each_round(self):

@@ -122,8 +122,9 @@ def test_margin_h_matches_direct_minimum():
         N = rng.normal(size=(4, 3))
         y = rng.normal(size=3)
         b = float(rng.normal())
+        pair = PointSetPair.from_arrays(P, N)
         direct = min(min(p @ y + b for p in P), min(-(n @ y) - b for n in N))
-        assert margin_h(y, b, P, N) == pytest.approx(direct, abs=1e-12)
+        assert margin_h(y, b, pair) == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=300)
@@ -144,7 +145,7 @@ def test_margin_h_requires_both_labels():
     pair = PointSetPair(2)
     pair.add([0.0, 1.0], 1)
     with pytest.raises(ValueError):
-        margin_h(np.ones(2), 0.0, pair.positives, pair.negatives)
+        margin_h(np.ones(2), 0.0, pair)
 
 
 def test_singleton_instance_exact():
@@ -245,7 +246,7 @@ def test_witness_identities_on_random_instances():
         assert np.max(np.abs(rec_p - sol.x_plus)) <= 1e-8
         assert np.max(np.abs(rec_n - sol.x_minus)) <= 1e-8
         # the achieved objective value equals the reported margin
-        assert margin_h(sol.y, sol.b, pair.positives, pair.negatives) == pytest.approx(sol.d, abs=1e-9)
+        assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-9)
 
 
 def test_nearest_points_match_oracle():
@@ -313,7 +314,7 @@ def test_cutting_plane_l1_cost_frozen_instance():
     sol = solve_max_margin(pair, m)
     assert sol.separable
     assert sol.d == pytest.approx(1 / 7, abs=1e-12)
-    assert margin_h(sol.y, sol.b, pair.positives, pair.negatives) == pytest.approx(sol.d, abs=1e-12)
+    assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-12)
     assert np.max(np.abs(sol.y - np.array([-1 / 7, 1.0]))) <= 1e-12
     assert abs(sol.b) <= 1e-12
 
@@ -346,7 +347,7 @@ def test_cutting_plane_value_is_a_lower_bound_certified_by_h():
         for m in (CostModel(L1, 1.0, 3), CostModel(LINF, 1.0, 3)):
             sol = solve_max_margin(pair, m)
             if sol.separable:
-                assert margin_h(sol.y, sol.b, pair.positives, pair.negatives) == pytest.approx(sol.d, abs=1e-15)
+                assert margin_h(sol.y, sol.b, pair) == pytest.approx(sol.d, abs=1e-15)
                 assert dual_norm_eval(m, sol.y) == pytest.approx(1.0, abs=1e-15)
 
 
