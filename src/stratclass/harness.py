@@ -357,8 +357,13 @@ def _arrivals(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.random.Generator]:
     return seq[:T], noise_rng
 
 
-def _normalized_distance(y, b, bench: Benchmark) -> float | None:
-    ny = l2_norm(y)
+def _normalized_distance(y, b, bench: Benchmark, ny: float | None = None) -> float | None:
+    """Euclidean distance of ``(y, b) / ||y||_2`` from the benchmark's; None for ``y = 0``.
+
+    ``ny`` is ``||y||_2`` when the caller already has it.
+    """
+    if ny is None:
+        ny = l2_norm(y)
     if ny == 0.0:
         return None
     y_star, b_star = bench.l2_normalized
@@ -436,7 +441,9 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         key = (clf.y.tobytes(), clf.b)
         if key != declared:
             declared = key
-            distance = _normalized_distance(clf.y, clf.b, bench) if want_distance else None
+            if want_distance:  # under the l2 cost, ||y||_2 is the dual norm the round reads next
+                ny = clf.dual_norm(model) if model.norm.kind == "l2" else None
+                distance = _normalized_distance(clf.y, clf.b, bench, ny)
             gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
         d_now = learner.solution.d if smm and not in_init else None

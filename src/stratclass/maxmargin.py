@@ -21,6 +21,7 @@ the solver raises ``SolverError``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,19 @@ _INSEPARABLE_FACTOR = 10.0
 
 # LP solves (one per cutting-plane round) before a non-l2 solve gives up.
 _MAX_CUT_ROUNDS = 200
-# The tightest feasibility tolerances HiGHS accepts.  At its 1e-7 default it
-# takes a cut violated by less for satisfied, and lp-norm rounds repeat the
-# same optimum short of a 1e-10 certificate.
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# HiGHS options, as ``scipy.optimize.linprog(method="highs")`` sets them:
+# presolve on and the dual simplex (strategy 1), silent, and the tightest
+# feasibility tolerances HiGHS accepts.  At its 1e-7 default it takes a cut
+# violated by less for satisfied, and lp-norm rounds repeat the same optimum
+# short of a 1e-10 certificate.  Every other option keeps its HiGHS default.
+_LP_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,
+    "output_flag": False,
+    "log_to_console": False,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 # Newton steps per lp-norm polish, and the Newton decrement, relative to the
 # objective, below which the polish counts as converged.
 _MAX_POLISH_STEPS = 50
@@ -447,6 +457,66 @@ def _lp_polish(alpha, beta, P, N, p: float):
     return a_new / a_new.sum(), b_new / b_new.sum()
 
 
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS bindings and a ``HighsOptions`` holding ``_LP_OPTIONS``.
+
+    Loaded on the first non-l2 solve: ``scipy.optimize`` costs ~50 MB and
+    ~0.35 s to import, and the l2 path never needs it.
+    """
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    for name, value in _LP_OPTIONS.items():
+        setattr(options, name, value)
+    return _core, options
+
+
+def _highs_lp(cost, A_ub, b_ub, lower, upper):
+    """``min cost.x`` s.t. ``A_ub x <= b_ub`` and ``lower <= x <= upper``, by HiGHS.
+
+    Returns the optimal ``x`` and the row duals.  Passes HiGHS the LP that
+    ``linprog(cost, A_ub, b_ub, bounds, method="highs", options=...)`` builds,
+    columns and rows in order, ``A_ub`` in compressed columns without its
+    zeros, and the same options, so both answers agree bit for bit.  Raises
+    ``SolverError`` with HiGHS's model status unless the LP is solved to
+    optimality.
+    """
+    core, options = _highs()
+    n_rows, n_cols = A_ub.shape
+    columns = A_ub.T
+    nonzero = columns != 0.0
+    lp = core.HighsLp()
+    lp.num_col_, lp.num_row_ = n_cols, n_rows
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.row_lower_, lp.row_upper_ = np.full(n_rows, -np.inf), b_ub
+    matrix = lp.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n_cols, n_rows
+    matrix.start_ = np.r_[0, np.cumsum(nonzero.sum(axis=1))]
+    matrix.index_ = np.nonzero(nonzero)[1]
+    matrix.value_ = columns[nonzero]
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        status = highs.modelStatusToString(status)
+        raise SolverError(f"max-margin LP failed: HiGHS model status is {status}")
+    solution = highs.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
+@functools.cache
+def _box(norm, dim: int):
+    """Column bounds of the max-margin LP: ``|y_i| <= ||e_i||`` and free ``b`` and ``t``."""
+    half = [norm_eval(norm, e) for e in np.eye(dim)]
+    lower, upper = np.r_[np.negative(half), -np.inf, -np.inf], np.r_[half, np.inf, np.inf]
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
+
+
 def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> MarginSolution:
     """Max-margin under a non-Euclidean cost norm, certified by LP duality.
 
@@ -467,29 +537,28 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
     Two directions are then tested against that bound: the LP's
     ``y/||y||_*`` and the norming functional of ``x_plus - x_minus``, the
     optimal direction when those points are the nearest ones.  Returns the
-    first whose achieved margin is within ``tol`` of the bound.
+    first whose achieved margin is within ``tol`` of the bound.  Each LP is
+    built afresh and solved by HiGHS's dual simplex (``_highs_lp``).  Raises
+    ``SolverError`` when a round's cut is already in place: HiGHS took its
+    violation, below the feasibility tolerance, for satisfied, and every
+    later LP would return the same optimum.
     """
-    from scipy.optimize import linprog  # deferred: it costs ~50 MB and ~0.35 s to load
-
     P = sets.positives
     N = sets.negatives
     dim, n_pos, n_rows = sets.dim, sets.n_pos, sets.n_pos + sets.n_neg
     sign = np.r_[-np.ones(n_pos), np.ones(sets.n_neg)][:, None]  # -1 on positives
     rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
     cost = np.r_[np.zeros(dim + 1), -1.0]
-    bounds = [(-norm_eval(m, e), norm_eval(m, e)) for e in np.eye(dim)] + [(None, None)] * 2
+    col_lower, col_upper = _box(m.norm, dim)
     for rounds in range(1, _MAX_CUT_ROUNDS + 1):
-        res = linprog(
+        x, row_duals = _highs_lp(
             cost,
-            A_ub=np.vstack([rows, np.hstack([cuts, np.zeros((len(cuts), 2))])]),
-            b_ub=np.r_[np.zeros(n_rows), np.ones(len(cuts))],
-            bounds=bounds,
-            method="highs",
-            options=_LP_OPTIONS,
+            np.vstack([rows, np.hstack([cuts, np.zeros((len(cuts), 2))])]),
+            np.r_[np.zeros(n_rows), np.ones(len(cuts))],
+            col_lower,
+            col_upper,
         )
-        if res.status != 0:
-            raise SolverError(f"max-margin LP failed: {res.message}")
-        duals = np.maximum(-res.ineqlin.marginals[:n_rows], 0.0)
+        duals = np.maximum(-row_duals[:n_rows], 0.0)
         alpha = duals[:n_pos] / duals[:n_pos].sum()
         beta = duals[n_pos:] / duals[n_pos:].sum()
         if m.norm.kind == "lp":
@@ -502,7 +571,7 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
         upper = 0.5 * norm_eval(m, x_plus - x_minus)
         if upper <= _INSEPARABLE_FACTOR * tol:
             return _inseparable(x_plus, x_minus, weights, upper, rounds, cuts)
-        y = res.x[:dim]
+        y = x[:dim]
         for direction in (y, norming_functional(m, x_plus - x_minus)):
             y_hat = direction / dual_norm_eval(m, direction)
             lo = float(np.min(P @ y_hat))
@@ -526,6 +595,12 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
             raise SolverError(
                 f"max-margin LP optimum lies in the dual-norm ball, but its certificate "
                 f"gap {upper - lower:.3e} exceeds tol {tol:.3e}"
+            )
+        if (cuts == v).all(axis=1).any():  # HiGHS took it for satisfied: every LP would repeat this one
+            raise SolverError(
+                f"max-margin cutting planes stalled at LP {rounds}: its cut is already in place, "
+                f"violated by v.y - 1 = {float(v @ y) - 1.0:.3e}, with gap {upper - lower:.3e} "
+                f"> tol {tol:.3e}"
             )
         cuts = np.vstack([cuts, v])
     raise SolverError(

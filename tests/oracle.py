@@ -13,7 +13,9 @@ max-margin LP's feasible region (d <= 3, <= 4 points per side).
 any norm from the norm functions alone.  ``oracle_cutting_plane`` solves a
 non-Euclidean max-margin problem cold, adding one Kelley cut per LP until
 the LP's own row duals certify it, the reference for the package's
-polished, warm-startable cutting-plane solver.  ``oracle_run_online`` is the
+polished, warm-startable cutting-plane solver; its LPs go through
+``oracle_lp``, ``scipy.optimize.linprog`` with HiGHS, the reference for the
+package's direct HiGHS call.  ``oracle_run_online`` is the
 online protocol one scalar ``oracle_interact`` per step, the reference the
 harness's block engine and its lean one-agent step must reproduce bit for
 bit; ``oracle_interact`` and ``oracle_normalized_distance`` keep the
@@ -35,7 +37,7 @@ import numpy as np
 from stratclass import harness
 from stratclass.data import _MAX_REJECTION_TRIES, SynthConfig
 from stratclass.learners import SmmLearner
-from stratclass.maxmargin import MarginSolution
+from stratclass.maxmargin import MarginSolution, SolverError
 from stratclass.norms import (
     EPS_GEOM,
     CostModel,
@@ -179,6 +181,28 @@ def two_sided_certificate(P, N, sol, m):
     return lower, 0.5 * norm_eval(m, x_plus - x_minus)
 
 
+def oracle_lp(cost, A_ub, b_ub, lower, upper):
+    """``maxmargin._highs_lp`` as the package first solved it: ``scipy.optimize.linprog``.
+
+    HiGHS through scipy's public wrapper, with the options the cutting-plane
+    solver passed it; returns the optimal ``x`` and the row duals, or raises
+    ``SolverError`` with linprog's message.
+    """
+    from scipy.optimize import linprog
+
+    res = linprog(
+        cost,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        bounds=list(zip(lower, upper)),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status != 0:
+        raise SolverError(f"max-margin LP failed: {res.message}")
+    return res.x, res.ineqlin.marginals
+
+
 def oracle_cutting_plane(P, N, m, tol: float = 1e-10, max_rounds: int = 200) -> MarginSolution:
     """Max-margin under a non-Euclidean cost norm by cold Kelley cutting planes.
 
@@ -194,28 +218,20 @@ def oracle_cutting_plane(P, N, m, tol: float = 1e-10, max_rounds: int = 200) -> 
     than its feasibility tolerance for satisfied.  Either way the margin
     lies in ``[d, d + gap]`` when ``separable``.
     """
-    from scipy.optimize import linprog
-
     P = np.asarray(P, dtype=float)
     N = np.asarray(N, dtype=float)
     dim, n_pos, n_rows = P.shape[1], len(P), len(P) + len(N)
     sign = np.r_[-np.ones(n_pos), np.ones(len(N))][:, None]
     rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
     cost = np.r_[np.zeros(dim + 1), -1.0]
-    bounds = [(-norm_eval(m, e), norm_eval(m, e)) for e in np.eye(dim)] + [(None, None)] * 2
-    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    half = [norm_eval(m, e) for e in np.eye(dim)]
+    col_lower, col_upper = np.r_[np.negative(half), -np.inf, -np.inf], np.r_[half, np.inf, np.inf]
     cuts = np.empty((0, dim + 2))
     for rounds in range(1, max_rounds + 1):
-        res = linprog(
-            cost,
-            A_ub=np.vstack([rows, cuts]),
-            b_ub=np.r_[np.zeros(n_rows), np.ones(len(cuts))],
-            bounds=bounds,
-            method="highs",
-            options=options,
+        x, marginals = oracle_lp(
+            cost, np.vstack([rows, cuts]), np.r_[np.zeros(n_rows), np.ones(len(cuts))], col_lower, col_upper
         )
-        assert res.status == 0, res.message
-        duals = np.maximum(-res.ineqlin.marginals[:n_rows], 0.0)
+        duals = np.maximum(-marginals[:n_rows], 0.0)
         alpha = duals[:n_pos] / duals[:n_pos].sum()
         beta = duals[n_pos:] / duals[n_pos:].sum()
         weights = (
@@ -229,7 +245,7 @@ def oracle_cutting_plane(P, N, m, tol: float = 1e-10, max_rounds: int = 200) -> 
         if upper <= 10.0 * tol:
             return MarginSolution(y=np.zeros(dim), b=0.0, d=0.0, separable=False, gap=upper,
                                   **found)
-        y = res.x[:dim]
+        y = x[:dim]
         y_hat = y / dual_norm_eval(m, y)
         lo = float(np.min(P @ y_hat))
         hi = float(np.max(N @ y_hat))

@@ -32,7 +32,7 @@ from stratclass.maxmargin import margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import Classifier, margin_ratio
 
-from oracle import oracle_run_online
+from oracle import oracle_lp, oracle_run_online
 
 
 def two_cluster_dataset():
@@ -766,3 +766,34 @@ def test_smm_solves_curved_norms_in_few_lps(monkeypatch, norm, most_lps):
     metrics = run_online(cfg, build_dataset(cfg))
     assert metrics.solve_count == len(solves) > 5
     assert sum(sol.rounds for sol in solves) <= most_lps
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf", "lp:3", "lp:1.5", "wl1:0.5,2,1,1.5,0.75,3"])
+def test_smm_runs_are_the_same_through_linprog(monkeypatch, tmp_path, norm):
+    # the cutting-plane solver calls HiGHS directly; with linprog's wrapper
+    # around the same HiGHS every output of the run is the same, bit for bit
+    configs = [RunConfig(algorithm="smm", norm=norm, c=125.0, T=200, seed=s, synth_seed=s) for s in (0, 1)]
+    datasets = [build_dataset(cfg) for cfg in configs]
+    solve = learners.solve_max_margin
+
+    def runs(tag):
+        rounds = []
+
+        def recording(pool, *args, **kw):
+            sol = solve(pool, *args, **kw)
+            rounds.append(sol.rounds)
+            return sol
+
+        monkeypatch.setattr("stratclass.learners.solve_max_margin", recording)
+        out = []
+        for cfg, ds in zip(configs, datasets):
+            metrics = run_online(cfg, ds)
+            path = tmp_path / f"{tag}{cfg.seed}.csv"
+            write_metrics(metrics, path)
+            out.append((path.read_bytes(), metrics.solve_count, metrics.final_y.tobytes(), metrics.final_b))
+        return out, rounds
+
+    direct = runs("direct")
+    monkeypatch.setattr("stratclass.maxmargin._highs_lp", oracle_lp)
+    assert runs("linprog") == direct
+    assert sum(direct[1]) >= len(direct[1]) > 10

@@ -1,6 +1,9 @@
 """Max-margin solver: exact Euclidean path, witnesses, warm starts, cutting-plane path."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     oracle_cutting_plane,
+    oracle_lp,
     oracle_margin,
     oracle_nearest_points,
     oracle_polyhedral_margin,
@@ -19,6 +23,8 @@ from stratclass.maxmargin import (
     MarginSolution,
     PointSetPair,
     SolverError,
+    _box,
+    _highs_lp,
     _max,
     _min,
     incremental_check,
@@ -479,3 +485,87 @@ def test_cutting_plane_matches_the_cold_oracle(seed, dim, kind, log_p, log_scale
     if kind in ("l1", "wl1"):  # the box is the whole dual ball: the first LP is the answer
         assert np.array_equal(sol.y, ref.y) and sol.b == ref.b and sol.d == ref.d
         assert sol.support_weights == ref.support_weights and sol.rounds == ref.rounds == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    kind=st.sampled_from(["l1", "linf", "wl1", "lp"]),
+    n_cuts=st.integers(0, 6),
+    zeros=st.booleans(),
+    overlap=st.booleans(),
+)
+def test_highs_lp_is_linprog_bit_for_bit(seed, dim, kind, n_cuts, zeros, overlap):
+    # the cutting-plane LP: sign-weighted points, the b and t columns, the box of
+    # the dual ball and unit-norm cuts; an exact zero, of either sign, drops out
+    # of the sparse matrix
+    rng = np.random.default_rng(seed)
+    P, N = random_separable(rng, dim, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    if overlap:
+        N = np.vstack([N, P.mean(axis=0)])
+    if zeros:
+        P[rng.random(P.shape) < 0.3] = 0.0
+        N[rng.random(N.shape) < 0.3] = -0.0
+    weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, dim)) if kind == "wl1" else None
+    norm = NormKind(kind, p=float(rng.uniform(1.1, 6.0)) if kind == "lp" else None, weights=weights)
+    cuts = rng.normal(size=(n_cuts, dim))
+    cuts /= np.array([norm_eval(norm, v) for v in cuts])[:, None]
+    n_rows = len(P) + len(N)
+    sign = np.r_[-np.ones(len(P)), np.ones(len(N))][:, None]
+    rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
+    A_ub = np.vstack([rows, np.hstack([cuts, np.zeros((n_cuts, 2))])])
+    b_ub = np.r_[np.zeros(n_rows), np.ones(n_cuts)]
+    cost = np.r_[np.zeros(dim + 1), -1.0]
+    lower, upper = _box(norm, dim)
+    x, duals = _highs_lp(cost, A_ub, b_ub, lower, upper)
+    ref_x, ref_duals = oracle_lp(cost, A_ub, b_ub, lower, upper)
+    assert x.tobytes() == ref_x.tobytes() and duals.tobytes() == ref_duals.tobytes()
+
+
+def test_highs_lp_names_the_status_of_an_lp_it_cannot_solve():
+    free = np.array([-np.inf]), np.array([np.inf])
+    with pytest.raises(SolverError, match="HiGHS model status is Unbounded"):
+        _highs_lp(np.array([-1.0]), np.zeros((1, 1)), np.array([1.0]), *free)
+    with pytest.raises(SolverError, match="HiGHS model status is Infeasible"):
+        _highs_lp(np.array([1.0]), np.ones((1, 1)), np.array([-1.0]), np.zeros(1), np.ones(1))
+
+
+def test_a_stalled_cut_loop_fails_fast(monkeypatch):
+    # test_cutting_plane_matches_the_cold_oracle's example seed=3, dim=3,
+    # p = e^0.0546875 ~ 1.056, scale e^2: each LP's cut v = (-1, 0, 0) is violated
+    # by 1.6e-11, below HiGHS's 1e-10 feasibility tolerance, so every LP returns
+    # the same optimum; it took 200 LPs to give up, short of a certificate
+    rng = np.random.default_rng(3)
+    P, N = random_separable(rng, 3, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    P, N = math.exp(2.0) * P, math.exp(2.0) * N
+    m = CostModel(NormKind("lp", p=math.exp(0.0546875)), 1.0, 3)
+    lps = []
+
+    def counting(*args):
+        lps.append(args)
+        return _highs_lp(*args)
+
+    monkeypatch.setattr("stratclass.maxmargin._highs_lp", counting)
+    try:
+        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m)
+    except SolverError as err:
+        assert "stalled at LP 2: its cut is already in place" in str(err) and len(lps) == 2
+    else:
+        lower, upper = two_sided_certificate(P, N, sol, m)
+        assert sol.separable and upper - lower <= 1e-10
+
+
+def test_scipy_loads_on_the_first_non_l2_solve_only():
+    script = """
+import sys
+from stratclass.harness import RunConfig, run_online
+from stratclass.maxmargin import PointSetPair, solve_max_margin
+from stratclass.norms import L1, CostModel
+run_online(RunConfig(algorithm="smm", c=125.0, T=200, synth_n=200))
+assert not any(name.startswith("scipy") for name in sys.modules)
+solve_max_margin(PointSetPair.from_arrays([[1.0, 0.0]], [[-1.0, 0.0]]), CostModel(L1, 1.0, 2))
+assert "scipy.optimize._highspy._core" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
