@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -198,15 +199,24 @@ _CSV_HEADER = ["t", "mistake", "manipulated", "label", "d_t", "distance", "margi
 
 @dataclass
 class RunMetrics:
-    """Per-iteration record of one online run plus end-of-run summary."""
+    """One online run as the engine produces it, plus end-of-run summary.
 
-    t: list = field(default_factory=list)
-    mistake: list = field(default_factory=list)
-    manipulated: list = field(default_factory=list)
-    label: list = field(default_factory=list)
-    d_t: list = field(default_factory=list)
-    distance: list = field(default_factory=list)
-    margin_gap: list = field(default_factory=list)
+    Per step, as arrays: the ``mistake_flags``, the ``manipulated_flags``
+    and the agents' ``labels``.  Per declaration (a classifier the learner
+    published), one row of the ``decl_*`` lists: its first step (from 0,
+    the first row at 0) and the ``d_t``, ``distance`` and ``margin_gap``
+    that hold from there to the next row.  The per-step lists ``t``,
+    ``mistake``, ``manipulated``, ``label``, ``d_t``, ``distance`` and
+    ``margin_gap`` are built on access.
+    """
+
+    mistake_flags: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    manipulated_flags: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    decl_start: list[int] = field(default_factory=list)
+    decl_d_t: list = field(default_factory=list)
+    decl_distance: list = field(default_factory=list)
+    decl_margin_gap: list = field(default_factory=list)
     init_steps: int = 0
     init_mistakes: int = 0
     solve_count: int = 0
@@ -215,27 +225,37 @@ class RunMetrics:
     final_y: np.ndarray | None = None
     final_b: float | None = None
 
+    def _per_step(self, column: list) -> list:
+        """A per-declaration column repeated over each declaration's steps."""
+        counts = np.diff([*self.decl_start, len(self.labels)]).tolist()
+        return list(chain.from_iterable(map(repeat, column, counts)))
+
+    t = property(lambda self: list(range(1, len(self.labels) + 1)))
+    mistake = property(lambda self: self.mistake_flags.tolist())
+    manipulated = property(lambda self: self.manipulated_flags.tolist())
+    label = property(lambda self: self.labels.tolist())
+    d_t = property(lambda self: self._per_step(self.decl_d_t))
+    distance = property(lambda self: self._per_step(self.decl_distance))
+    margin_gap = property(lambda self: self._per_step(self.decl_margin_gap))
+
     @property
     def mistakes(self) -> int:
-        return sum(self.mistake)
+        return int(np.count_nonzero(self.mistake_flags))
 
     @property
     def manipulations(self) -> int:
-        return sum(self.manipulated)
+        return int(np.count_nonzero(self.manipulated_flags))
 
     def manipulations_by_label(self, sign: int) -> int:
-        return sum(m for m, l in zip(self.manipulated, self.label) if m and l == sign)
+        return int(np.count_nonzero(self.manipulated_flags & (self.labels == sign)))
 
     @property
     def final_distance(self) -> float | None:
-        for v in reversed(self.distance):
-            if v is not None:
-                return v
-        return None
+        return next((v for v in reversed(self.decl_distance) if v is not None), None)
 
     def summary(self) -> str:
         parts = [
-            f"T={len(self.t)}",
+            f"T={len(self.labels)}",
             f"mistakes={self.mistakes}",
             f"manipulations={self.manipulations}",
             f"init_steps={self.init_steps}",
@@ -254,75 +274,86 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
-def _fmt_column(values) -> list[str]:
-    """``_fmt`` of each value, formatting a run of one repeated object once.
-
-    Repeats are found by identity, never equality, so ``0.0`` and ``-0.0``
-    stay distinct; the block engine shares one object across a block.
-    """
-    out, last, text = [], object(), ""
-    for v in values:
-        if v is not last:
-            last, text = v, _fmt(v)
-        out.append(text)
-    return out
+# the "mistake,manipulated,label" cells of a step, at 4 * mistake + 2 * manipulated + (label == 1)
+_STEP_CELLS = [f"{m},{p},{lbl}" for m in (0, 1) for p in (0, 1) for lbl in (-1, 1)]
 
 
 def write_metrics(metrics: RunMetrics, path) -> None:
-    """Write the per-iteration table as CSV: one header row plus one row per t."""
-    rows = zip(
-        metrics.t,
-        metrics.mistake,
-        metrics.manipulated,
-        metrics.label,
-        _fmt_column(metrics.d_t),
-        _fmt_column(metrics.distance),
-        _fmt_column(metrics.margin_gap),
-        strict=True,
-    )
+    """Write the per-step table as CSV: one header row plus one row per t.
+
+    Each declaration's three cells are formatted once, for all its steps.
+    """
+    codes = 4 * metrics.mistake_flags + 2 * metrics.manipulated_flags + (metrics.labels == 1)
+    tails = metrics._per_step([
+        f",{_fmt(d)},{_fmt(dist)},{_fmt(gap)}\n"
+        for d, dist, gap in zip(metrics.decl_d_t, metrics.decl_distance, metrics.decl_margin_gap)
+    ])
     with Path(path).open("w") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
-        fh.writelines(
-            f"{t},{int(mis)},{int(man)},{lbl},{d_t},{dist},{gap}\n"
-            for t, mis, man, lbl, d_t, dist, gap in rows
-        )
+        fh.write("".join([
+            f"{t},{_STEP_CELLS[code]}{tail}"
+            for t, code, tail in zip(range(1, len(tails) + 1), codes.tolist(), tails)
+        ]))
 
 
-_FLAGS = {"0": False, "1": True}
+_FLAGS = {"0", "1"}
 _LABELS = {"1": 1, "-1": -1}
 
 
 def read_metrics(path) -> RunMetrics:
     """Read a metrics CSV back; summary counters are left at defaults.
 
-    Flags must read 0 or 1 and labels 1 or -1; any other field raises a
-    ``ValueError`` naming ``path:line``.
+    Parsed column by column: ``t`` must count 1, 2, ... down the rows,
+    flags read 0 or 1 and labels 1 or -1, and each run of rows with the
+    same last three cells is one declaration, its numbers parsed once.
+    Blank lines are skipped; any other bad row raises a ``ValueError``
+    naming ``path:line``.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0].split(",") != _CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
-    out = RunMetrics()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_CSV_HEADER):
-            raise ValueError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields")
+    body = [line for line in lines[1:] if line.strip()]
+    n, w = len(body), len(_CSV_HEADER)
+    # one split of the whole body: each row's cells, and a "\n" cell between rows
+    cells = ",\n,".join(body).split(",") if body else []
+    try:
+        if n and (len(cells) != (w + 1) * n - 1 or cells[w :: w + 1].count("\n") != n - 1):
+            raise ValueError
+        t, mistake, manipulated, label, d_t, distance, gap = (cells[k :: w + 1] for k in range(w))
+        if (t != list(map(str, range(1, n + 1))) or not _FLAGS >= set(mistake) | set(manipulated)
+                or not _LABELS.keys() >= set(label)):
+            raise ValueError
+        starts = [0] + [
+            i for i in range(1, n)
+            if d_t[i] != d_t[i - 1] or distance[i] != distance[i - 1] or gap[i] != gap[i - 1]
+        ] if n else []
+        d_t, distance, gap = ([float(c[i]) if c[i] else None for i in starts] for c in (d_t, distance, gap))
+    except ValueError:
+        raise _first_bad_row(path, lines) from None
+    return RunMetrics(  # each flag cell is now one byte, "0" or "1"
+        mistake_flags=np.frombuffer("".join(mistake).encode(), dtype=np.uint8) == ord("1"),
+        manipulated_flags=np.frombuffer("".join(manipulated).encode(), dtype=np.uint8) == ord("1"),
+        labels=np.fromiter(map(_LABELS.__getitem__, label), dtype=int, count=n),
+        decl_start=starts, decl_d_t=d_t, decl_distance=distance, decl_margin_gap=gap,
+    )
+
+
+def _first_bad_row(path, lines) -> ValueError:
+    """The error for the first data row that breaks ``read_metrics``'s column rules."""
+    rows = ((lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip())
+    for t, (lineno, line) in enumerate(rows, start=1):
+        cells = line.split(",")
+        if len(cells) != len(_CSV_HEADER):
+            return ValueError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields")
         try:
-            out.t.append(int(parts[0]))
-            out.mistake.append(_FLAGS[parts[1]])
-            out.manipulated.append(_FLAGS[parts[2]])
-            out.label.append(_LABELS[parts[3]])
-            out.d_t.append(float(parts[4]) if parts[4] else None)
-            out.distance.append(float(parts[5]) if parts[5] else None)
-            out.margin_gap.append(float(parts[6]) if parts[6] else None)
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"{path}:{lineno}: bad row {line!r}: expected an integer t, flags 0 or 1, "
-                "a label of 1 or -1 and numbers or blanks"
-            ) from None
-    return out
+            if cells[0] != str(t) or not _FLAGS >= {cells[1], cells[2]} or cells[3] not in _LABELS:
+                raise ValueError
+            [float(v) for v in cells[4:] if v]
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: bad row {line!r}: expected t = {t}, flags 0 or 1, "
+                              "a label of 1 or -1 and numbers or blanks")
+    raise AssertionError("read_metrics rejected a file whose rows all pass")
 
 
 # ---------------------------------------------------------------------------
@@ -426,34 +457,43 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         pair = dataset.point_sets()
         h_star = margin_h(bench.y_star, bench.b_star, pair)
     noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
-    features, labels = dataset.features, dataset.labels[idx].tolist()
+    features, label_arr = dataset.features, dataset.labels[idx]
+    labels = label_arr.tolist()
 
-    metrics = RunMetrics()
-    mistake, manipulated = metrics.mistake, metrics.manipulated
+    T = len(idx)
+    metrics = RunMetrics(
+        mistake_flags=np.zeros(T, dtype=bool), manipulated_flags=np.zeros(T, dtype=bool), labels=label_arr
+    )
+    mistake, manipulated = metrics.mistake_flags, metrics.manipulated_flags
     smm = isinstance(learner, SmmLearner)
     declared = distance = gap = None
-    T, step, k = len(idx), 0, 1
+    step, k = 0, 1
     start = time.perf_counter()
     while step < T:
         clf = learner.declare()
+        in_init = learner.in_init
+        d_now = learner.solution.d if smm and not in_init else None
         # both metrics depend on the declaration alone: recompute them only
         # when it differs bitwise
         key = (clf.y.tobytes(), clf.b)
-        if key != declared:
+        new = key != declared
+        if new:
             declared = key
             if want_distance:  # under the l2 cost, ||y||_2 is the dual norm the round reads next
                 ny = clf.dual_norm(model) if model.norm.kind == "l2" else None
                 distance = _normalized_distance(clf.y, clf.b, bench, ny)
             gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
-        in_init = learner.in_init
-        d_now = learner.solution.d if smm and not in_init else None
+        if new or d_now is not metrics.decl_d_t[-1]:  # a new classifier, or a new margin for it
+            metrics.decl_start.append(step)
+            metrics.decl_d_t.append(d_now)
+            metrics.decl_distance.append(distance)
+            metrics.decl_margin_gap.append(gap)
 
         if k == 1:
             label = labels[step]
             inter = interact(Agent(features[idx[step]], label), clf, model, cfg.sigma, noise)
             learner.update(inter.response, label)
-            mistake.append(inter.mistake)
-            manipulated.append(inter.manipulated)
+            mistake[step], manipulated[step] = inter.mistake, inter.manipulated
             n, changed = 1, learner.declare() is not clf
         else:
             Z = None if noise is None else noise.ahead(k)
@@ -468,19 +508,14 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
                     break
             if noise is not None:
                 noise.used = n
-            mistake.extend((predicted[:n] != labels[step : step + n]).tolist())
-            manipulated.extend(moved[:n].tolist())
-        metrics.d_t += [d_now] * n
-        metrics.distance += [distance] * n
-        metrics.margin_gap += [gap] * n
+            mistake[step : step + n] = predicted[:n] != label_arr[step : step + n]
+            manipulated[step : step + n] = moved[:n]
         if in_init:
             metrics.init_steps += n
         step += n
         k = 1 if changed else min(2 * k, _MAX_BLOCK, T - step)
 
-    metrics.t = list(range(1, T + 1))
-    metrics.label = labels
-    metrics.init_mistakes = sum(mistake[: metrics.init_steps])
+    metrics.init_mistakes = int(np.count_nonzero(mistake[: metrics.init_steps]))
     metrics.wall_time = time.perf_counter() - start
     final = learner.declare()
     metrics.final_y = final.y
@@ -543,15 +578,15 @@ def _init_consumption(labels_in_order: np.ndarray) -> int:
 
 def _check_labels(metrics: RunMetrics, labels: np.ndarray) -> None:
     """Reject metrics not recorded under this config: row count and labels must match its arrivals."""
-    if len(metrics.label) != len(labels):
+    if len(metrics.labels) != len(labels):
         raise ConfigError(
-            f"metrics hold {len(metrics.label)} rows but the config runs {len(labels)} steps"
+            f"metrics hold {len(metrics.labels)} rows but the config runs {len(labels)} steps"
         )
-    bad = np.flatnonzero(np.asarray(metrics.label) != labels)
+    bad = np.flatnonzero(metrics.labels != labels)
     if bad.size:
         row = int(bad[0])
         raise ConfigError(
-            f"metrics row t={metrics.t[row]} has label {metrics.label[row]} but the config's "
+            f"metrics row t={row + 1} has label {metrics.labels[row]} but the config's "
             f"arrival order gives {int(labels[row])}: the metrics come from a different run"
         )
 
@@ -576,15 +611,14 @@ def certify(
         f"d_star={bench.d_star:.6g} D_tilde={consts.D_tilde:.6g} D_bar={consts.D_bar:.6g}",
     ]
 
-    init_steps = init_mistakes = None
+    init_mistakes = mistakes = negative = positive = None
     if metrics is not None:
         idx, _ = _arrivals(cfg, dataset.n)
         _check_labels(metrics, dataset.labels[idx])
-        if cfg.algorithm in ("smm", "gradsmm"):
-            init_steps = _init_consumption(dataset.labels[idx])
-            init_mistakes = sum(metrics.mistake[:init_steps])
-        else:
-            init_steps, init_mistakes = 0, 0
+        init_steps = _init_consumption(dataset.labels[idx]) if cfg.algorithm != "perceptron" else 0
+        init_mistakes = int(np.count_nonzero(metrics.mistake_flags[:init_steps]))
+        mistakes = metrics.mistakes
+        negative, positive = (metrics.manipulations_by_label(sign) for sign in (-1, 1))
 
     def row(name, bound, observed):
         if bound is not None and bound == math.inf:
@@ -594,68 +628,33 @@ def certify(
         status = "pass" if observed <= bound else "fail"
         return CertRow(name, bound, observed, status)
 
-    rows = []
     if cfg.algorithm == "smm":
-        mist_bound = smm_mistake_bound(bench, consts)
         neg_bound, pos_bound = smm_manipulation_bounds(bench, consts, model)
-        obs_mist = None if metrics is None else metrics.mistakes - init_mistakes
-        rows.append(row("mistakes after declaration", mist_bound, obs_mist))
-        rows.append(
-            row(
-                "manipulations, negative agents",
-                neg_bound,
-                None if metrics is None else metrics.manipulations_by_label(-1),
-            )
-        )
-        rows.append(
-            row(
-                "manipulations, positive agents",
-                pos_bound,
-                None if metrics is None else metrics.manipulations_by_label(1),
-            )
-        )
-        rows.append(
-            row("declaration-phase mistakes", 2.0, None if metrics is None else init_mistakes)
-        )
+        rows = [
+            row("mistakes after declaration", smm_mistake_bound(bench, consts),
+                None if metrics is None else mistakes - init_mistakes),
+            row("manipulations, negative agents", neg_bound, negative),
+            row("manipulations, positive agents", pos_bound, positive),
+            row("declaration-phase mistakes", 2.0, init_mistakes),
+        ]
         if metrics is not None:
-            ds = [v for v in metrics.d_t if v is not None]
-            mono = all(b <= a + _D_MONOTONE_TOL for a, b in zip(ds, ds[1:]))
-            above = all(v >= bench.d_star - _D_MONOTONE_TOL for v in ds)
-            ok = mono and above
-            rows.append(
-                CertRow(
-                    "margins nonincreasing and >= d_star",
-                    None,
-                    None,
-                    "pass" if ok else "fail",
-                )
-            )
+            ds = [v for v in metrics.decl_d_t if v is not None]
+            ok = all(b <= a + _D_MONOTONE_TOL for a, b in zip(ds, ds[1:])) and all(
+                v >= bench.d_star - _D_MONOTONE_TOL for v in ds)
+            rows.append(CertRow("margins nonincreasing and >= d_star", None, None, "pass" if ok else "fail"))
     elif cfg.algorithm == "gradsmm":
-        rows.append(
-            row("declaration-phase mistakes", 2.0, None if metrics is None else init_mistakes)
-        )
-        rows.append(
-            CertRow(
-                "mistakes (no finite certificate for averaged iterates)",
-                None,
-                None if metrics is None else metrics.mistakes,
-                "info",
-            )
-        )
+        rows = [
+            row("declaration-phase mistakes", 2.0, init_mistakes),
+            CertRow("mistakes (no finite certificate for averaged iterates)", None, mistakes, "info"),
+        ]
     else:
         cone = ConeKind(cfg.cone)
         try:
             bound = perceptron_mistake_bound(bench, consts, model, cone)
         except HypothesisViolation as exc:
-            rows.append(CertRow(f"mistakes ({cone.value} cone): {exc}", None, None, "not applicable"))
+            rows = [CertRow(f"mistakes ({cone.value} cone): {exc}", None, None, "not applicable")]
         else:
-            rows.append(
-                row(
-                    f"mistakes ({cone.value} cone)",
-                    bound,
-                    None if metrics is None else metrics.mistakes,
-                )
-            )
+            rows = [row(f"mistakes ({cone.value} cone)", bound, mistakes)]
     return CertifyReport(rows, preamble)
 
 

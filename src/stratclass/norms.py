@@ -135,6 +135,23 @@ def l2_norm(x: np.ndarray) -> float:
     return s * math.sqrt(np.vdot(x, x))
 
 
+def _lp_norm(a: np.ndarray, p: float) -> float:
+    """``sum(a**p) ** (1/p)`` of ``a = |x|``, bit for bit, in range.
+
+    When that power sum overflows, or falls below the normal range for a
+    nonzero ``a``, the norm is ``s * ||a / s||_p`` with ``s = max a``, as
+    :func:`l2_norm` scales it (Blue 1978; Anderson 2017).
+    """
+    with np.errstate(over="ignore"):
+        total = np.sum(a**p)
+    if _TINY <= total < math.inf:
+        return float(total ** (1.0 / p))
+    s = float(a.max(initial=0.0))
+    if not 0.0 < s < math.inf:  # a is zero or holds an inf or a nan: the sum stands
+        return float(total ** (1.0 / p))
+    return s * float(np.sum((a / s) ** p) ** (1.0 / p))
+
+
 def norm_eval(m: CostModel | NormKind, x) -> float:
     """Evaluate the cost norm ||x||."""
     kind = m.norm if isinstance(m, CostModel) else m
@@ -146,7 +163,7 @@ def norm_eval(m: CostModel | NormKind, x) -> float:
     if kind.kind == "linf":
         return float(np.max(np.abs(x))) if x.size else 0.0
     if kind.kind == "lp":
-        return float(np.sum(np.abs(x) ** kind.p) ** (1.0 / kind.p))
+        return _lp_norm(np.abs(x), kind.p)
     # wl1
     return float(np.dot(np.asarray(kind.weights), np.abs(x)))
 
@@ -164,8 +181,7 @@ def dual_norm_eval(m: CostModel | NormKind, y) -> float:
         # dual of l-infinity is l1
         return float(np.sum(np.abs(y)))
     if kind.kind == "lp":
-        q = kind.p / (kind.p - 1.0)
-        return float(np.sum(np.abs(y) ** q) ** (1.0 / q))
+        return _lp_norm(np.abs(y), kind.p / (kind.p - 1.0))
     # dual of sum_i w_i |x_i| is max_i |y_i| / w_i
     return float(np.max(np.abs(y) / np.asarray(kind.weights))) if y.size else 0.0
 
@@ -198,8 +214,7 @@ def manipulation_direction(m: CostModel | NormKind, y) -> np.ndarray:
     if kind.kind == "lp":
         q = kind.p / (kind.p - 1.0)
         a = np.abs(y)
-        scale = np.sum(a**q) ** (1.0 / q)
-        mag = (a / scale) ** (q - 1.0)
+        mag = (a / _lp_norm(a, q)) ** (q - 1.0)
         return np.where(y >= 0, mag, -mag)
     # wl1: extreme points are +-e_i / w_i
     w = np.asarray(kind.weights)

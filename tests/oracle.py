@@ -320,9 +320,10 @@ def oracle_run_online(cfg, dataset=None):
         h_star = _oracle_margin_h(bench.y_star, bench.b_star, pair)
 
     metrics = harness.RunMetrics()
+    mistake, manipulated, labels = [], [], []
     declared = distance = gap = None
     start = time.perf_counter()
-    for step, i in enumerate(idx, start=1):
+    for step, i in enumerate(idx):
         clf = learner.declare()
         key = (clf.y.tobytes(), clf.b)
         if key != declared:
@@ -333,16 +334,17 @@ def oracle_run_online(cfg, dataset=None):
         agent = Agent(dataset.features[i], int(dataset.labels[i]))
         inter = oracle_interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
 
-        metrics.t.append(step)
-        metrics.mistake.append(inter.mistake)
-        metrics.manipulated.append(inter.manipulated)
-        metrics.label.append(agent.label)
+        mistake.append(inter.mistake)
+        manipulated.append(inter.manipulated)
+        labels.append(agent.label)
         d_now = None
         if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
             d_now = learner.solution.d
-        metrics.d_t.append(d_now)
-        metrics.distance.append(distance)
-        metrics.margin_gap.append(gap)
+        # one declaration row per step: the table need not merge repeats
+        metrics.decl_start.append(step)
+        metrics.decl_d_t.append(d_now)
+        metrics.decl_distance.append(distance)
+        metrics.decl_margin_gap.append(gap)
         if in_init:
             metrics.init_steps += 1
             if inter.mistake:
@@ -350,6 +352,9 @@ def oracle_run_online(cfg, dataset=None):
 
         learner.update(inter.response, agent.label)
 
+    metrics.mistake_flags = np.array(mistake, dtype=bool)
+    metrics.manipulated_flags = np.array(manipulated, dtype=bool)
+    metrics.labels = np.array(labels, dtype=int)
     metrics.wall_time = time.perf_counter() - start
     final = learner.declare()
     metrics.final_y = final.y

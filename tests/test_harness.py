@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratclass.cli as cli
 import stratclass.harness as harness
@@ -296,6 +298,29 @@ class TestRunOnline:
 _COLUMNS = ("t", "mistake", "manipulated", "label", "d_t", "distance", "margin_gap")
 
 
+_CELLS = st.sampled_from([None, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300,
+                          -1e300, 0.1, 1.0 / 3.0])
+
+
+@st.composite
+def _declaration_runs(draw):
+    """A RunMetrics of 0 to 12 declarations of 1-4 steps, values drawn so they repeat."""
+    value = _CELLS | st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(st.integers(1, 4), value, value, value), max_size=12))
+    lengths = [r[0] for r in rows]
+    n = sum(lengths)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    return RunMetrics(
+        mistake_flags=np.array(draw(flags), dtype=bool),
+        manipulated_flags=np.array(draw(flags), dtype=bool),
+        labels=np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))),
+        decl_start=np.cumsum([0] + lengths)[:-1].tolist(),
+        decl_d_t=[r[1] for r in rows],
+        decl_distance=[r[2] for r in rows],
+        decl_margin_gap=[r[3] for r in rows],
+    )
+
+
 def assert_same_run(got, want):
     """Every column, counter and the final classifier agree bit for bit."""
     for col in _COLUMNS:
@@ -452,18 +477,21 @@ class TestMetricsIO:
         assert back.margin_gap == metrics.margin_gap
 
     def test_shared_values_are_written_like_distinct_ones(self, tmp_path):
-        # Runs of one shared object, and equal values held by different
-        # objects (0.0 and -0.0 compare equal), each keep their own text.
+        # A declaration's cells are written on each of its steps, and equal
+        # values in distinct declarations (0.0 and -0.0 compare equal) each
+        # keep their own text.
         x, z, nz = 0.1, 0.0, -0.0
         metrics = RunMetrics(
-            t=[1, 2, 3, 4, 5, 6, 7],
-            mistake=[True, False, False, True, False, False, False],
-            manipulated=[False, True, False, False, False, True, False],
-            label=[1, -1, -1, 1, 1, -1, 1],
-            d_t=[None, x, x, z, nz, nz, None],
-            distance=[z, nz, z, z, x, None, None],
-            margin_gap=[x, x, x, float(str(x)), 1.0 / 3.0, 1.0 / 3.0, x],
+            mistake_flags=np.array([1, 0, 0, 1, 0, 0, 0], dtype=bool),
+            manipulated_flags=np.array([0, 1, 0, 0, 0, 1, 0], dtype=bool),
+            labels=np.array([1, -1, -1, 1, 1, -1, 1]),
+            decl_start=[0, 1, 3, 4, 6],
+            decl_d_t=[None, x, z, nz, None],
+            decl_distance=[z, nz, z, x, None],
+            decl_margin_gap=[x, x, float(str(x)), 1.0 / 3.0, x],
         )
+        assert repr(metrics.d_t) == repr([None, x, x, z, nz, nz, None])
+        assert repr(metrics.distance) == repr([z, nz, nz, z, x, x, None])
         path = tmp_path / "run.metrics.csv"
         write_metrics(metrics, path)
         cell = lambda v: "" if v is None else f"{v:.17g}"  # noqa: E731
@@ -478,6 +506,24 @@ class TestMetricsIO:
         assert path.read_text().splitlines()[4:6] == ["4,1,0,1,0,0,0.10000000000000001",
                                                       "5,0,0,1,-0,0.10000000000000001,0.33333333333333331"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(_declaration_runs())
+    def test_write_read_write_is_the_identity(self, tmp_path_factory, metrics):
+        path = tmp_path_factory.mktemp("csv") / "run.metrics.csv"
+        write_metrics(metrics, path)
+        written = path.read_bytes()
+        back = read_metrics(path)
+        write_metrics(back, path)
+        assert path.read_bytes() == written
+        for col in _COLUMNS:  # repr tells -0.0 from 0.0 and keeps None
+            assert repr(getattr(back, col)) == repr(getattr(metrics, col)), col
+        # read back, adjacent declarations with the same three values merge
+        rows = list(zip(metrics.decl_start, metrics.decl_d_t, metrics.decl_distance,
+                        metrics.decl_margin_gap))
+        merged = [r for k, r in enumerate(rows) if k == 0 or repr(r[1:]) != repr(rows[k - 1][1:])]
+        assert repr(list(zip(back.decl_start, back.decl_d_t, back.decl_distance,
+                             back.decl_margin_gap))) == repr(merged)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")
@@ -491,11 +537,20 @@ class TestMetricsIO:
             read_metrics(path)
 
     @pytest.mark.parametrize("row", ["2,2,0,1,,,", "2,0,-1,1,,,", "2,0,0,0,,,", "2,0,0,2,,,",
-                                     "2,true,0,1,,,", "2,0,0,+1,,,", "2,0,0,1,x,,"])
+                                     "2,true,0,1,,,", "2,0,0,+1,,,", "2,0,0,1,x,,", "2,0,0,1,,x,",
+                                     "2,0,0,1,,,x", "x,0,0,1,,,", "3,0,0,1,,,", "2,0,0,1,,,,"])
     def test_corrupt_flags_and_labels_rejected_with_path_and_line(self, tmp_path, row):
         path = tmp_path / "x.csv"
         path.write_text("t,mistake,manipulated,label,d_t,distance,margin_gap\n1,1,0,-1,,,\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            read_metrics(path)
+
+    @pytest.mark.parametrize("row", ["3,0,0,1,,", "3,2,0,1,,,", "3,0,0,1,,0.5x,", "4,0,0,1,,,"])
+    def test_blank_lines_keep_the_file_line_of_a_bad_row(self, tmp_path, row):
+        path = tmp_path / "x.csv"
+        path.write_text("t,mistake,manipulated,label,d_t,distance,margin_gap\n"
+                        "1,1,0,-1,,,\n\n2,0,0,1,1,2,3\n   \n" + row + "\n5,0,0,1,x,,\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:6:")):
             read_metrics(path)
 
 
@@ -565,10 +620,31 @@ class TestCertify:
         ds = two_cluster_dataset()
         cfg = self.cfg()
         metrics = run_online(cfg, ds)
-        metrics.mistake = [True] * len(metrics.t)  # forged: exceeds every bound
+        metrics.mistake_flags[:] = True  # forged: exceeds every bound
         report = certify(cfg, metrics, ds)
         assert not report.passed
         assert "RESULT: FAIL" in report.render()
+
+    @pytest.mark.parametrize("forged", ["rise", "below_d_star"])
+    def test_doctored_margins_fail(self, tmp_path, forged):
+        # d_t on the CSV's last row, a declaration of its own once changed, either
+        # above the margin before it or below d_star (1 on this instance)
+        ds = two_cluster_dataset()
+        cfg = self.cfg()
+        path = tmp_path / "run.metrics.csv"
+        write_metrics(run_online(cfg, ds), path)
+        margins = "margins nonincreasing and >= d_star"
+        assert next(r for r in certify(cfg, read_metrics(path), ds).rows if r.name == margins).status == "pass"
+        lines = path.read_text().splitlines()
+        cells = lines[-1].split(",")
+        last = float(cells[4])
+        cells[4] = repr(last + 0.5 if forged == "rise" else 0.5)
+        path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+        back = read_metrics(path)
+        assert back.decl_d_t[-1] == float(cells[4])
+        report = certify(cfg, back, ds)
+        assert next(r for r in report.rows if r.name == margins).status == "fail"
+        assert not report.passed and "RESULT: FAIL" in report.render()
 
     def test_perceptron_cone_certificates(self):
         ds = two_cluster_dataset()

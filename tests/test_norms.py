@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,7 +212,6 @@ def test_norming_functional_supports_the_ball_at_x(arg):
         assert not np.any(y)
         return
     assert math.isclose(dual_norm_eval(norm, y), 1.0, rel_tol=1e-12)
-    x = x / np.max(np.abs(x))  # norm_eval's powers underflow on tiny x; y.x is homogeneous
     assert math.isclose(float(y @ x), norm_eval(norm, x), rel_tol=1e-12)
 
 
@@ -244,16 +244,58 @@ def test_l2_kernels_rescale_inputs_whose_squares_leave_the_range():
         assert math.isnan(norm_eval(L2, [math.nan, 1.0]))
 
 
+def test_lp_kernels_rescale_inputs_whose_powers_leave_the_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = manipulation_direction(LP3, [1e300, 1e300])
+        assert np.allclose(v, [0.5 ** (1.0 / 3.0)] * 2, rtol=1e-15) and norm_eval(LP3, v) == pytest.approx(1.0)
+        assert norm_eval(parse_norm("lp:20"), [1e20, 1.0]) == pytest.approx(1e20, rel=1e-15)
+        assert norm_eval(parse_norm("lp:2.5"), [4.69e-148, 0.0]) == 4.69e-148
+        assert dual_norm_eval(LP3, [3e-200, -3e-200]) == pytest.approx(2.0 ** (2.0 / 3.0) * 3e-200, rel=1e-15)
+        assert norm_eval(LP3, [0.0, 0.0]) == 0.0
+        assert norm_eval(LP3, [math.inf, 1.0]) == math.inf
+        assert math.isnan(norm_eval(LP3, [math.nan, 1.0]))
+
+
+_NORMS = [L2, L1, LINF, LP3, parse_norm("lp:2.5"), parse_norm("lp:1.5"), parse_norm("lp:20"), "wl1"]
+
+
+def _root_slack(norm, power) -> float:
+    """Relative error an in-range lp kernel owes to the rounded exponent ``1/r``.
+
+    In range the lp kernels keep ``sum(a**r) ** (1/r)`` bit for bit, and
+    ``1/r`` rounded by ``d`` moves that root by up to ``|ln sum| * d``
+    relative, ``|ln sum| < 710`` for every finite normal sum.  Zero for
+    every other norm.
+    """
+    if norm.kind != "lp":
+        return 0.0
+    r = {"primal": norm.p, "dual": norm.p / (norm.p - 1.0)}[power]
+    return 710.0 * float(abs(Fraction(1.0 / r) - 1 / Fraction(r)))
+
+
+@pytest.mark.parametrize("norm", _NORMS, ids=lambda m: m if isinstance(m, str) else m.token())
 @given(
     x=st.lists(st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=1, max_size=8),
     exponent=st.integers(-200, 200),
 )
-def test_l2_norms_scale_exactly_at_any_magnitude(x, exponent):
+def test_norms_scale_exactly_at_any_magnitude(norm, x, exponent):
     x, s = np.array(x), 10.0**exponent
+    if norm == "wl1":
+        norm = NormKind("wl1", weights=tuple(np.linspace(0.5, 2.0, len(x))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (norm_eval, dual_norm_eval):
-            assert math.isclose(f(L2, s * x), s * f(L2, x), rel_tol=1e-14)
-        if np.any(x):
-            v = manipulation_direction(L2, s * x)
-            assert np.allclose(v, x / norm_eval(L2, x), rtol=1e-14, atol=1e-15)
+        for f, power in ((norm_eval, "primal"), (dual_norm_eval, "dual")):
+            rel = 1e-14 + _root_slack(norm, power)
+            assert math.isclose(f(norm, s * x), s * f(norm, x), rel_tol=rel)
+        if not np.any(x):
+            return
+        v = manipulation_direction(norm, s * x)
+        if norm.strictly_convex:  # one maximizer, the same at every scale
+            # lp: v = (|y| / ||y||_*) ** (q - 1), the dual norm's error raised to q - 1
+            q = norm.p / (norm.p - 1.0) if norm.kind == "lp" else 2.0
+            rel = 1e-14 + max(q - 1.0, 1.0) * _root_slack(norm, "dual")
+            assert np.allclose(v, manipulation_direction(norm, x), rtol=rel, atol=1e-15)
+        else:  # a face of maximizers: rounding s·x can change which one ties break to
+            assert math.isclose(norm_eval(norm, v), 1.0, rel_tol=1e-14)
+            assert math.isclose(float((s * x) @ v), dual_norm_eval(norm, s * x), rel_tol=1e-14)
