@@ -44,6 +44,10 @@ class Dataset:
         bad = set(np.unique(self.labels)) - {1, -1}
         if bad:
             raise ValueError(f"labels must be +1/-1, got {sorted(bad)}")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"features must be finite: features[{row}] = {self.features[row].tolist()}")
 
     @property
     def n(self) -> int:

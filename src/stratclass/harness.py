@@ -401,38 +401,6 @@ def _normalized_distance(y, b, bench: Benchmark, ny: float | None = None) -> flo
     return math.hypot(l2_norm(y / ny - y_star), b / ny - b_star)
 
 
-class _NoiseRows:
-    """The response-noise generator, read ahead a block at a time.
-
-    ``Generator.standard_normal((k, d))`` yields the same numbers as k
-    calls of ``standard_normal(d)``, so the rows a block reads ahead but
-    does not reach stay buffered for the next block and a noisy run
-    replays exactly.  A block takes its rows with ``ahead`` and marks how
-    many it played in ``used``; ``interact``, which answers one-agent
-    blocks, draws through ``standard_normal``: buffered row ``used``
-    first, the generator once the buffer is spent.
-    """
-
-    def __init__(self, rng: np.random.Generator, dim: int):
-        self._rng = rng
-        self.rows = np.empty((0, dim))
-        self.used = 0
-
-    def ahead(self, k: int) -> np.ndarray:
-        """The next ``k`` rows, none of them used yet."""
-        rows = self.rows[self.used :]
-        if len(rows) < k:
-            rows = np.concatenate([rows, self._rng.standard_normal((k - len(rows), rows.shape[1]))])
-        self.rows, self.used = rows, 0
-        return rows[:k]
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        if self.used == len(self.rows):
-            return self._rng.standard_normal(size)
-        self.used += 1
-        return self.rows[self.used - 1]
-
-
 def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     """Stream the dataset through the configured learner and record metrics.
 
@@ -449,6 +417,11 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         dataset = build_dataset(cfg)
     model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
     idx, noise_rng = _arrivals(cfg, dataset.n)
+    # row t is step t's noise: a (T, d) draw yields the numbers of T draws of d
+    noise = None
+    if cfg.sigma != 0.0:
+        noise = noise_rng.standard_normal((len(idx), dataset.dim))
+        noise *= cfg.sigma
     learner = _build_learner(cfg, model)
     bench = dataset.benchmark
     want_distance = cfg.track in ("distance", "full") and bench is not None
@@ -456,7 +429,6 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     if want_gap:
         pair = dataset.point_sets()
         h_star = margin_h(bench.y_star, bench.b_star, pair)
-    noise = None if cfg.sigma == 0.0 else _NoiseRows(noise_rng, dataset.dim)
     features, label_arr = dataset.features, dataset.labels[idx]
     labels = label_arr.tolist()
 
@@ -491,23 +463,20 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
 
         if k == 1:
             label = labels[step]
-            inter = interact(Agent(features[idx[step]], label), clf, model, cfg.sigma, noise)
+            z = None if noise is None else noise[step]
+            inter = interact(Agent(features[idx[step]], label), clf, model, z)
             learner.update(inter.response, label)
             mistake[step], manipulated[step] = inter.mistake, inter.manipulated
             n, changed = 1, learner.declare() is not clf
         else:
-            Z = None if noise is None else noise.ahead(k)
-            observed, predicted, moved = answer(
-                features[idx[step : step + k]], clf, model, Z, cfg.sigma
-            )
+            z = None if noise is None else noise[step : step + k]
+            observed, predicted, moved = answer(features[idx[step : step + k]], clf, model, z)
             n, changed = k, False
             for j in range(k):
                 learner.update(observed[j], labels[step + j])
                 if learner.declare() is not clf:
                     n, changed = j + 1, True
                     break
-            if noise is not None:
-                noise.used = n
             mistake[step : step + n] = predicted[:n] != label_arr[step : step + n]
             manipulated[step : step + n] = moved[:n]
         if in_init:

@@ -253,27 +253,20 @@ def norming_functional(m: CostModel | NormKind, x) -> np.ndarray:
     return np.asarray(kind.weights) * np.sign(x)
 
 
-def l2_envelope_constant(m: CostModel | NormKind, dim: int | None = None) -> float:
+def l2_envelope_constant(m: CostModel) -> float:
     """Largest Euclidean length of any manipulation direction.
 
     This is ``max_y ||v(y)||_2``, the factor by which a unit-cost move can
     inflate Euclidean radii; it feeds every certificate that converts
     cost-norm reach into Euclidean geometry.
     """
-    kind = m.norm if isinstance(m, CostModel) else m
-    if dim is None:
-        if isinstance(m, CostModel):
-            dim = m.dim
-        elif kind.kind == "wl1":
-            dim = len(kind.weights)
-        else:
-            raise ValueError("dim is required for unweighted norm kinds")
+    kind = m.norm
     if kind.kind in ("l2", "l1"):
         return 1.0
     if kind.kind == "linf":
-        return math.sqrt(dim)
+        return math.sqrt(m.dim)
     if kind.kind == "lp":
         # l2 norm over the lp unit sphere peaks at coordinate vectors for
         # p <= 2 and at the diagonal for p >= 2
-        return float(dim) ** max(0.0, 0.5 - 1.0 / kind.p)
+        return float(m.dim) ** max(0.0, 0.5 - 1.0 / kind.p)
     return 1.0 / min(kind.weights)

@@ -25,11 +25,6 @@ import numpy as np
 from .norms import EPS_GEOM, CostModel, dual_norm_eval, manipulation_direction
 
 
-def sign(x: float) -> int:
-    """Sign convention used throughout: sign(0) = +1."""
-    return 1 if x >= 0 else -1
-
-
 @dataclass(frozen=True, eq=False)
 class Classifier:
     """Linear classifier with intercept; ``y`` may be the zero vector.
@@ -155,27 +150,18 @@ def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> 
     return response
 
 
-def interact(
-    agent: Agent,
-    clf: Classifier,
-    m: CostModel,
-    sigma: float = 0.0,
-    noise_rng=None,
-) -> Interaction:
+def interact(agent: Agent, clf: Classifier, m: CostModel, noise=None) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
     The best response and the score ``y.A + b`` come from the helper behind
-    :func:`respond`; the observed response adds Gaussian noise of scale
-    ``sigma`` (none is drawn for ``sigma == 0``).  Prediction and mistake are
-    :func:`predict`'s on the observed response, reusing the score when that
-    is ``A`` itself; the manipulation flag compares the noise-free response
-    with ``A`` exactly.
+    :func:`respond`; the observed response adds the noise row ``noise``, if
+    any.  Prediction and mistake are :func:`predict`'s on the observed
+    response, reusing the score when that is ``A`` itself; the manipulation
+    flag compares the noise-free response with ``A`` exactly.
     """
     A = agent.features
     clean, q, dn = _respond(A, clf, m)
-    observed = clean
-    if sigma != 0.0:
-        observed = clean + sigma * noise_rng.standard_normal(clean.shape[0])
+    observed = clean if noise is None else clean + noise
     if observed is not A:
         q = float(_score(observed, clf.y)) + clf.b
     predicted = 1 if _clears_offset(q, dn, m) else -1
@@ -183,15 +169,14 @@ def interact(
     return Interaction(observed, predicted, manipulated, predicted != agent.label)
 
 
-def answer(A: np.ndarray, clf: Classifier, m: CostModel, Z=None, sigma: float = 0.0):
+def answer(A: np.ndarray, clf: Classifier, m: CostModel, noise=None):
     """One protocol round for each row of ``A`` under the same classifier.
 
-    ``A`` holds the agents' true features, one row each, and ``Z`` (for
-    ``sigma != 0``) one standard-normal noise row per agent.  Returns
-    ``(observed, predicted, manipulated)``: row ``j`` of each is what
-    :func:`interact` reports for agent ``A[j]`` when its noise draw is
-    ``Z[j]``, bit for bit, since every step is the same float operation on
-    the same operands, row by row.
+    ``A`` holds the agents' true features, one row each, and ``noise``, if
+    given, one noise row per agent.  Returns ``(observed, predicted,
+    manipulated)``: row ``j`` of each is what :func:`interact` reports for
+    agent ``A[j]`` given the noise row ``noise[j]``, bit for bit, since every
+    step is the same float operation on the same operands, row by row.
     """
     dn = clf.dual_norm(m)
     q = _score(A, clf.y) + clf.b
@@ -202,7 +187,7 @@ def answer(A: np.ndarray, clf: Classifier, m: CostModel, Z=None, sigma: float = 
         if move.any():
             clean = A.copy()
             clean[move] += (m.two_over_c - ratio[move])[:, None] * manipulation_direction(m, clf.y)
-    observed = clean if Z is None else clean + sigma * Z
+    observed = clean if noise is None else clean + noise
     if observed is not A:
         q = _score(observed, clf.y) + clf.b
     predicted = np.where(_clears_offset(q, dn, m), 1, -1)

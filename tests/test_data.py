@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.array([1, -1]))
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([1, 2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_are_rejected_at_the_first_bad_row(self, bad):
+        features = [[0.0, 1.0], [0.0, -1.0], [bad, -1.0], [1.0, bad]]
+        with pytest.raises(ValueError, match=re.escape(f"features[2] = [{bad}, -1.0]")):
+            Dataset(features, [1, -1, -1, 1])
 
 
 class TestSynthConfig:

@@ -217,6 +217,33 @@ class TestRunOnline:
         assert quiet.label == noisy.label  # same agents in the same order
         assert quiet.final_b != noisy.final_b  # but the noise reached the learner
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    def test_only_a_noisy_run_draws_noise(self, monkeypatch, sigma):
+        # sigma = 0 takes nothing from the noise generator: a stub that fails
+        # on any use stands in for it, and only the noisy run reaches it
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"noise generator used: {name}")
+
+        arrivals = harness._arrivals
+        monkeypatch.setattr(harness, "_arrivals", lambda cfg, n: (arrivals(cfg, n)[0], NoDraws()))
+        cfg = RunConfig(algorithm="gradsmm", c=4.0, T=150, seed=2, sigma=sigma)
+        if sigma == 0.0:
+            assert len(run_online(cfg, two_cluster_dataset()).t) == 150
+        else:
+            with pytest.raises(AssertionError, match="noise generator used"):
+                run_online(cfg, two_cluster_dataset())
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 33])
+    @pytest.mark.parametrize("T", [1, 2, 7, 1000])
+    def test_one_noise_draw_is_the_per_step_draws(self, T, d):
+        # run_online draws a run's noise as one (T, d) block and plays row t at
+        # step t: the block holds, bit for bit, T successive draws of d
+        block = np.random.default_rng(T * 100 + d).standard_normal((T, d))
+        rng = np.random.default_rng(T * 100 + d)
+        steps = np.array([rng.standard_normal(d) for _ in range(T)])
+        assert block.tobytes() == steps.tobytes()
+
     def test_smm_survives_noise_by_falling_back(self):
         # heavy noise scrambles the pool until it is inseparable; the learner
         # must park at the zero classifier and keep answering
@@ -432,9 +459,10 @@ class TestBlockEngine:
         assert not any(got.manipulated)
         assert set(got.mistake) == {False, True}
 
-    def test_noisy_block_cut_partway_through_its_buffer(self, monkeypatch):
+    def test_noisy_block_cut_partway_through(self, monkeypatch):
         # blocks of 1, 2, 4 and 8 agents start at steps 1, 2, 4 and 8; the change
-        # after step 10 cuts the fourth with five rows of noise read ahead
+        # after step 10 cuts the fourth, whose last five noise rows belong to the
+        # steps after it
         ds = two_cluster_dataset()
         first, second = Classifier(np.array([0.0, 1.0]), 0.0), Classifier(np.array([0.6, 0.8]), -0.1)
         got = self._scripted_run(monkeypatch, ds, [first] * 10 + [second], T=400, sigma=0.05)

@@ -21,12 +21,12 @@ from stratclass.norms import L1, L2, CostModel, parse_norm
 from stratclass.response import Agent, Classifier, interact, proxy_from_response, respond
 
 
-def drive(learner, m, stream, sigma=0.0, rng=None):
+def drive(learner, m, stream):
     """Feed (features, label) pairs through the declare/respond/update loop."""
     outs = []
     for features, label in stream:
         clf = learner.declare()
-        out = interact(Agent(np.asarray(features, dtype=float), label), clf, m, sigma, rng)
+        out = interact(Agent(np.asarray(features, dtype=float), label), clf, m)
         learner.update(out.response, label)
         outs.append(out)
     return outs

@@ -18,14 +18,7 @@ from stratclass.response import (
     predict,
     proxy_from_response,
     respond,
-    sign,
 )
-
-
-def test_sign_of_zero_is_positive():
-    assert sign(0.0) == 1
-    assert sign(5.0) == 1
-    assert sign(-1e-300) == -1
 
 
 def test_respond_worked_instance():
@@ -114,14 +107,13 @@ def test_proxy_zero_classifier_passthrough():
     assert np.array_equal(proxy_from_response(x, -1, Classifier(np.zeros(2), 0.0), m), x)
 
 
-def test_interact_sigma_zero_consumes_no_randomness():
+def test_interact_without_noise_observes_the_best_response():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    rng = np.random.default_rng(3)
-    before = rng.bit_generator.state
-    out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m, 0.0, rng)
-    assert rng.bit_generator.state == before
-    assert np.array_equal(out.response, respond(Agent(np.array([-1.0, 1.0]), 1), clf, m))
+    for features in ([-1.0, 1.0], [2.0, 2.0]):  # one agent moves, one stays put
+        agent = Agent(np.array(features), 1)
+        out = interact(agent, clf, m)
+        assert out.response.tobytes() == respond(agent, clf, m).tobytes()
 
 
 def test_interact_noise_adds_gaussian_perturbation():
@@ -129,7 +121,7 @@ def test_interact_noise_adds_gaussian_perturbation():
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), 1)
     r0 = respond(agent, clf, m)
-    out = interact(agent, clf, m, 1e-3, np.random.default_rng(3))
+    out = interact(agent, clf, m, 1e-3 * np.random.default_rng(3).standard_normal(2))
     delta = np.linalg.norm(out.response - r0)
     assert 0 < delta < 1e-2
 
@@ -156,7 +148,7 @@ def test_interact_noisy_uses_observed_response_for_learning():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), -1)
-    out = interact(agent, clf, m, sigma=1e-3, noise_rng=np.random.default_rng(5))
+    out = interact(agent, clf, m, 1e-3 * np.random.default_rng(5).standard_normal(2))
     # manipulation is judged on the clean response...
     assert out.manipulated
     # ...but the noisy observation misses the boundary, so no pull-back
@@ -189,7 +181,7 @@ def test_l1_response_moves_single_coordinate():
 
 
 class _Draws:
-    """A noise source that hands out given rows in order."""
+    """A noise generator for ``oracle_interact`` that hands out given rows in order."""
 
     def __init__(self, rows):
         self.rows = iter(rows)
@@ -199,11 +191,15 @@ class _Draws:
 
 
 def _assert_answers_like_interact(A, clf, m, sigma, Z):
-    """``answer`` on the block ``A`` reports, row by row and bit for bit, what ``interact`` does."""
-    observed, predicted, manipulated = answer(A, clf, m, None if sigma == 0.0 else Z, sigma)
+    """``answer`` on the block ``A`` reports, row by row and bit for bit, what ``interact`` does.
+
+    Both take the noise rows ``sigma * Z``, none for ``sigma == 0``.
+    """
+    noise = None if sigma == 0.0 else sigma * Z
+    observed, predicted, manipulated = answer(A, clf, m, noise)
     assert observed.shape == A.shape and predicted.shape == manipulated.shape == (len(A),)
     for j in range(len(A)):
-        out = interact(Agent(A[j], 1), clf, m, sigma, _Draws([Z[j]]))
+        out = interact(Agent(A[j], 1), clf, m, None if noise is None else noise[j])
         assert out.response.tobytes() == observed[j].tobytes()
         assert out.predicted == predicted[j]
         assert out.manipulated == manipulated[j]
@@ -302,7 +298,7 @@ def test_interact_equals_the_frozen_round_bit_for_bit(seed, d, norm, sigma, y_ki
         A = _placed_rows(rng, m, clf, targets, d, scale)
     Z = rng.standard_normal(A.shape)
     for a, z, label in zip(A, Z, rng.choice([-1, 1], len(A)).tolist()):
-        got = interact(Agent(a, label), clf, m, sigma, _Draws([z]))
+        got = interact(Agent(a, label), clf, m, None if sigma == 0.0 else sigma * z)
         want = oracle_interact(Agent(a, label), clf, m, sigma, _Draws([z]))
         assert got.response.tobytes() == want.response.tobytes()
         assert (got.predicted, got.manipulated, got.mistake) == (
