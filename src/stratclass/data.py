@@ -36,14 +36,16 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise ValueError("labels must match features row for row")
-        bad = set(np.unique(self.labels)) - {1, -1}
-        if bad:
-            raise ValueError(f"labels must be +1/-1, got {sorted(bad)}")
+        bad = np.flatnonzero((labels != 1) & (labels != -1))  # as given, before any cast
+        if bad.size:
+            row = int(bad[0])
+            raise ValueError(f"labels must be +1/-1: labels[{row}] = {labels[row]}")
+        self.labels = labels.astype(int)
         finite = np.isfinite(self.features).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -68,11 +69,11 @@ class RunConfig:
     force_resolve: bool = False
     dataset: str = "synthetic"
     synth_seed: int = 0
-    synth_n: int = 2000
-    synth_d: int = 6
-    synth_rho: float = 0.02
-    synth_radius: float = 1.0 / math.sqrt(5.0)
-    synth_variance: float = 0.04
+    synth_n: int = SynthConfig.n
+    synth_d: int = SynthConfig.d
+    synth_rho: float = SynthConfig.rho
+    synth_radius: float = SynthConfig.radius
+    synth_variance: float = SynthConfig.variance
     trim_rho: float | None = None
     track: str = "full"
 
@@ -85,9 +86,9 @@ class RunConfig:
             raise ConfigError(f"track must be one of {TRACK_LEVELS}, got {self.track!r}")
         if self.c is None:
             raise ConfigError("manipulation budget missing: set c or two_over_c")
-        for key in sorted(_FLOAT_KEYS):
+        for key, kind in _FIELD_TYPES.items():
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.c <= 0:
             raise ConfigError("c must be positive")
@@ -109,23 +110,27 @@ class RunConfig:
         return 1e-10 if self.tol is None else self.tol
 
 
-_BOOL_KEYS = {"force_resolve"}
-_INT_KEYS = {"T", "seed", "rounds", "synth_seed", "synth_n", "synth_d"}
-_FLOAT_KEYS = {
-    "c",
-    "sigma",
-    "gamma",
-    "tol",
-    "synth_rho",
-    "synth_radius",
-    "synth_variance",
-    "trim_rho",
+# each field's value type: ``X`` for a field annotated ``X`` or ``X | None``
+_FIELD_TYPES = {
+    key: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for key, hint in get_type_hints(RunConfig).items()
 }
 
 
+def _parse_bool(val: str) -> bool:
+    if val.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(f"not a boolean: {val!r}")
+    return val.lower() in ("true", "1")
+
+
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines (#-comments allowed) into a RunConfig."""
-    known = {f.name for f in fields(RunConfig)}
+    """Parse ``key = value`` lines (#-comments allowed) into a RunConfig.
+
+    Each value is read as its field's annotated type.
+    """
     values: dict = {}
     written: dict[str, str] = {}  # field -> the key that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,7 +142,7 @@ def parse_config(text: str) -> RunConfig:
         name, _, val = line.partition("=")
         name, val = name.strip(), val.strip()
         key = "c" if name == "two_over_c" else name
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
         if key in written:
             first = written[key]
@@ -150,16 +155,8 @@ def parse_config(text: str) -> RunConfig:
                 if not 0.0 < reach < math.inf:
                     raise ValueError(f"two_over_c must be positive and finite, got {val}")
                 values[key] = 2.0 / reach
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(f"not a boolean: {val!r}")
-                values[key] = val.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
             else:
-                values[key] = val
+                values[key] = _PARSERS[_FIELD_TYPES[key]](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return RunConfig(**values)
@@ -173,14 +170,7 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     """Materialize the dataset a config refers to, applying any trim."""
     if cfg.dataset == "synthetic":
         ds = generate_synthetic(
-            SynthConfig(
-                seed=cfg.synth_seed,
-                n=cfg.synth_n,
-                d=cfg.synth_d,
-                rho=cfg.synth_rho,
-                radius=cfg.synth_radius,
-                variance=cfg.synth_variance,
-            )
+            SynthConfig(**{f.name: getattr(cfg, "synth_" + f.name) for f in fields(SynthConfig)})
         )
     else:
         ds = load_csv(cfg.dataset)
@@ -437,27 +427,20 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         mistake_flags=np.zeros(T, dtype=bool), manipulated_flags=np.zeros(T, dtype=bool), labels=label_arr
     )
     mistake, manipulated = metrics.mistake_flags, metrics.manipulated_flags
-    smm = isinstance(learner, SmmLearner)
     declared = distance = gap = None
     step, k = 0, 1
     start = time.perf_counter()
     while step < T:
         clf = learner.declare()
         in_init = learner.in_init
-        d_now = learner.solution.d if smm and not in_init else None
-        # both metrics depend on the declaration alone: recompute them only
-        # when it differs bitwise
-        key = (clf.y.tobytes(), clf.b)
-        new = key != declared
-        if new:
-            declared = key
+        if clf is not declared:  # a new declaration, and with it any new margin
+            declared = clf
             if want_distance:  # under the l2 cost, ||y||_2 is the dual norm the round reads next
                 ny = clf.dual_norm(model) if model.norm.kind == "l2" else None
                 distance = _normalized_distance(clf.y, clf.b, bench, ny)
             gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
-        if new or d_now is not metrics.decl_d_t[-1]:  # a new classifier, or a new margin for it
             metrics.decl_start.append(step)
-            metrics.decl_d_t.append(d_now)
+            metrics.decl_d_t.append(learner.margin)
             metrics.decl_distance.append(distance)
             metrics.decl_margin_gap.append(gap)
 
@@ -489,8 +472,8 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     final = learner.declare()
     metrics.final_y = final.y
     metrics.final_b = final.b
-    metrics.solve_count = getattr(learner, "solve_count", 0)
-    metrics.inseparable_at = getattr(learner, "inseparable_at", None)
+    metrics.solve_count = learner.solve_count
+    metrics.inseparable_at = learner.inseparable_at
     return metrics
 
 

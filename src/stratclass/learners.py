@@ -1,17 +1,14 @@
 """Online learners against strategically responding agents.
 
-All learners speak the same protocol the harness drives: ``declare()``
-publishes the classifier the next agent will respond to, and
-``update(response, label)`` digests the observed response once the true
-label is revealed.  ``declare()`` returns the same ``Classifier`` object
-until an update changes it, and ``in_init`` (and the margin learner's
-``solution``) change only together with it: the harness answers every
-agent up to the next new object in one block.  The margin-based
-learners bootstrap themselves with a shared zero-classifier
-initialization phase (no agent can gain by moving against ``y = 0``, so
-the first few responses are truthful): predict a constant sign, flip it
-once a label has been seen, and stop as soon as both labels are present
-— at most two of those rounds are mistakes.
+All learners speak the protocol of :class:`_Learner`, which the harness
+drives: ``declare()`` publishes the classifier the next agent will respond
+to, and ``update(response, label)`` digests the observed response once
+the true label is revealed.  The margin-based learners bootstrap
+themselves with a shared zero-classifier initialization phase (no agent
+can gain by moving against ``y = 0``, so the first few responses are
+truthful): predict a constant sign, flip it once a label has been seen,
+and stop as soon as both labels are present — at most two of those
+rounds are mistakes.
 """
 
 from __future__ import annotations
@@ -55,27 +52,62 @@ def project_cone(kind: ConeKind, q: np.ndarray) -> np.ndarray:
     return out
 
 
-class _InitPhase:
-    """Label-seeking warm-up: declare (0, b), flip b toward the missing label."""
+class _Learner:
+    """The protocol every learner speaks, and the run state the harness reads.
 
-    def __init__(self, pool: PointSetPair):
-        self.pool = pool
-        self.b = 1.0
+    ``declare()`` returns the same ``Classifier`` object until an update
+    publishes a new one, and ``in_init`` and ``margin`` change only together
+    with it: the harness answers every agent up to the next new object in
+    one block.  ``in_init`` is True during the warm-up; ``margin`` is the
+    max-margin value the declared classifier was solved for, or None;
+    ``solve_count`` counts the margin solves whose answer was declared;
+    ``inseparable_at`` is the update after which the pool turned
+    inseparable, or None.
+    """
 
-    def classifier(self) -> Classifier:
-        return Classifier(np.zeros(self.pool.dim), self.b)
+    classifier: Classifier  # the declaration; an update publishes a new one by assigning it
+    in_init = False
+    margin: float | None = None
+    solve_count = 0
+    inseparable_at: int | None = None
 
-    def absorb(self, point, label: int) -> bool:
-        """Store one truthful point; returns True once both labels are present."""
-        self.pool.add(point, label)
-        if self.pool.n_pos == 0:
-            self.b = -1.0
-        elif self.pool.n_neg == 0:
-            self.b = 1.0
-        return self.pool.n_pos > 0 and self.pool.n_neg > 0
+    def declare(self) -> Classifier:
+        return self.classifier
 
 
-class SmmLearner:
+class _MarginLearner(_Learner):
+    """A proxy pool behind the label-seeking warm-up.
+
+    The warm-up declares ``(0, 1)``, then ``(0, label)`` for the one label
+    seen so far, and pools each response as it is; it ends once the pool
+    holds both labels.  After it, each response is pooled as its proxy.
+    """
+
+    def __init__(self, m: CostModel, solver_tol: float):
+        self.model = m
+        self.solver_tol = solver_tol
+        self.pool = PointSetPair(m.dim)
+        self.in_init = True
+        self.classifier = Classifier(np.zeros(m.dim), 1.0)
+
+    def _warm_up(self, response, label: int) -> bool:
+        """Pool one truthful response; True when it ends the warm-up."""
+        self.pool.add(response, label)
+        if self.pool.n_pos > 0 and self.pool.n_neg > 0:
+            self.in_init = False
+            return True
+        if self.classifier.b != label:
+            self.classifier = Classifier(np.zeros(self.model.dim), label)
+        return False
+
+    def _pool_proxy(self, response, label: int) -> np.ndarray:
+        """Pool the proxy of a response to the declared classifier and return it."""
+        s = proxy_from_response(response, label, self.classifier, self.model)
+        self.pool.add(s, label)
+        return s
+
+
+class SmmLearner(_MarginLearner):
     """Strategic max-margin learner: re-solve the margin problem as proxies arrive.
 
     Every observed response is converted to its proxy and added to the
@@ -91,23 +123,10 @@ class SmmLearner:
     """
 
     def __init__(self, m: CostModel, solver_tol: float = 1e-10, force_resolve: bool = False):
-        self.model = m
-        self.solver_tol = solver_tol
+        super().__init__(m, solver_tol)
         self.force_resolve = force_resolve
-        self.pool = PointSetPair(m.dim)
-        self._init: _InitPhase | None = _InitPhase(self.pool)
         self.solution: MarginSolution | None = None
-        self.classifier = self._init.classifier()
-        self.solve_count = 0
         self.updates = 0
-        self.inseparable_at: int | None = None
-
-    @property
-    def in_init(self) -> bool:
-        return self._init is not None
-
-    def declare(self) -> Classifier:
-        return self.classifier
 
     def _note_fallback(self):
         if self.inseparable_at is None:
@@ -120,22 +139,19 @@ class SmmLearner:
 
     def _adopt(self, solution: MarginSolution):
         self.solution = solution
+        self.margin = solution.d
         self.classifier = Classifier(solution.y, solution.b)
         if not solution.separable:
             self._note_fallback()
 
     def update(self, response, label: int) -> None:
         self.updates += 1
-        if self._init is not None:
-            if self._init.absorb(response, label):
-                self._init = None
+        if self.in_init:
+            if self._warm_up(response, label):
                 self._adopt(solve_max_margin(self.pool, self.model, self.solver_tol))
                 self.solve_count += 1
-            else:
-                self.classifier = self._init.classifier()
             return
-        s = proxy_from_response(response, label, self.classifier, self.model)
-        self.pool.add(s, label)
+        s = self._pool_proxy(response, label)
         if not self.solution.separable:
             return
         if not self.force_resolve and incremental_check(self.solution, s, label):
@@ -160,7 +176,7 @@ def _step_schedule(token: str):
     raise ValueError(f"unknown step schedule {token!r}")
 
 
-class GradSmmLearner:
+class GradSmmLearner(_MarginLearner):
     """Gradient-based approximation of the max-margin learner (Euclidean only).
 
     Instead of re-solving the margin problem, one projected supergradient
@@ -173,34 +189,23 @@ class GradSmmLearner:
     holding every repeat would take.  Manipulations die out only as fast
     as that average converges (about 1/sqrt(t)), so no finite quiet
     horizon is promised, matching the "no finite certificate" row of
-    ``certify``.
+    ``certify``.  The one solve that ends the warm-up seeds the iterate;
+    no solve is declared, so ``solve_count`` stays 0.
     """
 
     def __init__(self, m: CostModel, schedule: str = "invsqrt", solver_tol: float = 1e-10):
         if m.norm.kind != "l2":
             raise ValueError("the averaged-gradient learner requires the l2 cost norm")
-        self.model = m
+        super().__init__(m, solver_tol)
         self.schedule = _step_schedule(schedule)
-        self.solver_tol = solver_tol
-        self.pool = PointSetPair(m.dim)
-        self._init: _InitPhase | None = _InitPhase(self.pool)
-        self.classifier = self._init.classifier()
         self._z: np.ndarray | None = None
         self._t = 0
         self._wsum = 0.0
         self._zsum: np.ndarray | None = None
 
-    @property
-    def in_init(self) -> bool:
-        return self._init is not None
-
-    def declare(self) -> Classifier:
-        return self.classifier
-
     def update(self, response, label: int) -> None:
-        if self._init is not None:
-            if self._init.absorb(response, label):
-                self._init = None
+        if self.in_init:
+            if self._warm_up(response, label):
                 sol = solve_max_margin(self.pool, self.model, self.solver_tol)
                 self._z = sol.y.copy()
                 self._t = 1
@@ -208,11 +213,8 @@ class GradSmmLearner:
                 self._wsum = w
                 self._zsum = w * self._z
                 self.classifier = Classifier(sol.y, sol.b)
-            else:
-                self.classifier = self._init.classifier()
             return
-        s = proxy_from_response(response, label, self.classifier, self.model)
-        self.pool.add(s, label)
+        self._pool_proxy(response, label)
         P = self.pool.positives
         N = self.pool.negatives
         grad = P[P.dot(self._z).argmin()] - N[N.dot(self._z).argmax()]
@@ -230,7 +232,7 @@ class GradSmmLearner:
         self.classifier = Classifier(y, b)
 
 
-class PerceptronLearner:
+class PerceptronLearner(_Learner):
     """Mistake-driven additive updates on proxies, projected onto a cone.
 
     The stacked vector ``q = (y, b)`` starts at zero; a mistaken round adds
@@ -256,13 +258,6 @@ class PerceptronLearner:
     def q(self, value) -> None:
         self._q = value
         self.classifier = Classifier(value[:-1], value[-1])
-
-    @property
-    def in_init(self) -> bool:
-        return False
-
-    def declare(self) -> Classifier:
-        return self.classifier
 
     def update(self, response, label: int) -> None:
         clf = self.classifier

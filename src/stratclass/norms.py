@@ -48,11 +48,6 @@ class NormKind:
         elif self.weights is not None:
             raise ValueError(f"weights are only meaningful for wl1 norms, got kind {self.kind!r}")
 
-    @property
-    def strictly_convex(self) -> bool:
-        """Whether the unit ball is strictly convex (unique maximizers)."""
-        return self.kind in ("l2", "lp")
-
     def token(self) -> str:
         """Config-file token for this norm; :func:`parse_norm` inverts it exactly."""
         if self.kind == "lp":

@@ -37,6 +37,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([1, 2]))
 
+    @pytest.mark.parametrize(
+        "labels,named",
+        [([1.7, -1.2], "labels[0] = 1.7"), ([1.0, -1.5, 1.0], "labels[1] = -1.5"),
+         ([1, -1, 0], "labels[2] = 0"), ([-1.0, math.nan, 2.0], "labels[1] = nan")],
+    )
+    def test_non_integral_labels_are_rejected_as_given(self, labels, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Dataset(np.zeros((len(labels), 2)), labels)
+
+    def test_integral_float_labels_load_as_ints(self):
+        ds = Dataset(np.zeros((2, 2)), [1.0, -1.0])
+        assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [1, -1]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_features_are_rejected_at_the_first_bad_row(self, bad):
         features = [[0.0, 1.0], [0.0, -1.0], [bad, -1.0], [1.0, bad]]

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import stratclass.learners as learners
 from stratclass.bounds import Benchmark
 from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv
 from stratclass.harness import (
+    ALGORITHMS,
     EXAMPLE_NAMES,
     ConfigError,
     RunConfig,
@@ -32,7 +34,7 @@ from stratclass.harness import (
 )
 from stratclass.maxmargin import margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
-from stratclass.response import Classifier, margin_ratio
+from stratclass.response import Agent, Classifier, interact, margin_ratio
 
 from oracle import oracle_lp, oracle_run_online
 
@@ -116,6 +118,26 @@ class TestParseConfig:
         with pytest.raises((ConfigError, ValueError), match=fragment or None):
             parse_config(text)
 
+    # a valid value for each key whose annotation is str; other keys get one per type
+    WORDS = {"algorithm": "gradsmm", "norm": "lp:3", "mode": "stream", "cone": "nonneg",
+             "schedule": "const:0.5", "dataset": "agents.csv", "track": "counts"}
+    TYPES = {"str": str, "bool": bool, "int": int, "int | None": int, "float": float,
+             "float | None": float}
+    SAMPLES = {bool: ("true", True), int: ("3", 3), float: ("0.25", 0.25)}
+
+    @pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+    def test_each_key_parses_to_its_annotated_type(self, f):
+        kind = self.TYPES[f.type]
+        text, want = (self.WORDS[f.name],) * 2 if kind is str else self.SAMPLES[kind]
+        cfg = parse_config(f"{f.name} = {text}" + ("" if f.name == "c" else "\nc = 1"))
+        assert type(getattr(cfg, f.name)) is kind and getattr(cfg, f.name) == want
+
+    @pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.type.startswith("float")],
+                             ids=lambda f: f.name)
+    def test_each_float_key_rejects_nan_by_name(self, f):
+        with pytest.raises(ConfigError, match=f"^{f.name} must be finite"):
+            parse_config(f"{f.name} = nan" + ("" if f.name == "c" else "\nc = 1"))
+
 
 class TestArrivals:
     def test_iid_needs_explicit_horizon(self):
@@ -174,6 +196,48 @@ def test_build_dataset_from_csv(tmp_path):
     cfg = RunConfig(c=1.0, T=10, dataset=str(path))
     back = build_dataset(cfg)
     assert back.n == ds.n and back.benchmark is None
+
+
+class TestLearnerContract:
+    """What ``run_online`` reads of each learner ``_build_learner`` makes."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fields_through_the_warm_up_and_after(self, algorithm, sigma):
+        # sigma = 0.5 scrambles the smm pool until it is inseparable
+        ds = two_cluster_dataset()
+        cfg = RunConfig(algorithm=algorithm, c=4.0, T=300, seed=2, sigma=sigma)
+        model = CostModel(parse_norm(cfg.norm), cfg.c, ds.dim)
+        learner = harness._build_learner(cfg, model)
+        idx, noise_rng = _arrivals(cfg, ds.n)
+        assert learner.in_init is (algorithm != "perceptron")
+        warm_up = inseparable = 0
+        for t, i in enumerate(idx, start=1):
+            clf, in_init, margin, solves = (learner.declare(), learner.in_init, learner.margin,
+                                            learner.solve_count)
+            assert learner.declare() is clf
+            if algorithm == "smm" and not in_init:
+                assert margin is learner.solution.d
+            else:
+                assert margin is None
+            label = int(ds.labels[i])
+            noise = sigma * noise_rng.standard_normal(ds.dim) if sigma else None
+            inter = interact(Agent(ds.features[i], label), clf, model, noise)
+            learner.update(inter.response, label)
+            warm_up += in_init
+            if learner.declare() is clf:  # nothing new published: nothing else moved
+                assert (learner.in_init, learner.margin, learner.solve_count) == (in_init, margin, solves)
+                # the perceptron keeps its classifier on correct rounds only
+                assert not (algorithm == "perceptron" and inter.mistake)
+            elif in_init and learner.in_init:  # the warm-up flips its sign to the one label seen
+                assert not np.any(learner.declare().y) and learner.declare().b == label
+            if learner.inseparable_at is not None and not inseparable:
+                inseparable = learner.inseparable_at
+                assert inseparable == t  # set by the update that turned the pool inseparable
+            assert learner.inseparable_at == (inseparable or None)
+        assert not learner.in_init and (warm_up >= 2) is (algorithm != "perceptron")
+        assert (learner.solve_count > 0) is (algorithm == "smm")  # gradsmm's warm-up solve is not counted
+        assert bool(inseparable) is (algorithm == "smm" and sigma > 0)
 
 
 class TestRunOnline:
@@ -294,8 +358,7 @@ class TestRunOnline:
         script = [Classifier(y1, 0.0), Classifier(y1, 0.25), Classifier(y2, 0.25),
                   Classifier(y2.copy(), 0.25), Classifier(y1, 0.0)]
 
-        class Scripted:
-            in_init = False
+        class Scripted(learners._Learner):
             steps = 0
 
             def declare(self):
@@ -313,6 +376,9 @@ class TestRunOnline:
             assert metrics.distance[t] == _normalized_distance(clf.y, clf.b, ds.benchmark)
             assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, ds.point_sets())
         assert len(set(metrics.distance)) == 3
+        # each new object opens a declaration, the bitwise copy of script[2] too
+        assert metrics.decl_start == [0, 1, 2, 3, 4]
+        assert metrics.decl_distance[3] == metrics.decl_distance[2]
 
     def test_stream_mode_visits_everyone_each_round(self):
         ds = two_cluster_dataset()
@@ -357,10 +423,8 @@ def assert_same_run(got, want):
     assert got.final_y.tobytes() == want.final_y.tobytes()
 
 
-class _Scripted:
+class _Scripted(learners._Learner):
     """Declares ``script[i]`` after i updates (the last entry from then on); keeps what it is fed."""
-
-    in_init = False
 
     def __init__(self, script):
         self.script = script

@@ -343,7 +343,7 @@ class TestDistinctPool:
         stream = repeating_stream(seed, 2500)
         learner = SmmLearner(m)
         reference = SmmLearner(m)
-        reference.pool = reference._init.pool = FullPool(m.dim)
+        reference.pool = FullPool(m.dim)
         for x, label in stream:
             clf = learner.declare()
             want = reference.declare()
