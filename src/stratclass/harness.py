@@ -36,7 +36,7 @@ from .learners import (
 )
 from .maxmargin import PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, l2_norm, parse_norm
-from .response import Agent, Classifier, answer, interact, proxy_from_response, respond
+from .response import Agent, Classifier, Interaction, answer, interact, proxy_from_response, respond
 
 _D_MONOTONE_TOL = 1e-8
 # Largest block of agents answered in one vector pass: blocks double while
@@ -101,7 +101,8 @@ class RunConfig:
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tol must be positive")
         ConeKind(self.cone)  # validates
-        parse_norm(self.norm)  # validates
+        if parse_norm(self.norm).kind != "l2" and self.algorithm == "gradsmm":
+            raise ConfigError(f"algorithm gradsmm requires norm = l2, got {self.norm!r}")
         _step_schedule(self.schedule)  # validates
 
     @property
@@ -396,12 +397,15 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
 
     The learner's classifier changes only when an update makes it, so the
     agents are played in blocks: ``response.answer`` answers a block under
-    the declared classifier in one vector pass, and its rows feed
-    ``learner.update`` in order until an update declares a new classifier.
-    A block twice as long follows a block that ran to its end; a change
-    restarts at one agent, which ``interact`` answers alone.  ``answer``
-    and ``interact`` score a row by the same row-stable expression, so
-    every output equals that of calling ``interact`` at every step.
+    the declared classifier in one vector pass, and one ``learner.update``
+    takes the block with its predictions, consuming its rows up to the
+    first that declares a new classifier.  A block twice as long follows a
+    block that ran to its end; a change restarts at one agent, which
+    ``interact`` answers alone and hands over as a one-row block.
+    ``answer`` and ``interact`` score a row by the same row-stable
+    expression, and a learner ends a block where it would end the same
+    rows fed one at a time, so every output equals that of calling
+    ``interact`` and ``update`` at every step.
     """
     if dataset is None:
         dataset = build_dataset(cfg)
@@ -444,28 +448,22 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
             metrics.decl_distance.append(distance)
             metrics.decl_margin_gap.append(gap)
 
+        block_labels = label_arr[step : step + k]
         if k == 1:
-            label = labels[step]
             z = None if noise is None else noise[step]
-            inter = interact(Agent(features[idx[step]], label), clf, model, z)
-            learner.update(inter.response, label)
+            inter = interact(Agent(features[idx[step]], labels[step]), clf, model, z)
+            n = learner.update(inter.response[None], block_labels, np.array([inter.predicted]))
             mistake[step], manipulated[step] = inter.mistake, inter.manipulated
-            n, changed = 1, learner.declare() is not clf
         else:
             z = None if noise is None else noise[step : step + k]
             observed, predicted, moved = answer(features[idx[step : step + k]], clf, model, z)
-            n, changed = k, False
-            for j in range(k):
-                learner.update(observed[j], labels[step + j])
-                if learner.declare() is not clf:
-                    n, changed = j + 1, True
-                    break
-            mistake[step : step + n] = predicted[:n] != label_arr[step : step + n]
+            n = learner.update(observed, block_labels, predicted)
+            mistake[step : step + n] = predicted[:n] != block_labels[:n]
             manipulated[step : step + n] = moved[:n]
         if in_init:
             metrics.init_steps += n
         step += n
-        k = 1 if changed else min(2 * k, _MAX_BLOCK, T - step)
+        k = 1 if learner.declare() is not clf else min(2 * k, _MAX_BLOCK, T - step)
 
     metrics.init_mistakes = int(np.count_nonzero(mistake[: metrics.init_steps]))
     metrics.wall_time = time.perf_counter() - start
@@ -640,6 +638,13 @@ class _Checks:
         self.check(err <= tol, f"{msg} (err={err:.3g}, tol={tol:g})")
 
 
+def _play(learner, agent: Agent, model: CostModel) -> Interaction:
+    """One round of ``learner`` against ``agent``, handed to its update as a one-row block."""
+    it = interact(agent, learner.declare(), model)
+    learner.update(it.response[None], np.array([agent.label]), np.array([it.predicted]))
+    return it
+
+
 def _example_truthful_max_margin() -> ExampleReport:
     chk = _Checks()
     pos = np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
@@ -677,11 +682,9 @@ def _example_smm_stuck() -> ExampleReport:
 
     mistakes = manips = 0
     for x, lbl in stream:
-        clf = learner.declare()
-        it = interact(Agent(x, lbl), clf, model)
+        it = _play(learner, Agent(x, lbl), model)
         mistakes += it.mistake
         manips += it.manipulated
-        learner.update(it.response, lbl)
 
     s2 = math.sqrt(2.0)
     final = learner.declare()
@@ -717,9 +720,7 @@ def _example_perceptron_margin() -> ExampleReport:
     ]
 
     def play(x, lbl):
-        it = interact(Agent(x, lbl), learner.declare(), model)
-        learner.update(it.response, lbl)
-        return it
+        return _play(learner, Agent(x, lbl), model)
 
     play(*first[0])
     q1 = learner.declare()
@@ -748,8 +749,7 @@ def _example_perceptron_margin() -> ExampleReport:
     chk.check(dist is not None and dist > 0.3, f"frozen classifier stays far from max margin (dist={dist:.3f})")
 
     nn = PerceptronLearner(model, cone=ConeKind.NONNEG_WEIGHTS, gamma=1.0)
-    it = interact(Agent(*first[0]), nn.declare(), model)
-    nn.update(it.response, first[0][1])
+    _play(nn, Agent(*first[0]), model)
     q = nn.declare()
     chk.close(q.y, [0.0, 1.0], 0.0, "nonneg cone clips the first update to (0, 1)")
     chk.close([q.b], [-1.0], 0.0, "nonneg cone keeps intercept -1")
@@ -763,8 +763,7 @@ def _example_l1_counterexample() -> ExampleReport:
     z = np.array([0.75, 0.25])
     probe = np.array([1.0, 0.0])  # the budget point 2w/c for w = e1
 
-    it = interact(Agent(-z, -1), learner.declare(), model)
-    learner.update(it.response, -1)
+    _play(learner, Agent(-z, -1), model)
     q = learner.declare()
     chk.close(q.y, z, 0.0, "first update recovers z exactly")
     chk.close([q.b], [0.0], 0.0, "zero-intercept cone pins b = 0")
@@ -773,13 +772,12 @@ def _example_l1_counterexample() -> ExampleReport:
     drifted = False
     for _ in range(500):
         clf = learner.declare()
-        it = interact(Agent(probe, -1), clf, model)
+        it = _play(learner, Agent(probe, -1), model)
         mistakes += it.mistake
-        learner.update(it.response, -1)
         drifted = drifted or not np.array_equal(learner.declare().y, z)
     chk.check(mistakes == 500, f"budget point costs a mistake on every visit (got {mistakes})")
     chk.check(not drifted, "classifier direction never moves off z")
-    proxy = proxy_from_response(it.response, -1, clf, model)
+    proxy = proxy_from_response(it.response[None], np.array([-1]), np.array([it.predicted]), clf, model)
     chk.close([float(np.linalg.norm(proxy))], [0.0], 1e-12, "proxy collapses to the origin")
     return ExampleReport("l1-counterexample", chk.passed, chk.lines)
 

@@ -1,9 +1,10 @@
 """Online learners against strategically responding agents.
 
 All learners speak the protocol of :class:`_Learner`, which the harness
-drives: ``declare()`` publishes the classifier the next agent will respond
-to, and ``update(response, label)`` digests the observed response once
-the true label is revealed.  The margin-based learners bootstrap
+drives: ``declare()`` publishes the classifier the next agents will respond
+to, and ``update(rows, labels, predicted)`` digests a block of their
+observed responses once the true labels are revealed, up to the first
+response that makes it publish a new classifier.  The margin-based learners bootstrap
 themselves with a shared zero-classifier initialization phase (no agent
 can gain by moving against ``y = 0``, so the first few responses are
 truthful): predict a constant sign, flip it once a label has been seen,
@@ -21,7 +22,7 @@ import numpy as np
 
 from .maxmargin import MarginSolution, PointSetPair, _max, _min, incremental_check, solve_max_margin
 from .norms import CostModel, l2_norm
-from .response import Classifier, predict, proxy_from_response
+from .response import Classifier, proxy_from_response
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +59,17 @@ class _Learner:
     ``declare()`` returns the same ``Classifier`` object until an update
     publishes a new one, and ``in_init`` and ``margin`` change only together
     with it: the harness answers every agent up to the next new object in
-    one block.  ``in_init`` is True during the warm-up; ``margin`` is the
+    one block.  ``update(rows, labels, predicted) -> int`` takes such a
+    block: the observed responses to the declared classifier, one per row,
+    their true labels and the predictions made on them.  It consumes the
+    rows in order up to and including the first one that publishes a new
+    classifier, and returns how many it consumed; a block it consumes whole
+    may end on a new classifier or not.  A one-row block is one round, so a
+    learner fed a block ends where one fed the same rows one at a time
+    would.  ``in_init`` is True during the warm-up; ``margin`` is the
     max-margin value the declared classifier was solved for, or None;
     ``solve_count`` counts the margin solves whose answer was declared;
-    ``inseparable_at`` is the update after which the pool turned
+    ``inseparable_at`` is the number of rows consumed when the pool turned
     inseparable, or None.
     """
 
@@ -90,21 +98,16 @@ class _MarginLearner(_Learner):
         self.in_init = True
         self.classifier = Classifier(np.zeros(m.dim), 1.0)
 
-    def _warm_up(self, response, label: int) -> bool:
-        """Pool one truthful response; True when it ends the warm-up."""
-        self.pool.add(response, label)
+    def _warm_up(self, rows, labels) -> int:
+        """Pool truthful responses up to the first that changes the declaration; return how many."""
+        other = (labels != self.classifier.b).nonzero()[0]
+        n = int(other[0]) + 1 if other.size else len(labels)
+        self.pool.add(rows[:n], labels[:n])
         if self.pool.n_pos > 0 and self.pool.n_neg > 0:
             self.in_init = False
-            return True
-        if self.classifier.b != label:
-            self.classifier = Classifier(np.zeros(self.model.dim), label)
-        return False
-
-    def _pool_proxy(self, response, label: int) -> np.ndarray:
-        """Pool the proxy of a response to the declared classifier and return it."""
-        s = proxy_from_response(response, label, self.classifier, self.model)
-        self.pool.add(s, label)
-        return s
+        elif other.size:  # the first label of the run is -1
+            self.classifier = Classifier(np.zeros(self.model.dim), labels[n - 1])
+        return n
 
 
 class SmmLearner(_MarginLearner):
@@ -126,13 +129,13 @@ class SmmLearner(_MarginLearner):
         super().__init__(m, solver_tol)
         self.force_resolve = force_resolve
         self.solution: MarginSolution | None = None
-        self.updates = 0
+        self.updates = 0  # rows consumed
 
     def _note_fallback(self):
         if self.inseparable_at is None:
             self.inseparable_at = self.updates
             logger.warning(
-                "pool became inseparable after %d updates; falling back to the "
+                "pool became inseparable after %d responses; falling back to the "
                 "degenerate (0, 0) classifier",
                 self.updates,
             )
@@ -144,24 +147,28 @@ class SmmLearner(_MarginLearner):
         if not solution.separable:
             self._note_fallback()
 
-    def update(self, response, label: int) -> None:
-        self.updates += 1
+    def update(self, rows, labels, predicted) -> int:
+        """Pool the block's proxies up to the first that fails the gate, then solve once."""
         if self.in_init:
-            if self._warm_up(response, label):
+            n = self._warm_up(rows, labels)
+            self.updates += n
+            if not self.in_init:
                 self._adopt(solve_max_margin(self.pool, self.model, self.solver_tol))
                 self.solve_count += 1
-            return
-        s = self._pool_proxy(response, label)
-        if not self.solution.separable:
-            return
-        if not self.force_resolve and incremental_check(self.solution, s, label):
-            return
-        self._adopt(
-            solve_max_margin(
-                self.pool, self.model, self.solver_tol, warm=self.solution
-            )
-        )
-        self.solve_count += 1
+            return n
+        proxies = proxy_from_response(rows, labels, predicted, self.classifier, self.model)
+        k = len(labels)
+        if not self.solution.separable:  # parked: the pool stays inseparable
+            n, resolve = k, False
+        else:
+            cleared = 0 if self.force_resolve else incremental_check(self.solution, proxies, labels)
+            n, resolve = min(cleared + 1, k), cleared < k
+        self.pool.add(proxies[:n], labels[:n])
+        self.updates += n
+        if resolve:
+            self._adopt(solve_max_margin(self.pool, self.model, self.solver_tol, warm=self.solution))
+            self.solve_count += 1
+        return n
 
 
 def _step_schedule(token: str):
@@ -203,9 +210,11 @@ class GradSmmLearner(_MarginLearner):
         self._wsum = 0.0
         self._zsum: np.ndarray | None = None
 
-    def update(self, response, label: int) -> None:
+    def update(self, rows, labels, predicted) -> int:
+        """Take one supergradient step on the first row's proxy (or warm up on the block)."""
         if self.in_init:
-            if self._warm_up(response, label):
+            n = self._warm_up(rows, labels)
+            if not self.in_init:
                 sol = solve_max_margin(self.pool, self.model, self.solver_tol)
                 self._z = sol.y.copy()
                 self._t = 1
@@ -213,8 +222,9 @@ class GradSmmLearner(_MarginLearner):
                 self._wsum = w
                 self._zsum = w * self._z
                 self.classifier = Classifier(sol.y, sol.b)
-            return
-        self._pool_proxy(response, label)
+            return n
+        labels = labels[:1]
+        self.pool.add(proxy_from_response(rows[:1], labels, predicted[:1], self.classifier, self.model), labels)
         P = self.pool.positives
         N = self.pool.negatives
         grad = P[P.dot(self._z).argmin()] - N[N.dot(self._z).argmax()]
@@ -230,6 +240,7 @@ class GradSmmLearner(_MarginLearner):
         b = -0.5 * (_min(P.dot(y)) + _max(N.dot(y)))
         self._z = z_next
         self.classifier = Classifier(y, b)
+        return 1
 
 
 class PerceptronLearner(_Learner):
@@ -259,10 +270,14 @@ class PerceptronLearner(_Learner):
         self._q = value
         self.classifier = Classifier(value[:-1], value[-1])
 
-    def update(self, response, label: int) -> None:
-        clf = self.classifier
-        if predict(clf, self.model, response) == label:
-            return
+    def update(self, rows, labels, predicted) -> int:
+        """Consume the block up to its first mistake, and step on that row's proxy."""
+        wrong = (predicted != labels).nonzero()[0]
+        if not wrong.size:
+            return len(labels)
+        j = int(wrong[0])
         self.mistakes += 1
-        s = proxy_from_response(response, label, clf, self.model)
-        self.q = project_cone(self.cone, self.q + self.gamma * label * np.append(s, 1.0))
+        row = slice(j, j + 1)
+        s = proxy_from_response(rows[row], labels[row], predicted[row], self.classifier, self.model)[0]
+        self.q = project_cone(self.cone, self.q + self.gamma * int(labels[j]) * np.append(s, 1.0))
+        return j + 1

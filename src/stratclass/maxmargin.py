@@ -35,6 +35,7 @@ from .norms import (
     norm_eval,
     norming_functional,
 )
+from .response import _score
 
 # Declare the clouds inseparable when the achievable margin is this many
 # solver tolerances or less.
@@ -81,6 +82,7 @@ class PointSetPair:
         self.dim = dim
         self._rows = {1: np.empty((8, dim)), -1: np.empty((8, dim))}
         self._index: dict[int, dict[bytes, int]] = {1: {}, -1: {}}
+        self._key = np.dtype((np.void, 8 * dim))  # a row's bytes as one scalar
 
     @classmethod
     def from_arrays(cls, positives, negatives) -> "PointSetPair":
@@ -88,15 +90,9 @@ class PointSetPair:
         negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
         if positives.shape[1] != negatives.shape[1]:
             raise ValueError("positive and negative points disagree on dimension")
-        dim = positives.shape[1]
-        pair = cls(dim)
-        row_bytes = np.dtype((np.void, 8 * dim))
-        for label, X in ((1, positives), (-1, negatives)):
-            keys = np.ascontiguousarray(X).view(row_bytes).ravel().tolist()
-            first = dict.fromkeys(keys)  # first occurrences, in input order
-            pair._index[label] = dict(zip(first, range(len(first))))
-            rows = np.frombuffer(b"".join(first), dtype=float)
-            pair._rows[label] = rows.reshape(-1, dim).copy()
+        pair = cls(positives.shape[1])
+        pair.add(positives, 1)
+        pair.add(negatives, -1)
         return pair
 
     @property
@@ -115,25 +111,38 @@ class PointSetPair:
     def n_neg(self) -> int:
         return len(self._index[-1])
 
-    def add(self, x, label: int) -> None:
-        """Store ``x`` under ``label`` unless that label already holds it."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        if label not in (1, -1):
-            raise ValueError(f"label must be +1 or -1, got {label}")
-        index = self._index[label]
-        key = x.tobytes()
-        if key in index:
-            return
-        n = len(index)
-        rows = self._rows[label]
-        if n == rows.shape[0]:
-            rows = self._rows[label] = np.vstack([rows, np.empty((max(n, 8), self.dim))])
-        rows[n] = x
-        index[key] = n
+    def add(self, rows, labels) -> None:
+        """Store each row of ``rows`` under its label unless that label already holds it.
 
-
+        ``labels`` gives one label per row, or one for the whole block.  The
+        block is keyed through one void-dtype view; within a label, rows are
+        stored in the order they first occur.
+        """
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(f"expected rows of shape (k, {self.dim}), got {rows.shape}")
+        labels = np.asarray(labels)
+        labels = labels.tolist() if labels.ndim else [labels.item()] * len(rows)
+        if len(labels) != len(rows):
+            raise ValueError(f"expected {len(rows)} labels, got {len(labels)}")
+        kinds = set(labels)
+        if not kinds <= {1, -1}:
+            raise ValueError(f"label must be +1 or -1, got {(kinds - {1, -1}).pop()}")
+        keys = rows.view(self._key).ravel().tolist()
+        for label in kinds:
+            index = self._index[label]
+            mine = keys if len(kinds) == 1 else [key for key, lab in zip(keys, labels) if lab == label]
+            fresh = [key for key in dict.fromkeys(mine) if key not in index]  # in block order
+            if not fresh:
+                continue
+            n, k = len(index), len(fresh)
+            stored = self._rows[label]
+            if n + k > stored.shape[0]:
+                grown = np.empty((max(2 * stored.shape[0], n + k), self.dim))
+                grown[:n] = stored[:n]
+                stored = self._rows[label] = grown
+            stored[n : n + k] = np.frombuffer(b"".join(fresh), dtype=float).reshape(k, self.dim)
+            index.update(zip(fresh, range(n, n + k)))
 
 
 def _min(v: np.ndarray) -> float:
@@ -609,12 +618,14 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
     )
 
 
-def incremental_check(sol: MarginSolution, point, label: int) -> bool:
-    """Whether a freshly stored point leaves the cached solution optimal.
+def incremental_check(sol: MarginSolution, points, labels) -> int:
+    """How many leading rows of ``points`` leave the cached solution optimal.
 
-    True iff the point already clears the cached margin, in which case the
-    optimum of the enlarged problem is unchanged and the re-solve can be
-    skipped; a small slack avoids re-solving on float-level ties.
+    A row does iff it already clears the cached margin under its label, in
+    which case the optimum of the enlarged problem is unchanged and the
+    re-solve can be skipped; a small slack avoids re-solving on float-level
+    ties.  Each row is scored by :func:`response._score`, so its verdict does
+    not depend on the rows beside it.
     """
-    point = np.asarray(point, dtype=float)
-    return label * (float(sol.y @ point) + sol.b) >= sol.d - EPS_GEOM
+    clears = labels * (_score(points, sol.y) + sol.b) >= sol.d - EPS_GEOM
+    return len(clears) if clears.all() else int(clears.argmin())

@@ -65,8 +65,9 @@ class Agent:
 class Interaction:
     """One protocol round as the harness sees it.
 
-    ``response`` is the (possibly noisy) vector the learner observes and
-    hands to ``update``, where it builds its own proxy from it;
+    ``response`` is the (possibly noisy) vector the learner observes; it
+    reaches ``update`` with ``predicted``, and the learner builds its own
+    proxy from the two;
     ``manipulated`` is the ground-truth flag (noise-free comparison).
     """
 
@@ -131,23 +132,35 @@ def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
     return _respond(agent.features, clf, m)[0]
 
 
-def proxy_from_response(response, label: int, clf: Classifier, m: CostModel) -> np.ndarray:
-    """Learner-side proxy point recovered from an observed response.
+def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostModel) -> np.ndarray:
+    """Learner-side proxy points recovered from observed responses, one per row.
 
-    A manipulated response always lands exactly on the offset boundary
-    (margin ratio 2/c).  If the true label then turns out negative, the
-    response is pulled back by ``(2/c) v(y)`` so the stored point returns
-    to the correct side of every classifier that was correct on the true
-    features; in every other case the response is stored as-is.  The
-    boundary test uses EPS_GEOM, so noisy responses (which are almost
-    never exactly on the boundary) are stored unmodified.
+    ``labels`` are the rows' true labels, ``predicted`` the protocol's
+    predictions on them under ``clf``.  A manipulated response always lands
+    exactly on the offset boundary (margin ratio 2/c).  If the true label
+    then turns out negative, the response is pulled back by ``(2/c) v(y)``
+    so the stored point returns to the correct side of every classifier
+    that was correct on the true features; every other row is stored as-is
+    (``responses`` itself if no row moves).  The boundary test uses
+    EPS_GEOM, so noisy responses are almost never pulled back.  A ratio
+    within EPS_GEOM of 2/c clears the prediction's offset, so only negative
+    rows predicted +1 are scored; the two tests could round apart only for
+    a ratio within rounding of ``2/c - EPS_GEOM``.
     """
-    response = np.asarray(response, dtype=float)
-    if clf.dual_norm(m) == 0.0:
-        return response
-    if label == -1 and abs(margin_ratio(clf, m, response) - m.two_over_c) <= EPS_GEOM:
-        return response - m.two_over_c * manipulation_direction(m, clf.y)
-    return response
+    responses = np.asarray(responses, dtype=float)
+    dn = clf.dual_norm(m)
+    if dn == 0.0:
+        return responses
+    rows = (np.asarray(predicted) > np.asarray(labels)).nonzero()[0]  # negatives predicted +1
+    if not rows.size:
+        return responses
+    ratio = (_score(responses[rows], clf.y) + clf.b) / dn
+    rows = rows[np.abs(ratio - m.two_over_c) <= EPS_GEOM]
+    if not rows.size:
+        return responses
+    proxies = responses.copy()
+    proxies[rows] -= m.two_over_c * manipulation_direction(m, clf.y)
+    return proxies
 
 
 def interact(agent: Agent, clf: Classifier, m: CostModel, noise=None) -> Interaction:

@@ -16,9 +16,9 @@ the LP's own row duals certify it, the reference for the package's
 polished, warm-startable cutting-plane solver; its LPs go through
 ``oracle_lp``, ``scipy.optimize.linprog`` with HiGHS, the reference for the
 package's direct HiGHS call.  ``oracle_run_online`` is the
-online protocol one scalar ``oracle_interact`` per step, the reference the
-harness's block engine and its lean one-agent step must reproduce bit for
-bit; ``oracle_interact`` and ``oracle_normalized_distance`` keep the
+online protocol one scalar ``oracle_interact`` per step, each fed to the
+learner as a one-row block through ``feed``, the reference the harness's
+block engine and its lean one-agent step must reproduce bit for bit; ``oracle_interact`` and ``oracle_normalized_distance`` keep the
 protocol round and the distance column as first written, scoring each
 response afresh and measuring the distance with ``np.linalg.norm``.  ``oracle_half_diameter``
 scans every pair of points, the reference for the pruned scan in
@@ -300,8 +300,13 @@ def _oracle_margin_h(y, b, pair) -> float:
     return float(min(np.min(pair.positives @ y) + b, -np.max(pair.negatives @ y) - b))
 
 
+def feed(learner, inter: Interaction, label: int) -> int:
+    """Hand one round's observed response to ``learner.update`` as a one-row block."""
+    return learner.update(inter.response[None], np.array([label]), np.array([inter.predicted]))
+
+
 def oracle_run_online(cfg, dataset=None):
-    """``harness.run_online`` as one scalar ``oracle_interact`` per step.
+    """``harness.run_online`` as one scalar ``oracle_interact`` and one one-row update per step.
 
     Uses the harness's own config, arrival order, learner factory and
     metrics record, so only the protocol loop and the per-declaration
@@ -350,7 +355,7 @@ def oracle_run_online(cfg, dataset=None):
             if inter.mistake:
                 metrics.init_mistakes += 1
 
-        learner.update(inter.response, agent.label)
+        assert feed(learner, inter, agent.label) == 1
 
     metrics.mistake_flags = np.array(mistake, dtype=bool)
     metrics.manipulated_flags = np.array(manipulated, dtype=bool)

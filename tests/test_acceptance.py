@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import oracle_margin
+from oracle import feed, oracle_margin
 from stratclass.bounds import (
     Benchmark,
     dataset_constants,
@@ -164,7 +164,7 @@ def test_criterion_1_micro_instances_exact():
     learner = PerceptronLearner(m4)
     for feats, lbl in [((1.0, -1.0), -1), ((2.0, 1.0), 1)]:
         out = interact(Agent(np.array(feats), lbl), learner.declare(), m4)
-        learner.update(out.response, lbl)
+        assert feed(learner, out, lbl) == 1
     assert np.array_equal(learner.q, np.array([1.0, 2.0, 0.0]))
 
     elapsed = time.perf_counter() - start
@@ -340,7 +340,7 @@ def test_criterion_7_property_suites():
         clf = Classifier(rng.normal(size=3), float(rng.normal()))
         agent = Agent(rng.normal(size=3), int(rng.choice([-1, 1])))
         out = interact(agent, clf, m)
-        proxy = proxy_from_response(out.response, agent.label, clf, m)
+        proxy = proxy_from_response(out.response[None], [agent.label], [out.predicted], clf, m)[0]
         score = agent.label * (float(clf.y @ proxy) + clf.b)
         tol = 1e-9 * (np.linalg.norm(clf.y) * np.linalg.norm(proxy) + abs(clf.b) + 1.0)
         if out.mistake:
@@ -366,7 +366,7 @@ def test_criterion_7_property_suites():
             continue
         applicable += 1
         out = interact(Agent(x, label), clf, m)
-        proxy = proxy_from_response(out.response, label, clf, m)
+        proxy = proxy_from_response(out.response[None], [label], [out.predicted], clf, m)[0]
         assert label * (float(ref_y @ proxy) + ref_b) >= rho - 1e-9
     assert applicable >= trials // 10  # the conditioned event is not vacuous
 
@@ -383,7 +383,7 @@ def test_criterion_7_property_suites():
             outs = []
             for learner in (base, half, double):
                 out = interact(Agent(x, label), learner.declare(), m)
-                learner.update(out.response, label)
+                assert feed(learner, out, label) == 1
                 outs.append(out)
             # dyadic scalings: identical rounds, bitwise-scaled weights
             assert np.array_equal(outs[0].response, outs[1].response)
@@ -396,8 +396,8 @@ def test_criterion_7_property_suites():
         for _ in range(10):
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
-            base_generic.update(x, label)
-            tenx.update(x, label)
+            for learner in (base_generic, tenx):
+                learner.update(x[None], np.array([label]), np.array([predict(learner.declare(), m, x)]))
         scale = max(1.0, float(np.max(np.abs(base_generic.q))))
         assert np.max(np.abs(tenx.q / 10.0 - base_generic.q)) <= 1e-9 * scale
 
@@ -421,8 +421,9 @@ def test_criterion_7_property_suites():
         r1 = respond(agent, Classifier(y, b), m)
         r2 = respond(agent, Classifier(alpha * y, alpha * b), m)
         assert np.max(np.abs(r1 - r2)) <= 1e-12 * max(1.0, float(np.max(np.abs(r1))))
-        s1 = proxy_from_response(r1, agent.label, Classifier(y, b), m)
-        s2 = proxy_from_response(r2, agent.label, Classifier(alpha * y, alpha * b), m)
+        c1, c2 = Classifier(y, b), Classifier(alpha * y, alpha * b)
+        s1 = proxy_from_response(r1[None], [agent.label], [predict(c1, m, r1)], c1, m)[0]
+        s2 = proxy_from_response(r2[None], [agent.label], [predict(c2, m, r2)], c2, m)[0]
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
     # (h) the declaration phase never makes more than two mistakes, driven
@@ -439,7 +440,7 @@ def test_criterion_7_property_suites():
         mistakes = 0
         for agent in agents:
             out = interact(agent, learner.declare(), m)
-            learner.update(out.response, agent.label)
+            assert feed(learner, out, agent.label) == 1
             mistakes += out.mistake
             if not learner.in_init:
                 break

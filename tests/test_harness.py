@@ -36,7 +36,7 @@ from stratclass.maxmargin import margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import Agent, Classifier, interact, margin_ratio
 
-from oracle import oracle_lp, oracle_run_online
+from oracle import feed, oracle_lp, oracle_run_online
 
 
 def two_cluster_dataset():
@@ -112,6 +112,8 @@ class TestParseConfig:
             ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
             ("algorithm = smm\nschedule = bogus\nc = 1", "step schedule"),
             ("algorithm = gradsmm\nschedule = const:nan\nc = 125", "positive and finite"),
+            ("algorithm = gradsmm\nnorm = l1\nc = 125", "gradsmm requires norm = l2"),
+            ("norm = lp:3\nalgorithm = gradsmm\nc = 125", "gradsmm requires norm = l2"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
@@ -223,7 +225,7 @@ class TestLearnerContract:
             label = int(ds.labels[i])
             noise = sigma * noise_rng.standard_normal(ds.dim) if sigma else None
             inter = interact(Agent(ds.features[i], label), clf, model, noise)
-            learner.update(inter.response, label)
+            assert feed(learner, inter, label) == 1
             warm_up += in_init
             if learner.declare() is clf:  # nothing new published: nothing else moved
                 assert (learner.in_init, learner.margin, learner.solve_count) == (in_init, margin, solves)
@@ -330,9 +332,11 @@ class TestRunOnline:
             learner = build(cfg, model)
             update = learner.update
 
-            def recording_update(response, label):
-                declared.append(learner.declare())
-                update(response, label)
+            def recording_update(rows, labels, predicted):
+                clf = learner.declare()
+                n = update(rows, labels, predicted)
+                declared.extend([clf] * n)
+                return n
 
             learner.update = recording_update
             return learner
@@ -358,16 +362,7 @@ class TestRunOnline:
         script = [Classifier(y1, 0.0), Classifier(y1, 0.25), Classifier(y2, 0.25),
                   Classifier(y2.copy(), 0.25), Classifier(y1, 0.0)]
 
-        class Scripted(learners._Learner):
-            steps = 0
-
-            def declare(self):
-                return script[min(self.steps, len(script) - 1)]
-
-            def update(self, response, label):
-                self.steps += 1
-
-        monkeypatch.setattr(harness, "_build_learner", lambda cfg, model: Scripted())
+        monkeypatch.setattr(harness, "_build_learner", lambda cfg, model: _Scripted(script))
         ds = two_cluster_dataset()
         cfg = RunConfig(algorithm="perceptron", c=4.0, T=len(script), seed=0, track="full")
         metrics = run_online(cfg, ds)
@@ -424,7 +419,7 @@ def assert_same_run(got, want):
 
 
 class _Scripted(learners._Learner):
-    """Declares ``script[i]`` after i updates (the last entry from then on); keeps what it is fed."""
+    """Declares ``script[i]`` after i rows (the last entry from then on); keeps what it is fed."""
 
     def __init__(self, script):
         self.script = script
@@ -433,8 +428,13 @@ class _Scripted(learners._Learner):
     def declare(self):
         return self.script[min(len(self.fed), len(self.script) - 1)]
 
-    def update(self, response, label):
-        self.fed.append((np.asarray(response).tobytes(), label))
+    def update(self, rows, labels, predicted):
+        clf = self.declare()
+        for n, (row, label) in enumerate(zip(rows, labels.tolist()), start=1):
+            self.fed.append((row.tobytes(), label))
+            if self.declare() is not clf:
+                return n
+        return len(rows)
 
 
 def _straddling_intercept(x, y, model, T):
@@ -868,6 +868,18 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, "algorithm = svm\nc = 1\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_gradsmm_under_a_non_l2_norm_is_exit_2(self, tmp_path, capsys):
+        text = "algorithm = gradsmm\nc = 4\nT = 30\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n"
+        out = str(tmp_path / "m.csv")
+        assert cli.main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out", out]) == 0
+        capsys.readouterr()
+        cfg = self.write_cfg(tmp_path, text + "norm = l1\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "gradsmm requires norm = l2" in capsys.readouterr().err
+        # the metrics of the l2 run are well formed: only the config stops certify
+        assert cli.main(["certify", "--config", cfg, "--metrics", out]) == 2
+        assert "gradsmm requires norm = l2" in capsys.readouterr().err
 
     def test_zero_two_over_c_is_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "two_over_c = 0\nT = 10\n")

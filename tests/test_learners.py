@@ -1,13 +1,18 @@
 """Learner behavior: warm-up phase, pool solvers, averaged gradients, perceptron."""
 
+import itertools
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracle import two_sided_certificate
+from oracle import feed, two_sided_certificate
 from stratclass.data import SynthConfig, generate_synthetic
+from stratclass import learners
 from stratclass.learners import (
     ConeKind,
     GradSmmLearner,
@@ -18,7 +23,7 @@ from stratclass.learners import (
 )
 from stratclass.maxmargin import PointSetPair, solve_max_margin
 from stratclass.norms import L1, L2, CostModel, parse_norm
-from stratclass.response import Agent, Classifier, interact, proxy_from_response, respond
+from stratclass.response import Agent, Classifier, answer, interact, predict, proxy_from_response, respond
 
 
 def drive(learner, m, stream):
@@ -27,7 +32,7 @@ def drive(learner, m, stream):
     for features, label in stream:
         clf = learner.declare()
         out = interact(Agent(np.asarray(features, dtype=float), label), clf, m)
-        learner.update(out.response, label)
+        assert feed(learner, out, label) == 1
         outs.append(out)
     return outs
 
@@ -41,7 +46,7 @@ def warm_up(m, agents):
     mistakes = consumed = 0
     for agent in agents:
         out = interact(agent, learner.declare(), m)
-        learner.update(out.response, agent.label)
+        assert feed(learner, out, agent.label) == 1
         mistakes += out.mistake
         consumed += 1
         if not learner.in_init:
@@ -136,7 +141,7 @@ class TestSmmLearner:
         for features, label in stream:
             clf = learner.declare()
             out = interact(Agent(np.array(features), label), clf, m)
-            learner.update(out.response, label)
+            feed(learner, out, label)
             if not learner.in_init and learner.solution.separable:
                 ds.append(learner.solution.d)
         assert all(d2 <= d1 + 1e-8 for d1, d2 in zip(ds, ds[1:]))
@@ -217,7 +222,7 @@ class TestGradSmmLearner:
         for features, label in stream:
             clf = learner.declare()
             out = interact(Agent(np.array(features), label), clf, m)
-            learner.update(out.response, label)
+            feed(learner, out, label)
             if learner.in_init:
                 continue
             assert np.linalg.norm(learner._z) <= 1.0 + 1e-12
@@ -255,7 +260,7 @@ class TestGradSmmLearner:
             features, label = pts[int(k)]
             clf = learner.declare()
             out = interact(Agent(np.array(features), label), clf, m)
-            learner.update(out.response, label)
+            feed(learner, out, label)
             if learner.in_init:
                 continue
             assert float(learner._z @ y_star) >= -1e-8
@@ -288,11 +293,10 @@ class FullPool:
     n_pos = property(lambda self: len(self.positives))
     n_neg = property(lambda self: len(self.negatives))
 
-    def add(self, x, label):
-        if label == 1:
-            self.positives = np.vstack([self.positives, x])
-        else:
-            self.negatives = np.vstack([self.negatives, x])
+    def add(self, rows, labels):
+        labels = np.broadcast_to(labels, len(rows))
+        self.positives = np.vstack([self.positives, rows[labels == 1]])
+        self.negatives = np.vstack([self.negatives, rows[labels == -1]])
 
 
 def gradsmm_full_pool(m, stream):
@@ -301,8 +305,9 @@ def gradsmm_full_pool(m, stream):
     clf, declared = Classifier(np.zeros(m.dim), 1.0), []
     for k, (x, label) in enumerate(stream):
         declared.append(clf)
-        r = interact(Agent(x, label), clf, m).response
-        s = r if k < 2 else proxy_from_response(r, label, clf, m)
+        out = interact(Agent(x, label), clf, m)
+        r = out.response
+        s = r if k < 2 else proxy_from_response(r[None], np.array([label]), np.array([out.predicted]), clf, m)[0]
         P, N = (np.vstack([P, s]), N) if label == 1 else (P, np.vstack([N, s]))
         if k == 1:
             sol = solve_max_margin(PointSetPair.from_arrays(P, N), m)
@@ -331,7 +336,7 @@ class TestDistinctPool:
         for x, label in stream:
             declared.append(learner.declare())
             out = interact(Agent(x, label), declared[-1], m)
-            learner.update(out.response, label)
+            feed(learner, out, label)
         expected, P, N = gradsmm_full_pool(m, stream)
         assert learner.pool.n_pos + learner.pool.n_neg < (len(P) + len(N)) // 4  # mostly repeats
         for got, want in zip(declared, expected):
@@ -349,8 +354,8 @@ class TestDistinctPool:
             want = reference.declare()
             assert np.array_equal(clf.y, want.y) and clf.b == want.b
             out = interact(Agent(x, label), clf, m)
-            learner.update(out.response, label)
-            reference.update(out.response, label)
+            feed(learner, out, label)
+            feed(reference, out, label)
         assert learner.solve_count == reference.solve_count > 1
         assert learner.pool.n_pos + learner.pool.n_neg < reference.pool.n_pos + reference.pool.n_neg
 
@@ -428,11 +433,103 @@ class TestPerceptron:
         for _ in range(120):
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
-            a.update(x, label)
-            b.update(x, label)
+            for learner in (a, b):
+                learner.update(x[None], np.array([label]), np.array([predict(learner.declare(), m, x)]))
             if np.any(a.q):
                 assert np.max(np.abs(b.q / 10.0 - a.q)) <= 1e-9 * max(1.0, np.max(np.abs(a.q)))
         assert a.mistakes == b.mistakes and a.mistakes > 10
+
+
+MAKERS = {
+    "smm": SmmLearner,
+    "smm-force": lambda m: SmmLearner(m, force_resolve=True),
+    "gradsmm": GradSmmLearner,
+    "perceptron-full": lambda m: PerceptronLearner(m, ConeKind.FULL),
+    "perceptron-zero-b": lambda m: PerceptronLearner(m, ConeKind.ZERO_INTERCEPT),
+    "perceptron-nonneg": lambda m: PerceptronLearner(m, ConeKind.NONNEG_WEIGHTS),
+}
+
+
+def arrivals(seed, T, prefix):
+    """``T`` arrivals from 16 agents, two 3-d clusters; the first ``prefix`` share one label.
+
+    Agents repeat, so blocks hold repeated rows and rows already pooled.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.where(np.arange(16) < 8, 1, -1)
+    pop = 0.6 * rng.normal(size=(16, 3))
+    pop[:, 2] += 0.8 * labels
+    idx = rng.integers(0, 16, size=T)
+    idx[:prefix] = rng.choice(np.flatnonzero(labels == labels[idx[0]]), size=min(prefix, T))
+    return pop[idx], labels[idx]
+
+
+def play_blocks(learner, m, A, labels, noise, sizes):
+    """Feed the arrivals in blocks of ``sizes`` (cycled, cut at the end) under each declaration.
+
+    Returns the classifier declared at each step and the steps after which a
+    new one was declared, checking the block contract on the way.
+    """
+    declared, changes, step, sizes = [], [], 0, itertools.cycle(sizes)
+    while step < len(labels):
+        clf = learner.declare()
+        k = min(next(sizes), len(labels) - step)
+        z = None if noise is None else noise[step : step + k]
+        observed, predicted, _ = answer(A[step : step + k], clf, m, z)
+        n = learner.update(observed, labels[step : step + k], predicted)
+        changed = learner.declare() is not clf
+        assert 1 <= n <= k and (changed or n == k)  # a block ends early only on a new declaration
+        declared += [(clf.y.tobytes(), clf.b)] * n
+        step += n
+        if changed:
+            changes.append(step)
+    return declared, changes
+
+
+def learner_state(learner):
+    """Everything a learner carries that a run can observe, as comparable values."""
+    state = {key: getattr(learner, key) for key in ("in_init", "margin", "solve_count", "inseparable_at",
+                                                    "updates", "mistakes") if hasattr(learner, key)}
+    if hasattr(learner, "pool"):
+        state["pool"] = (learner.pool.positives.tobytes(), learner.pool.negatives.tobytes())
+    clf = learner.declare()
+    state["final"] = (clf.y.tobytes(), clf.b)
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MAKERS)),
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 6),
+    sigma=st.sampled_from([0.0, 1e-3, 0.8]),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    aligned=st.booleans(),
+)
+@example(kind="smm", seed=3, prefix=5, sigma=0.0, sizes=[2], aligned=False)  # a warm-up over three blocks
+@example(kind="smm", seed=3, prefix=0, sigma=0.0, sizes=[1], aligned=True)  # every solve on a block's last row
+@example(kind="smm", seed=3, prefix=0, sigma=0.8, sizes=[7, 3], aligned=False)  # the pool turns inseparable
+def test_block_updates_equal_one_row_updates(kind, seed, prefix, sigma, sizes, aligned):
+    # the same agents, one row at a time and in blocks: the same rows consumed
+    # under the same declarations, the same pool in the same order, the same solves
+    m = CostModel(L2, c=4.0, dim=3)
+    A, labels = arrivals(seed, 90, prefix)
+    noise = sigma * np.random.default_rng(seed + 1).standard_normal(A.shape) if sigma else None
+    runs = []
+    for block_sizes in ([1], sizes):
+        solves = []
+
+        def logged_solve(pool, *args, **kwargs):
+            solves.append((pool.positives.tobytes(), pool.negatives.tobytes(), kwargs.get("warm") is None))
+            return solve_max_margin(pool, *args, **kwargs)
+
+        learner = MAKERS[kind](m)
+        with mock.patch.object(learners, "solve_max_margin", logged_solve):
+            declared, changes = play_blocks(learner, m, A, labels, noise, block_sizes)
+        runs.append((declared, changes, solves, learner_state(learner)))
+        if aligned:  # blocks that end where the one-row run declared anew
+            sizes = list(np.diff([0] + changes)) or sizes
+    assert runs[0] == runs[1]
 
 
 def test_project_cone_values():

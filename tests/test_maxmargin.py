@@ -1,5 +1,7 @@
 """Max-margin solver: exact Euclidean path, witnesses, warm starts, cutting-plane path."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -32,7 +34,7 @@ from stratclass.maxmargin import (
     nearest_points_convex_hulls,
     solve_max_margin,
 )
-from stratclass.norms import L1, L2, LINF, CostModel, NormKind, dual_norm_eval, norm_eval
+from stratclass.norms import EPS_GEOM, L1, L2, LINF, CostModel, NormKind, dual_norm_eval, norm_eval
 
 EX1_POS = np.array([[-3.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
 EX1_NEG = np.array([[-3.0, -1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -57,8 +59,8 @@ class TestPointSetPair:
     def test_growth_and_views(self):
         pair = PointSetPair(2)
         for k in range(20):
-            pair.add([float(k), 0.0], 1)
-            pair.add([float(-k), 1.0], -1)
+            pair.add([[float(k), 0.0]], 1)
+            pair.add([[float(-k), 1.0]], -1)
         assert pair.n_pos == pair.n_neg == 20
         assert np.array_equal(pair.positives[:, 0], np.arange(20.0))
         assert np.array_equal(pair.negatives[:, 0], -np.arange(20.0))
@@ -71,21 +73,25 @@ class TestPointSetPair:
     def test_rejects_bad_inputs(self):
         pair = PointSetPair(2)
         with pytest.raises(ValueError):
-            pair.add([1.0, 2.0, 3.0], 1)
+            pair.add([[1.0, 2.0, 3.0]], 1)
         with pytest.raises(ValueError):
-            pair.add([1.0, 2.0], 0)
+            pair.add([1.0, 2.0], 1)  # a block has rows
+        with pytest.raises(ValueError):
+            pair.add([[1.0, 2.0]], 0)
+        with pytest.raises(ValueError):
+            pair.add([[1.0, 2.0], [3.0, 4.0]], [1, 1, -1])
         with pytest.raises(ValueError):
             PointSetPair.from_arrays([[1.0, 2.0]], [[1.0]])
 
     def test_repeated_add_stores_nothing(self):
         pair = PointSetPair.from_arrays(EX1_POS, EX1_NEG)
         for x in EX1_POS:
-            pair.add(x.copy(), 1)
-        pair.add(list(EX1_NEG[1]), -1)
+            pair.add(x.copy()[None], 1)
+        pair.add([list(EX1_NEG[1])], -1)
         assert pair.n_pos == 3 and pair.n_neg == 3
         assert np.array_equal(pair.positives, EX1_POS)
         assert np.array_equal(pair.negatives, EX1_NEG)
-        pair.add(EX1_NEG[0], 1)  # a row is distinct per label
+        pair.add(EX1_NEG[:1], 1)  # a row is distinct per label
         assert pair.n_pos == 4 and np.array_equal(pair.positives[3], EX1_NEG[0])
 
     def test_from_arrays_keeps_first_occurrences_in_input_order(self):
@@ -94,18 +100,20 @@ class TestPointSetPair:
         pair = PointSetPair.from_arrays(P, N)
         assert np.array_equal(pair.positives, P[[0, 1, 3, 5]])
         assert np.array_equal(pair.negatives, N[:1])
-        pair.add([1.0, 0.0], 1)
-        pair.add([4.0, 0.0], 1)
+        pair.add([[1.0, 0.0]], 1)
+        pair.add([[4.0, 0.0]], 1)
         assert np.array_equal(pair.positives, np.vstack([P[[0, 1, 3, 5]], [[4.0, 0.0]]]))
 
     def test_bad_inputs_raise_before_the_row_is_looked_up(self):
         pair = PointSetPair(2)
-        pair.add([1.0, 2.0], 1)
+        pair.add([[1.0, 2.0]], 1)
         # same bytes as the stored row, but the wrong shape or label
         with pytest.raises(ValueError, match="shape"):
-            pair.add(np.array([[1.0, 2.0]]), 1)
+            pair.add(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError, match="label"):
-            pair.add([1.0, 2.0], 0)
+            pair.add([[1.0, 2.0]], 0)
+        with pytest.raises(ValueError, match="label"):  # a bad label anywhere in the block
+            pair.add([[3.0, 4.0], [1.0, 2.0]], [1, 0])
         with pytest.raises(ValueError, match="dimension"):
             PointSetPair.from_arrays([[1.0, 2.0]], [[1.0]])
         assert pair.n_pos == 1 and pair.n_neg == 0
@@ -113,11 +121,11 @@ class TestPointSetPair:
     def test_growth_from_a_one_row_side(self):
         pair = PointSetPair.from_arrays([[0.0, 0.0]], [[5.0, 5.0], [6.0, 6.0]])
         for k in range(1, 40):
-            pair.add([float(k), 0.0], 1)
-            pair.add([float(k - 1), 0.0], 1)  # a repeat between every new row
+            pair.add([[float(k), 0.0]], 1)
+            pair.add([[float(k - 1), 0.0]], 1)  # a repeat between every new row
         assert pair.n_pos == 40 and pair.n_neg == 2
         assert np.array_equal(pair.positives[:, 0], np.arange(40.0))
-        pair.add([7.0, 7.0], -1)
+        pair.add([[7.0, 7.0]], -1)
         assert np.array_equal(pair.negatives, [[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]])
 
 
@@ -149,7 +157,7 @@ def test_extremes_read_at_the_arg_index_are_min_and_max_bit_for_bit(values):
 
 def test_margin_h_requires_both_labels():
     pair = PointSetPair(2)
-    pair.add([0.0, 1.0], 1)
+    pair.add([[0.0, 1.0]], 1)
     with pytest.raises(ValueError):
         margin_h(np.ones(2), 0.0, pair)
 
@@ -203,7 +211,7 @@ def test_near_touching_hulls_report_inseparable():
 
 def test_empty_side_raises():
     pair = PointSetPair(2)
-    pair.add([1.0, 0.0], 1)
+    pair.add([[1.0, 0.0]], 1)
     with pytest.raises(ValueError):
         solve_max_margin(pair, m_l2(2))
 
@@ -279,7 +287,7 @@ def test_warm_start_agrees_with_cold_solve():
             # a fresh point that violates the current margin forces real work
             mid = (sol.x_plus + sol.x_minus) / 2.0
             probe = mid + 0.1 * rng.normal(size=3) * sol.d
-            pair.add(probe, 1)
+            pair.add(probe[None], 1)
             warm = solve_max_margin(pair, m, warm=sol)
             cold = solve_max_margin(pair, m)
             assert warm.separable == cold.separable
@@ -304,11 +312,72 @@ def test_warm_start_agrees_with_cold_solve():
 
 def test_incremental_check_gates_on_cached_margin():
     sol = solve_max_margin(PointSetPair.from_arrays(EX1_POS, EX1_NEG), m_l2(2))
-    assert incremental_check(sol, np.array([5.0, 1.0]), 1)  # on the hull face: margin == d
-    assert incremental_check(sol, np.array([0.0, 3.0]), 1)  # well clear
-    assert not incremental_check(sol, np.array([0.0, 0.5]), 1)  # inside the band
-    assert not incremental_check(sol, np.array([0.0, 0.5]), -1)
-    assert incremental_check(sol, np.array([0.0, -1.0]), -1)
+
+    def gate(x, label):
+        return incremental_check(sol, np.array([x]), np.array([label]))
+
+    assert gate([5.0, 1.0], 1) == 1  # on the hull face: margin == d
+    assert gate([0.0, 3.0], 1) == 1  # well clear
+    assert gate([0.0, 0.5], 1) == 0  # inside the band
+    assert gate([0.0, 0.5], -1) == 0
+    assert gate([0.0, -1.0], -1) == 1
+    # over a block: the rows before the first one inside the band
+    block = np.array([[5.0, 1.0], [0.0, 3.0], [0.0, -1.0], [0.0, 0.5], [0.0, 3.0]])
+    assert incremental_check(sol, block, np.array([1, 1, -1, 1, 1])) == 3
+    assert incremental_check(sol, block[:3], np.array([1, 1, -1])) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero_y=st.booleans())
+def test_block_gate_equals_the_one_row_gate(seed, zero_y):
+    # pool points (on the margin or clear of it), points EPS_GEOM/2 and
+    # 3 EPS_GEOM/2 inside or outside the margin, and repeats; y = 0 as well
+    rng = np.random.default_rng(seed)
+    P, N = random_separable(rng, 3, 4, 4)
+    sol = solve_max_margin(PointSetPair.from_arrays(P, N), m_l2(3))
+    X, labels = np.vstack([P, N]), np.repeat([1, -1], 4)
+    off = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(8, 1)) * EPS_GEOM  # unit y: moves label * (y.x + b) by off
+    X = np.vstack([X, X + off * labels[:, None] * sol.y, X[::2]])
+    labels = np.concatenate([labels, labels, labels[::2]])
+    if zero_y:
+        sol = dataclasses.replace(sol, y=np.zeros(3))
+    order = rng.permutation(len(X))
+    X, labels = X[order], labels[order]
+    one = [incremental_check(sol, X[j : j + 1], labels[j : j + 1]) for j in range(len(X))]
+    assert set(one) <= {0, 1}
+    for start in range(len(X)):
+        leading = next((j for j, ok in enumerate(one[start:]) if not ok), len(X) - start)
+        assert incremental_check(sol, X[start:], labels[start:]) == leading
+
+
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_COORDS, _COORDS, st.sampled_from([1, -1])), min_size=1, max_size=40),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    pooled=st.integers(0, 6),
+)
+def test_block_add_equals_one_row_adds(rows, sizes, pooled):
+    # rows repeated inside a block and rows pooled by an earlier block; -0.0
+    # and 0.0, and nan payloads, are keyed by their bytes
+    X = np.array([r[:2] for r in rows])
+    labels = np.array([r[2] for r in rows])
+    one, block = PointSetPair(2), PointSetPair(2)
+    for j in range(len(X)):
+        one.add(X[j : j + 1], labels[j])
+    block.add(X[:pooled], labels[:pooled])
+    block.add(X[:pooled], labels[:pooled])  # all already pooled
+    start, sizes = min(pooled, len(X)), itertools.cycle(sizes)
+    while start < len(X):
+        k = next(sizes)
+        block.add(X[start : start + k], labels[start : start + k])
+        start += k
+    for pair in (block, PointSetPair.from_arrays(X[labels == 1].reshape(-1, 2), X[labels == -1].reshape(-1, 2))):
+        assert pair.positives.tobytes() == one.positives.tobytes()
+        assert pair.negatives.tobytes() == one.negatives.tobytes()
+        assert pair._index == one._index
 
 
 def test_cutting_plane_l1_cost_frozen_instance():

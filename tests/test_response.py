@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_interact
-from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, parse_norm
+from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, manipulation_direction, parse_norm
 from stratclass.response import (
     Agent,
     Classifier,
@@ -77,12 +77,18 @@ def test_zero_classifier_is_inert():
     assert predict(Classifier(np.zeros(2), 0.0), m, x) == 1
 
 
+def proxy_of(x, label, clf, m):
+    """``proxy_from_response`` of one response, with the prediction the protocol makes on it."""
+    x = np.asarray(x, dtype=float)
+    return proxy_from_response(x[None], [label], [predict(clf, m, x)], clf, m)[0]
+
+
 def test_proxy_pulls_back_negative_boundary_response():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), -1)
     r = respond(agent, clf, m)
-    s = proxy_from_response(r, -1, clf, m)
+    s = proxy_of(r, -1, clf, m)
     # pulled state sits back on the decision boundary side the agent came from
     assert np.max(np.abs(s - (r - m.two_over_c * clf.y / math.sqrt(5)))) <= 1e-15
     assert margin_ratio(clf, m, s) == pytest.approx(0.0, abs=1e-15)
@@ -92,19 +98,46 @@ def test_proxy_keeps_positive_and_off_boundary_responses():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     r = respond(Agent(np.array([-1.0, 1.0]), 1), clf, m)
-    assert np.array_equal(proxy_from_response(r, 1, clf, m), r)
+    assert np.array_equal(proxy_of(r, 1, clf, m), r)
     # truthful negatives are nowhere near the boundary: stored as-is
     x = np.array([-3.0, -1.0])
-    assert np.array_equal(proxy_from_response(x, -1, clf, m), x)
+    assert np.array_equal(proxy_of(x, -1, clf, m), x)
     # a noisy response missing the boundary by more than the guard: as-is
     noisy = r + 1e-6 * clf.y
-    assert np.array_equal(proxy_from_response(noisy, -1, clf, m), noisy)
+    assert np.array_equal(proxy_of(noisy, -1, clf, m), noisy)
 
 
 def test_proxy_zero_classifier_passthrough():
     m = CostModel(L2, c=4.0, dim=2)
     x = np.array([1.0, 2.0])
-    assert np.array_equal(proxy_from_response(x, -1, Classifier(np.zeros(2), 0.0), m), x)
+    assert np.array_equal(proxy_of(x, -1, Classifier(np.zeros(2), 0.0), m), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), token=st.sampled_from(["l2", "l1", "linf", "lp:3"]), zero_y=st.booleans())
+def test_block_proxies_equal_one_row_proxies_bit_for_bit(seed, token, zero_y):
+    # responses on the 2/c boundary, pushed EPS_GEOM/2 and 3 EPS_GEOM/2 off it
+    # either way, and repeated; each row's proxy is the one it gets alone, and
+    # the one the scalar rule gives from its own margin ratio
+    rng = np.random.default_rng(seed)
+    m = CostModel(parse_norm(token), c=float(rng.uniform(0.5, 8.0)), dim=3)
+    clf = Classifier(np.zeros(3) if zero_y else rng.normal(size=3), float(rng.normal()))
+    labels = rng.choice([-1, 1], size=10)
+    R = np.array([respond(Agent(a, int(lbl)), clf, m) for a, lbl in zip(rng.normal(size=(10, 3)), labels)])
+    if not zero_y:
+        off = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(10, 1)) * EPS_GEOM * clf.dual_norm(m)
+        R = np.vstack([R, R + off * clf.y / float(clf.y @ clf.y)])
+        labels = np.concatenate([labels, labels])
+    R, labels = np.vstack([R, R[::3]]), np.concatenate([labels, labels[::3]])
+    predicted = np.array([predict(clf, m, r) for r in R])
+    block = proxy_from_response(R, labels, predicted, clf, m)
+    dn = dual_norm_eval(m, clf.y)
+    for j, r in enumerate(R):
+        one = proxy_from_response(R[j : j + 1], labels[j : j + 1], predicted[j : j + 1], clf, m)
+        assert one.tobytes() == block[j].tobytes()
+        on_boundary = dn > 0 and labels[j] == -1 and abs(margin_ratio(clf, m, r) - m.two_over_c) <= EPS_GEOM
+        want = r - m.two_over_c * manipulation_direction(m, clf.y) if on_boundary else r
+        assert block[j].tobytes() == want.tobytes()
 
 
 def test_interact_without_noise_observes_the_best_response():
@@ -136,12 +169,12 @@ def test_interact_flags():
     # and the proxy built from the response is the pulled-back state
     out = interact(Agent(np.array([-1.0, 1.0]), -1), clf, m)
     assert out.manipulated and out.predicted == 1 and out.mistake
-    proxy = proxy_from_response(out.response, -1, clf, m)
+    proxy = proxy_of(out.response, -1, clf, m)
     assert margin_ratio(clf, m, proxy) == pytest.approx(0.0, abs=1e-15)
     # truthful far positive
     out = interact(Agent(np.array([2.0, 2.0]), 1), clf, m)
     assert not out.manipulated and not out.mistake
-    assert np.array_equal(proxy_from_response(out.response, 1, clf, m), np.array([2.0, 2.0]))
+    assert np.array_equal(proxy_of(out.response, 1, clf, m), np.array([2.0, 2.0]))
 
 
 def test_interact_noisy_uses_observed_response_for_learning():
@@ -152,7 +185,7 @@ def test_interact_noisy_uses_observed_response_for_learning():
     # manipulation is judged on the clean response...
     assert out.manipulated
     # ...but the noisy observation misses the boundary, so no pull-back
-    assert np.array_equal(proxy_from_response(out.response, -1, clf, m), out.response)
+    assert np.array_equal(proxy_of(out.response, -1, clf, m), out.response)
     assert not np.array_equal(out.response, respond(agent, clf, m))
 
 
