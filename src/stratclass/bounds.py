@@ -12,8 +12,7 @@ pairs only among the points a triangle-inequality cut cannot rule out as
 an endpoint of a farthest pair (see ``_half_diameter``), and returns the
 full pairwise scan's value bit for bit.  Each set is measured about its
 own centroid, so data far from the origin does not cancel the distances.
-Labels must be +1/-1, one per row, and features finite; anything else is
-a ``ValueError``.
+A ``Dataset`` measures its radii once; ``dataset_constants`` adds the cost model's.
 """
 
 from __future__ import annotations
@@ -21,11 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .learners import ConeKind
 from .norms import CostModel, dual_norm_eval, l2_envelope_constant
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 
 class HypothesisViolation(ValueError):
@@ -41,9 +44,13 @@ class Benchmark:
     d_star: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
-        if not (self.d_star > 0):
-            raise ValueError(f"benchmark margin must be positive, got {self.d_star}")
+        y_star = np.asarray(self.y_star, dtype=float)
+        if not (np.isfinite(y_star).all() and y_star.any()):
+            raise ValueError(f"benchmark direction must be a finite nonzero vector, got {y_star.tolist()}")
+        if not (math.isfinite(self.b_star) and 0 < self.d_star < math.inf):
+            raise ValueError(f"benchmark needs a finite intercept and a positive finite margin, "
+                             f"got b_star = {self.b_star}, d_star = {self.d_star}")
+        object.__setattr__(self, "y_star", y_star)
 
     @cached_property
     def l2_normalized(self) -> tuple[np.ndarray, float]:
@@ -153,30 +160,9 @@ def _centred_half_diameter(X: np.ndarray) -> float:
     return _half_diameter(X - X.mean(axis=0)) if len(X) else 0.0
 
 
-def dataset_constants(features, labels, m: CostModel) -> DatasetConstants:
-    """Measure the radii of a finite agent population under the cost model."""
-    X = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("dataset_constants requires a nonempty 2-D feature array")
-    if labels.shape != (X.shape[0],):
-        raise ValueError(
-            f"dataset_constants needs one label per row: {X.shape[0]} rows, "
-            f"labels of shape {labels.shape}"
-        )
-    bad = np.setdiff1d(labels, (1, -1))
-    if bad.size:
-        raise ValueError(f"labels must be +1/-1, got {bad.tolist()}")
-    if not np.isfinite(X).all():
-        raise ValueError("dataset_constants requires finite features")
-    return DatasetConstants(
-        D=float(np.max(np.linalg.norm(X, axis=1))),
-        D_pm=_centred_half_diameter(X),
-        D_plus=_centred_half_diameter(X[labels == 1]),
-        D_minus=_centred_half_diameter(X[labels == -1]),
-        C=l2_envelope_constant(m),
-        reach=m.two_over_c,
-    )
+def dataset_constants(dataset: Dataset, m: CostModel) -> DatasetConstants:
+    """The population's radii, measured once per dataset, under the cost model's reach."""
+    return DatasetConstants(*dataset.radii, C=l2_envelope_constant(m), reach=m.two_over_c)
 
 
 def kappa_l2_upper(a: float, d_star: float, D_bar: float) -> float:
@@ -201,8 +187,6 @@ def _shrinkage_count(start: float, d_star: float, kappa: float) -> float:
 
 def smm_mistake_bound(bench: Benchmark, consts: DatasetConstants) -> float:
     """Certificate on max-margin learner mistakes after initialization."""
-    if bench.d_star <= 0:
-        raise ValueError("benchmark margin must be positive")
     kappa = kappa_l2_upper(0.0, bench.d_star, consts.D_bar)
     return _shrinkage_count(consts.D_tilde_pm, bench.d_star, kappa)
 
@@ -241,11 +225,7 @@ def perceptron_mistake_bound(
     nonnegative-weights cone requires a nonnegative benchmark direction.
     Violated hypotheses raise :class:`HypothesisViolation`.
     """
-    if bench.d_star <= 0:
-        raise ValueError("benchmark margin must be positive")
     dual = dual_norm_eval(m, bench.y_star)
-    if dual <= 0:
-        raise ValueError("benchmark direction must be nonzero")
     tilt = (float(np.dot(bench.y_star, bench.y_star)) + bench.b_star**2) / dual**2
     energy = consts.D_tilde**2 + 1.0
 

@@ -14,42 +14,54 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import Benchmark
+from .bounds import Benchmark, _centred_half_diameter
 from .maxmargin import PointSetPair, solve_max_margin
 from .norms import L2, CostModel, dual_norm_eval
 
 _MAX_REJECTION_TRIES = 10_000
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labeled agent population, optionally with its max-margin benchmark."""
+    """Labeled agent population, optionally with its max-margin benchmark.
+
+    Keeps read-only copies of ``features`` and ``labels``, and derives
+    ``point_sets()``, ``radii`` and ``benchmark_for(m)`` once, on first use.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     benchmark: Benchmark | None = None
     provenance: dict = field(default_factory=dict)
+    _solved: dict = field(default_factory=dict, init=False, repr=False)  # norm -> benchmark_for's solve
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must match features row for row")
+        features, labels = np.array(self.features, dtype=float), np.asarray(self.labels)
+        if features.ndim != 2 or features.shape[0] == 0:
+            raise ValueError(f"features must be a nonempty 2-D array, got shape {features.shape}")
+        if labels.shape != (features.shape[0],):
+            raise ValueError(f"labels must match features, one label per row: {features.shape[0]} rows, "
+                             f"labels of shape {labels.shape}")
         bad = np.flatnonzero((labels != 1) & (labels != -1))  # as given, before any cast
         if bad.size:
             row = int(bad[0])
             raise ValueError(f"labels must be +1/-1: labels[{row}] = {labels[row]}")
-        self.labels = labels.astype(int)
-        finite = np.isfinite(self.features).all(axis=1)
+        finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise ValueError(f"features must be finite: features[{row}] = {self.features[row].tolist()}")
+            raise ValueError(f"features must be finite: features[{row}] = {features[row].tolist()}")
+        if self.benchmark is not None and self.benchmark.y_star.shape != features.shape[1:]:
+            raise ValueError(f"benchmark direction has {self.benchmark.y_star.size} coordinates, "
+                             f"features have {features.shape[1]}")
+        labels = labels.astype(int)
+        features.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -60,9 +72,28 @@ class Dataset:
         return self.features.shape[1]
 
     def point_sets(self) -> PointSetPair:
-        return PointSetPair.from_arrays(
-            self.features[self.labels == 1], self.features[self.labels == -1]
-        )
+        """The population as one shared ``PointSetPair``: add nothing to it."""
+        return self._point_sets
+
+    @cached_property
+    def _point_sets(self) -> PointSetPair:
+        return PointSetPair.from_arrays(self.features[self.labels == 1], self.features[self.labels == -1])
+
+    @cached_property
+    def radii(self) -> tuple[float, float, float, float]:
+        """``D``, ``D_pm``, ``D_plus`` and ``D_minus`` of ``bounds.DatasetConstants``."""
+        X, labels = self.features, self.labels
+        return (float(np.max(np.linalg.norm(X, axis=1))), _centred_half_diameter(X),
+                _centred_half_diameter(X[labels == 1]), _centred_half_diameter(X[labels == -1]))
+
+    def benchmark_for(self, m: CostModel) -> Benchmark | None:
+        """The stored benchmark, else the max-margin one in ``m``'s norm, solved once; None if inseparable."""
+        if self.benchmark is not None:
+            return self.benchmark
+        if m.norm not in self._solved:
+            sol = solve_max_margin(self.point_sets(), m)
+            self._solved[m.norm] = Benchmark(sol.y, sol.b, sol.d) if sol.separable else None
+        return self._solved[m.norm]
 
 
 @dataclass(frozen=True)
@@ -142,15 +173,11 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         raise ValueError("margin trim removed an entire class; lower rho or raise n")
 
     model = CostModel(L2, c=1.0, dim=cfg.d)
-    pair = PointSetPair.from_arrays(X[labels == 1], X[labels == -1])
-    sol = solve_max_margin(pair, model)
+    sol = solve_max_margin(PointSetPair.from_arrays(X[labels == 1], X[labels == -1]), model)
     if not sol.separable:
         raise RuntimeError("synthetic construction produced inseparable data")
     X = X - (sol.x_plus + sol.x_minus) / 2.0
-
-    pair = PointSetPair.from_arrays(X[labels == 1], X[labels == -1])
-    sol = solve_max_margin(pair, model)
-    benchmark = Benchmark(sol.y, sol.b, sol.d)
+    benchmark = Dataset(X, labels).benchmark_for(model)
     return Dataset(
         X,
         labels,
@@ -258,15 +285,8 @@ def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if dataset.benchmark is not None:
-        ref_y = dataset.benchmark.y_star
-        ref_b = dataset.benchmark.b_star
-    else:
-        sol = solve_max_margin(dataset.point_sets(), m)
-        if sol.separable:
-            ref_y, ref_b = sol.y, sol.b
-        else:
-            ref_y, ref_b = _hinge_reference(dataset, m)
+    ref = dataset.benchmark_for(m)
+    ref_y, ref_b = (ref.y_star, ref.b_star) if ref is not None else _hinge_reference(dataset, m)
     dn = dual_norm_eval(m, ref_y)
     if dn <= 0:
         raise ValueError("reference separator degenerated to zero")
@@ -276,9 +296,9 @@ def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
     if not ((labels == 1).any() and (labels == -1).any()):
         raise ValueError("margin trim removed an entire class; lower rho")
     X = dataset.features[keep]
-    sol = solve_max_margin(PointSetPair.from_arrays(X[labels == 1], X[labels == -1]), m)
-    if not sol.separable or sol.d < rho - 1e-9:
+    bench = Dataset(X, labels).benchmark_for(m)
+    if bench is None or bench.d_star < rho - 1e-9:
         raise RuntimeError("trimmed data failed to reach the requested margin")
     provenance = dict(dataset.provenance)
     provenance["trimmed_rho"] = rho
-    return Dataset(X, labels, Benchmark(sol.y, sol.b, sol.d), provenance)
+    return Dataset(X, labels, bench, provenance)

@@ -548,13 +548,10 @@ def certify(
     if dataset is None:
         dataset = build_dataset(cfg)
     model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
-    bench = dataset.benchmark
+    bench = dataset.benchmark_for(model)
     if bench is None:
-        sol = solve_max_margin(dataset.point_sets(), model)
-        if not sol.separable:
-            raise ConfigError("cannot certify: dataset is not separable")
-        bench = Benchmark(sol.y, sol.b, sol.d)
-    consts = dataset_constants(dataset.features, dataset.labels, model)
+        raise ConfigError("cannot certify: dataset is not separable")
+    consts = dataset_constants(dataset, model)
 
     preamble = [
         f"algorithm={cfg.algorithm} norm={cfg.norm} c={cfg.c:g} (budget 2/c={model.two_over_c:g})",

@@ -37,7 +37,7 @@ import numpy as np
 from stratclass import harness
 from stratclass.data import _MAX_REJECTION_TRIES, SynthConfig
 from stratclass.learners import SmmLearner
-from stratclass.maxmargin import MarginSolution, SolverError
+from stratclass.maxmargin import MarginSolution, PointSetPair, SolverError
 from stratclass.norms import (
     EPS_GEOM,
     CostModel,
@@ -320,8 +320,10 @@ def oracle_run_online(cfg, dataset=None):
     bench = dataset.benchmark
     want_distance = cfg.track in ("distance", "full") and bench is not None
     want_gap = cfg.track == "full" and bench is not None
-    if want_gap:
-        pair = dataset.point_sets()
+    if want_gap:  # its own pair, not the dataset's shared one
+        pair = PointSetPair.from_arrays(
+            dataset.features[dataset.labels == 1], dataset.features[dataset.labels == -1]
+        )
         h_star = _oracle_margin_h(bench.y_star, bench.b_star, pair)
 
     metrics = harness.RunMetrics()

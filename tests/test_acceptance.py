@@ -87,7 +87,7 @@ def battery():
                 "seed": seed,
                 "ds": ds,
                 "bench": ds.benchmark,
-                "consts": dataset_constants(ds.features, ds.labels, model),
+                "consts": dataset_constants(ds, model),
                 "model": model,
                 "smm": run("smm", seed, ds),
                 "gradsmm": run("gradsmm", seed, ds),

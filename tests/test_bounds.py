@@ -19,7 +19,7 @@ from stratclass.bounds import (
     smm_manipulation_bounds,
     smm_mistake_bound,
 )
-from stratclass.data import SynthConfig, generate_synthetic
+from stratclass.data import Dataset, SynthConfig, generate_synthetic
 from stratclass.learners import ConeKind
 from stratclass.norms import L1, L2, LINF, CostModel
 
@@ -36,10 +36,21 @@ def test_benchmark_requires_positive_margin():
         Benchmark(np.array([0.0, 1.0]), 0.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "y_star, b_star, d_star",
+    [([0.0, 0.0], 0.0, 1.0), ([0.0, np.nan], 0.0, 1.0), ([np.inf, 1.0], 0.0, 1.0),
+     ([0.0, 1.0], np.nan, 1.0), ([0.0, 1.0], -np.inf, 1.0), ([0.0, 1.0], 0.0, np.inf),
+     ([0.0, 1.0], 0.0, np.nan)],
+)
+def test_benchmark_requires_a_finite_nonzero_classifier(y_star, b_star, d_star):
+    with pytest.raises(ValueError, match="benchmark"):
+        Benchmark(np.array(y_star), b_star, d_star)
+
+
 def test_dataset_constants_hand_instance():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     labels = np.array([1, 1, -1])
-    consts = dataset_constants(X, labels, CostModel(L2, c=4.0, dim=2))
+    consts = dataset_constants(Dataset(X, labels), CostModel(L2, c=4.0, dim=2))
     assert consts.D == 1.0
     assert consts.D_pm == 1.0  # farthest pair is (1,0) vs (-1,0)
     assert consts.D_plus == pytest.approx(math.sqrt(2) / 2)
@@ -59,7 +70,7 @@ def test_tilde_radii_add_the_manipulation_reach():
 
 def test_envelope_constant_feeds_the_radii():
     X = np.eye(4)
-    consts = dataset_constants(X, np.array([1, 1, -1, -1]), CostModel(LINF, c=1.0, dim=4))
+    consts = dataset_constants(Dataset(X, np.array([1, 1, -1, -1])), CostModel(LINF, c=1.0, dim=4))
     assert consts.C == pytest.approx(2.0)  # sqrt(d) for the l-infinity cost
     assert consts.D_tilde == pytest.approx(1.0 + 2.0 * 2.0)
 
@@ -68,7 +79,7 @@ def test_half_diameter_matches_brute_force_across_chunks():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(600, 3))  # crosses the internal chunk boundary
     labels = np.where(rng.random(600) < 0.5, 1, -1)
-    consts = dataset_constants(X, labels, CostModel(L2, c=1.0, dim=3))
+    consts = dataset_constants(Dataset(X, labels), CostModel(L2, c=1.0, dim=3))
     gram = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=-1)
     assert consts.D_pm == pytest.approx(gram.max() / 2.0, abs=1e-12)
     pos = gram[np.ix_(labels == 1, labels == 1)]
@@ -83,7 +94,7 @@ def test_radii_of_clouds_far_from_the_origin(offset, spread):
     rng = np.random.default_rng(8)
     X = offset + spread * rng.normal(size=(700, 3))
     labels = np.where(rng.random(700) < 0.5, 1, -1)
-    consts = dataset_constants(X, labels, CostModel(L2, c=1.0, dim=3))
+    consts = dataset_constants(Dataset(X, labels), CostModel(L2, c=1.0, dim=3))
 
     def brute(S):
         return 0.5 * max(float(np.max(np.linalg.norm(S - s, axis=1))) for s in S)
@@ -95,11 +106,11 @@ def test_radii_of_clouds_far_from_the_origin(offset, spread):
 
 
 def test_dataset_constants_rejects_empty_or_flat_input():
-    m = CostModel(L2, c=1.0, dim=2)
+    # a Dataset checks its own input, so dataset_constants never sees these
     with pytest.raises(ValueError):
-        dataset_constants(np.empty((0, 2)), np.array([]), m)
+        Dataset(np.empty((0, 2)), np.array([]))
     with pytest.raises(ValueError):
-        dataset_constants(np.array([1.0, 2.0]), np.array([1]), m)
+        Dataset(np.array([1.0, 2.0]), np.array([1]))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +128,7 @@ def test_dataset_constants_rejects_mismatched_labels_or_nonfinite_features(
     features, labels, message
 ):
     with pytest.raises(ValueError, match=message):
-        dataset_constants(features, labels, CostModel(L2, c=1.0, dim=2))
+        Dataset(features, labels)
 
 
 def _sphere(n, d, seed):
@@ -302,9 +313,10 @@ class TestPerceptronBounds:
             perceptron_mistake_bound(bench, make_consts(), m, ConeKind.NONNEG_WEIGHTS)
 
     def test_zero_benchmark_direction_rejected(self):
+        # a Benchmark rejects it on construction, before any certificate sees it
         m = CostModel(L2, c=4.0, dim=2)
-        bench = Benchmark(np.array([0.0, 0.0]), 1.0, 1.0)
         with pytest.raises(ValueError):
+            bench = Benchmark(np.array([0.0, 0.0]), 1.0, 1.0)
             perceptron_mistake_bound(bench, make_consts(), m, ConeKind.FULL)
 
     def test_hypothesis_violation_is_a_value_error(self):

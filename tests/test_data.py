@@ -19,6 +19,7 @@ from stratclass.data import (
     trim_margin,
     write_descriptor,
 )
+from stratclass.bounds import Benchmark
 from stratclass.norms import L2, CostModel
 
 
@@ -55,6 +56,24 @@ class TestDataset:
         features = [[0.0, 1.0], [0.0, -1.0], [bad, -1.0], [1.0, bad]]
         with pytest.raises(ValueError, match=re.escape(f"features[2] = [{bad}, -1.0]")):
             Dataset(features, [1, -1, -1, 1])
+
+
+    def test_an_empty_population_is_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            Dataset(np.empty((0, 2)), [])
+
+    def test_a_benchmark_of_another_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="3 coordinates"):
+            Dataset(np.eye(2), [1, -1], Benchmark(np.ones(3), 0.0, 1.0))
+
+    def test_features_and_labels_are_read_only_copies(self):
+        X, labels = np.eye(2), np.array([1, -1])
+        ds = Dataset(X, labels)
+        X[0, 0], labels[0] = 7.0, -1
+        assert ds.features.tolist() == [[1.0, 0.0], [0.0, 1.0]] and ds.labels.tolist() == [1, -1]
+        for arr in (ds.features, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestSynthConfig:

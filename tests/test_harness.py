@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stratclass.cli as cli
 import stratclass.harness as harness
+import stratclass.data as data
 import stratclass.learners as learners
 from stratclass.bounds import Benchmark
 from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv
@@ -37,6 +38,13 @@ from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import Agent, Classifier, interact, margin_ratio
 
 from oracle import feed, oracle_lp, oracle_run_online
+
+
+def spy(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call's positional arguments."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
 
 
 def two_cluster_dataset():
@@ -263,6 +271,15 @@ class TestRunOnline:
         assert gaps and min(gaps) >= -1e-9
         assert metrics.final_y is not None and metrics.final_b is not None
         assert metrics.wall_time > 0
+
+    def test_runs_share_the_dataset_point_sets_and_add_nothing(self, monkeypatch):
+        ds = two_cluster_dataset()
+        pair = ds.point_sets()
+        seen = spy(monkeypatch, harness, "margin_h")
+        cfg = RunConfig(algorithm="smm", c=4.0, T=200, seed=0, track="full")
+        assert_same_run(run_online(cfg, ds), run_online(cfg, ds))
+        assert ds.point_sets() is pair and seen and all(sets is pair for _, _, sets in seen)
+        assert (pair.n_pos, pair.n_neg) == (10, 10)
 
     def test_runs_are_deterministic(self):
         ds = two_cluster_dataset()
@@ -793,6 +810,20 @@ class TestCertify:
             assert row.observed == metrics.init_mistakes, f"seed {seed}"
             longest = max(longest, metrics.init_steps)
         assert longest > 2  # some warm-up outlasted two rounds, so its end had to be found
+
+    def test_certify_measures_the_radii_once_per_dataset(self, monkeypatch):
+        measured = spy(monkeypatch, data, "_centred_half_diameter")
+        ds = two_cluster_dataset()
+        first, second = (certify(self.cfg(), None, ds).render() for _ in range(2))
+        assert [len(X) for X, in measured] == [20, 10, 10] and first == second
+
+    def test_certify_solves_a_missing_benchmark_once_per_dataset(self, monkeypatch):
+        solves = spy(monkeypatch, data, "solve_max_margin")
+        stored = two_cluster_dataset()
+        ds = Dataset(stored.features, stored.labels)  # as a CSV loads it: no benchmark
+        first, second = (certify(self.cfg(), None, ds).render() for _ in range(2))
+        assert len(solves) == 1 and solves[0][0] is ds.point_sets() and first == second
+        assert "d_star=1 " in first  # the solved benchmark is the stored one's
 
     def test_inseparable_dataset_without_benchmark_rejected(self):
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1, -1]))
