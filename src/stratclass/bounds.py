@@ -200,14 +200,11 @@ def smm_manipulation_bounds(
     manipulation reach; otherwise agents may manipulate forever and the
     returned value is ``math.inf`` (rendered as "unbounded" in reports).
     """
-    kappa_neg = kappa_l2_upper(0.0, bench.d_star, consts.D_bar)
-    neg = _shrinkage_count(consts.D_tilde_pm, bench.d_star, kappa_neg)
-    if bench.d_star > m.two_over_c:
-        kappa_pos = kappa_l2_upper(m.two_over_c, bench.d_star, consts.D_bar)
-        pos = _shrinkage_count(consts.D_tilde_pm, bench.d_star, kappa_pos)
-    else:
-        pos = math.inf
-    return neg, pos
+    neg = smm_mistake_bound(bench, consts)  # the same contraction count
+    if bench.d_star <= m.two_over_c:
+        return neg, math.inf
+    kappa_pos = kappa_l2_upper(m.two_over_c, bench.d_star, consts.D_bar)
+    return neg, _shrinkage_count(consts.D_tilde_pm, bench.d_star, kappa_pos)
 
 
 def perceptron_mistake_bound(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -28,7 +28,7 @@ _MAX_REJECTION_TRIES = 10_000
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labeled agent population, optionally with its max-margin benchmark.
+    """Labeled agent population; every benchmark is derived from its points.
 
     Keeps read-only copies of ``features`` and ``labels``, and derives
     ``point_sets()``, ``radii`` and ``benchmark_for(m)`` once, on first use.
@@ -36,7 +36,7 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    benchmark: Benchmark | None = None
+    _: KW_ONLY
     provenance: dict = field(default_factory=dict)
     _solved: dict = field(default_factory=dict, init=False, repr=False)  # norm -> benchmark_for's solve
 
@@ -55,9 +55,6 @@ class Dataset:
         if not finite.all():
             row = int(np.argmin(finite))
             raise ValueError(f"features must be finite: features[{row}] = {features[row].tolist()}")
-        if self.benchmark is not None and self.benchmark.y_star.shape != features.shape[1:]:
-            raise ValueError(f"benchmark direction has {self.benchmark.y_star.size} coordinates, "
-                             f"features have {features.shape[1]}")
         labels = labels.astype(int)
         features.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "features", features)
@@ -87,13 +84,17 @@ class Dataset:
                 _centred_half_diameter(X[labels == 1]), _centred_half_diameter(X[labels == -1]))
 
     def benchmark_for(self, m: CostModel) -> Benchmark | None:
-        """The stored benchmark, else the max-margin one in ``m``'s norm, solved once; None if inseparable."""
-        if self.benchmark is not None:
-            return self.benchmark
+        """The max-margin benchmark in ``m``'s norm, solved once; None if inseparable or one-label."""
         if m.norm not in self._solved:
-            sol = solve_max_margin(self.point_sets(), m)
-            self._solved[m.norm] = Benchmark(sol.y, sol.b, sol.d) if sol.separable else None
+            pair = self.point_sets()
+            sol = solve_max_margin(pair, m) if pair.n_pos and pair.n_neg else None
+            self._solved[m.norm] = Benchmark(sol.y, sol.b, sol.d) if sol is not None and sol.separable else None
         return self._solved[m.norm]
+
+    @property
+    def benchmark(self) -> Benchmark | None:
+        """The Euclidean benchmark: the reference of a run's ``distance`` and ``margin_gap``."""
+        return self.benchmark_for(CostModel(L2, c=1.0, dim=self.dim))
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,9 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     sol = solve_max_margin(PointSetPair.from_arrays(X[labels == 1], X[labels == -1]), model)
     if not sol.separable:
         raise RuntimeError("synthetic construction produced inseparable data")
-    X = X - (sol.x_plus + sol.x_minus) / 2.0
-    benchmark = Dataset(X, labels).benchmark_for(model)
-    return Dataset(
-        X,
+    dataset = Dataset(
+        X - (sol.x_plus + sol.x_minus) / 2.0,
         labels,
-        benchmark,
         provenance={
             "kind": "synthetic",
             "seed": cfg.seed,
@@ -192,6 +190,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             "variance": cfg.variance,
         },
     )
+    dataset.benchmark  # solved here, in set-up, not in the first run
+    return dataset
 
 
 def load_csv(path) -> Dataset:
@@ -242,15 +242,17 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def write_descriptor(dataset: Dataset, path) -> None:
-    """Write the JSON descriptor (provenance plus benchmark) next to a CSV."""
+    """Write the JSON descriptor (provenance plus the l2 benchmark) next to a CSV."""
     doc = dict(dataset.provenance)
     doc["n"] = dataset.n
     doc["d"] = dataset.dim
-    if dataset.benchmark is not None:
+    bench = dataset.benchmark
+    if bench is not None:
         doc["benchmark"] = {
-            "y_star": [float(v) for v in dataset.benchmark.y_star],
-            "b_star": dataset.benchmark.b_star,
-            "d_star": dataset.benchmark.d_star,
+            "norm": L2.token(),
+            "y_star": [float(v) for v in bench.y_star],
+            "b_star": bench.b_star,
+            "d_star": bench.d_star,
         }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -276,12 +278,12 @@ def _hinge_reference(dataset: Dataset, m: CostModel, iters: int = 4000):
 
 
 def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
-    """Drop agents within ``rho`` of a reference separator and re-benchmark.
+    """Drop agents within ``rho`` of a reference separator in ``m``'s norm.
 
-    The reference is the dataset's own max-margin classifier when one
+    The reference is the dataset's own benchmark in ``m``'s norm when one
     exists, else a hinge-loss fit; agents it misclassifies or holds at
     normalized margin below ``rho`` are removed.  The surviving data is
-    guaranteed separable with benchmark margin at least ``rho``.
+    guaranteed separable with ``benchmark_for(m)`` margin at least ``rho``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -295,10 +297,8 @@ def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
     labels = dataset.labels[keep]
     if not ((labels == 1).any() and (labels == -1).any()):
         raise ValueError("margin trim removed an entire class; lower rho")
-    X = dataset.features[keep]
-    bench = Dataset(X, labels).benchmark_for(m)
+    trimmed = Dataset(dataset.features[keep], labels, provenance=dict(dataset.provenance, trimmed_rho=rho))
+    bench = trimmed.benchmark_for(m)
     if bench is None or bench.d_star < rho - 1e-9:
         raise RuntimeError("trimmed data failed to reach the requested margin")
-    provenance = dict(dataset.provenance)
-    provenance["trimmed_rho"] = rho
-    return Dataset(X, labels, bench, provenance)
+    return trimmed

@@ -417,8 +417,8 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         noise = noise_rng.standard_normal((len(idx), dataset.dim))
         noise *= cfg.sigma
     learner = _build_learner(cfg, model)
-    bench = dataset.benchmark
-    want_distance = cfg.track in ("distance", "full") and bench is not None
+    bench = dataset.benchmark if cfg.track in ("distance", "full") else None
+    want_distance = bench is not None
     want_gap = cfg.track == "full" and bench is not None
     if want_gap:
         pair = dataset.point_sets()
@@ -550,7 +550,8 @@ def certify(
     model = CostModel(parse_norm(cfg.norm), cfg.c, dataset.dim)
     bench = dataset.benchmark_for(model)
     if bench is None:
-        raise ConfigError("cannot certify: dataset is not separable")
+        why = "is not separable" if len(np.unique(dataset.labels)) == 2 else "holds agents of one label only"
+        raise ConfigError(f"cannot certify: the dataset {why}")
     consts = dataset_constants(dataset, model)
 
     preamble = [

@@ -22,7 +22,6 @@ import pytest
 
 from oracle import feed, oracle_margin
 from stratclass.bounds import (
-    Benchmark,
     dataset_constants,
     perceptron_mistake_bound,
     smm_manipulation_bounds,
@@ -113,7 +112,7 @@ def convergence_battery():
     xs = np.linspace(-1.0, 1.0, 10)
     feats = np.vstack([np.c_[xs, np.ones(10)], np.c_[xs, -np.ones(10)]])
     labels = np.array([1] * 10 + [-1] * 10)
-    ds = Dataset(feats, labels, Benchmark(np.array([0.0, 1.0]), 0.0, 1.0))
+    ds = Dataset(feats, labels)  # benchmark (0, 1), b* = 0, d* = 1
     out = []
     for seed in SEEDS:
         entry = {"seed": seed}

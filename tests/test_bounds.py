@@ -259,6 +259,15 @@ class TestSmmBounds:
         assert pos == pytest.approx(math.log(2.5) / math.log(1 / kappa_pos), rel=1e-12)
         assert pos >= neg  # weaker contraction per positive-side event
 
+    @pytest.mark.parametrize("d_star", [0.25, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("reach", [0.125, 0.5, 2.0])
+    def test_negative_side_is_the_mistake_bound_bit_for_bit(self, d_star, reach):
+        m = CostModel(L2, c=2.0 / reach, dim=2)
+        bench = Benchmark(np.array([0.6, 0.8]), 0.1, d_star)
+        consts = make_consts(D_pm=2.3, D_plus=0.7, D_minus=1.1, reach=m.two_over_c)
+        neg, _ = smm_manipulation_bounds(bench, consts, m)
+        assert neg.hex() == smm_mistake_bound(bench, consts).hex()
+
     def test_positive_side_unbounded_when_reach_eats_the_margin(self):
         m = CostModel(L2, c=4.0, dim=2)
         bench = Benchmark(np.array([0.0, 1.0]), 0.0, 0.5)  # d_star == reach

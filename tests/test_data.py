@@ -20,7 +20,7 @@ from stratclass.data import (
     write_descriptor,
 )
 from stratclass.bounds import Benchmark
-from stratclass.norms import L2, CostModel
+from stratclass.norms import L2, LINF, CostModel, parse_norm
 
 
 class TestDataset:
@@ -62,9 +62,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="nonempty"):
             Dataset(np.empty((0, 2)), [])
 
-    def test_a_benchmark_of_another_dimension_is_rejected(self):
-        with pytest.raises(ValueError, match="3 coordinates"):
-            Dataset(np.eye(2), [1, -1], Benchmark(np.ones(3), 0.0, 1.0))
+    def test_provenance_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Dataset(np.eye(2), [1, -1], Benchmark(np.ones(2), 0.0, 1.0))
+
+    def test_a_one_label_population_has_no_benchmark(self):
+        ds = Dataset(np.eye(3), [1, 1, 1])
+        assert ds.benchmark is None and ds.benchmark_for(CostModel(LINF, c=1.0, dim=3)) is None
 
     def test_features_and_labels_are_read_only_copies(self):
         X, labels = np.eye(2), np.array([1, -1])
@@ -239,6 +243,25 @@ class TestGenerateSynthetic:
         for field in ("y_star", "b_star", "d_star"):
             assert _bits(getattr(got.benchmark, field)) == _bits(getattr(want.benchmark, field))
 
+    @pytest.mark.parametrize(
+        "norm,d_star",
+        [("l2", 0.020733), ("l1", 0.050619), ("lp:1.5", 0.027948), ("lp:3", 0.015380), ("linf", 0.008464)],
+    )
+    def test_benchmark_is_solved_in_each_norm(self, norm, d_star):
+        ds = generate_synthetic(SynthConfig(seed=0))
+        bench = ds.benchmark_for(CostModel(parse_norm(norm), c=125.0, dim=ds.dim))
+        assert round(bench.d_star, 6) == d_star
+
+    def test_builds_two_point_set_pairs(self, monkeypatch):
+        # one for the raw cloud the recentring solve reads, one the returned
+        # dataset keeps and its l2 benchmark was solved over
+        built = []
+        monkeypatch.setattr(data.PointSetPair, "from_arrays",
+                            lambda *args, fn=data.PointSetPair.from_arrays: built.append(args) or fn(*args))
+        ds = generate_synthetic(self.CFG)
+        ds.point_sets(), ds.benchmark
+        assert len(built) == 2
+
     def test_impossible_trim_raises(self):
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(seed=0, n=20, d=6, rho=10.0))
@@ -292,6 +315,7 @@ class TestCsvRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["kind"] == "synthetic"
         assert doc["n"] == ds.n and doc["d"] == 4
+        assert doc["benchmark"]["norm"] == "l2"
         assert doc["benchmark"]["d_star"] == ds.benchmark.d_star
         assert len(doc["benchmark"]["y_star"]) == 4
 

@@ -51,7 +51,7 @@ def two_cluster_dataset():
     xs = np.linspace(-1.0, 1.0, 10)
     feats = np.vstack([np.c_[xs, np.ones(10)], np.c_[xs, -np.ones(10)]])
     labels = np.array([1] * 10 + [-1] * 10)
-    return Dataset(feats, labels, Benchmark(np.array([0.0, 1.0]), 0.0, 1.0))
+    return Dataset(feats, labels)  # benchmark (0, 1), b* = 0, d* = 1 in every norm
 
 
 class TestParseConfig:
@@ -205,7 +205,10 @@ def test_build_dataset_from_csv(tmp_path):
     save_csv(ds, path)
     cfg = RunConfig(c=1.0, T=10, dataset=str(path))
     back = build_dataset(cfg)
-    assert back.n == ds.n and back.benchmark is None
+    assert back.n == ds.n
+    for name in ("y_star", "b_star", "d_star"):  # solved from the same points, bit for bit
+        got, want = (np.asarray(getattr(d.benchmark, name)).tobytes() for d in (back, ds))
+        assert got == want
 
 
 class TestLearnerContract:
@@ -768,11 +771,8 @@ class TestCertify:
     def test_violated_hypothesis_is_not_applicable(self):
         # shift the instance so b* != 0: the zero-intercept certificate refuses
         ds = two_cluster_dataset()
-        shifted = Dataset(
-            ds.features + np.array([0.0, 0.5]),
-            ds.labels,
-            Benchmark(np.array([0.0, 1.0]), -0.5, 1.0),
-        )
+        shifted = Dataset(ds.features + np.array([0.0, 0.5]), ds.labels)
+        assert shifted.benchmark.b_star == -0.5
         cfg = self.cfg(algorithm="perceptron", cone="zero-b")
         report = certify(cfg, run_online(cfg, shifted), shifted)
         assert "not applicable" in report.render()
@@ -817,18 +817,65 @@ class TestCertify:
         first, second = (certify(self.cfg(), None, ds).render() for _ in range(2))
         assert [len(X) for X, in measured] == [20, 10, 10] and first == second
 
-    def test_certify_solves_a_missing_benchmark_once_per_dataset(self, monkeypatch):
+    def test_certify_solves_the_benchmark_once_per_norm(self, monkeypatch):
         solves = spy(monkeypatch, data, "solve_max_margin")
-        stored = two_cluster_dataset()
-        ds = Dataset(stored.features, stored.labels)  # as a CSV loads it: no benchmark
-        first, second = (certify(self.cfg(), None, ds).render() for _ in range(2))
-        assert len(solves) == 1 and solves[0][0] is ds.point_sets() and first == second
-        assert "d_star=1 " in first  # the solved benchmark is the stored one's
+        ds = two_cluster_dataset()
+        for norm in ("l2", "l1", "l2", "l1"):
+            assert "d_star=1 " in certify(self.cfg(norm=norm), None, ds).render()
+        assert [m.norm.kind for _, m in solves] == ["l2", "l1"]
+        assert all(pair is ds.point_sets() for pair, _ in solves)
+
+    @pytest.mark.parametrize("norm", ["linf", "lp:3"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_smm_is_certified_in_its_own_norm(self, seed, norm):
+        # on both seeds the linf and lp:3 margins lie below the reach 2/c = 0.016
+        # and the l2 margin (0.0207 on seed 0), and at or below every margin the
+        # run declares
+        cfg = self.cfg(norm=norm, c=125.0, T=2000, seed=seed, synth_seed=seed)
+        ds = build_dataset(cfg)
+        rows = {r.name: r for r in certify(cfg, run_online(cfg, ds), ds).rows}
+        assert rows["manipulations, positive agents"].status == "unbounded"
+        assert rows["margins nonincreasing and >= d_star"].status == "pass"
+
+    def test_a_one_label_population_runs_but_is_not_certified(self, tmp_path, capsys):
+        path = tmp_path / "pop.csv"
+        path.write_text("f1,f2,label\n0,1,1\n1,2,1\n-1,3,1\n")
+        cfg = self.cfg(dataset=str(path), track="full", T=50)
+        metrics = run_online(cfg)
+        assert metrics.t[-1] == 50 and set(metrics.distance) == {None} and set(metrics.margin_gap) == {None}
+        (tmp_path / "run.cfg").write_text(f"algorithm = smm\nc = 4\nT = 50\ndataset = {path}\n")
+        assert cli.main(["certify", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert "cannot certify: the dataset holds agents of one label only" in capsys.readouterr().err
 
     def test_inseparable_dataset_without_benchmark_rejected(self):
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1, -1]))
         with pytest.raises(ConfigError, match="separable"):
             certify(self.cfg(), None, ds)
+
+
+class TestCsvReload:
+    """A dataset reloaded from its CSV is the same dataset: same runs, same reports."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        ds = generate_synthetic(SynthConfig(seed=0))
+        path = tmp_path_factory.mktemp("reload") / "pop.csv"
+        save_csv(ds, path)
+        return ds, data.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "algorithm,norm",
+        [("smm", "l2"), ("gradsmm", "l2"), ("perceptron", "l2"), ("smm", "l1"), ("smm", "linf")],
+    )
+    def test_runs_and_reports_are_byte_identical(self, pair, tmp_path, algorithm, norm):
+        cfg = RunConfig(algorithm=algorithm, norm=norm, c=125.0, T=1000, seed=3)
+        outputs = []
+        for i, ds in enumerate(pair):
+            path = tmp_path / f"run{i}.csv"
+            metrics = run_online(cfg, ds)
+            write_metrics(metrics, path)
+            outputs.append((path.read_bytes(), certify(cfg, metrics, ds).render()))
+        assert outputs[0] == outputs[1]
 
 
 class TestExamples:
