@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a check or certificate failed, 2 bad input.
+Exit codes: 0 success, 1 a check or certificate failed (a margin solve
+that cannot certify its answer included), 2 bad input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 from . import harness
 from .data import load_csv, save_csv, write_descriptor
 from .harness import ConfigError, read_config
-from .maxmargin import solve_max_margin
+from .maxmargin import SOLVE_TOL, SolverError, solve_max_margin
 from .norms import CostModel, parse_norm
 
 
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-margin", help="max-margin classifier for a labeled CSV")
     p.add_argument("--points", required=True, help="CSV with header f1,...,fd,label")
     p.add_argument("--norm", default="l2")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=SOLVE_TOL)
     p.set_defaults(fn=_cmd_solve_margin)
 
     p = sub.add_parser("gen-data", help="materialize a dataset (CSV + JSON descriptor)")
@@ -123,6 +124,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

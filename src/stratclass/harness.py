@@ -34,7 +34,7 @@ from .learners import (
     SmmLearner,
     _step_schedule,
 )
-from .maxmargin import PointSetPair, margin_h, solve_max_margin
+from .maxmargin import SOLVE_TOL, PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, l2_norm, parse_norm
 from .response import Agent, Classifier, Interaction, answer, interact, proxy_from_response, respond
 
@@ -65,8 +65,6 @@ class RunConfig:
     cone: str = "full"
     gamma: float = 1.0
     schedule: str = "invsqrt"
-    tol: float | None = None
-    force_resolve: bool = False
     dataset: str = "synthetic"
     synth_seed: int = 0
     synth_n: int = SynthConfig.n
@@ -90,16 +88,14 @@ class RunConfig:
             value = getattr(self, key)
             if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if self.c <= 0:
-            raise ConfigError("c must be positive")
+        if not (self.c > 0 and math.isfinite(2.0 / self.c)):
+            raise ConfigError(f"c must be positive, with a finite reach 2/c, got {self.c}")
         if self.T is not None and self.T < 1:
             raise ConfigError("T must be >= 1")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tol must be positive")
         ConeKind(self.cone)  # validates
         if parse_norm(self.norm).kind != "l2" and self.algorithm == "gradsmm":
             raise ConfigError(f"algorithm gradsmm requires norm = l2, got {self.norm!r}")
@@ -107,8 +103,8 @@ class RunConfig:
 
     @property
     def solve_tol(self) -> float:
-        """Margin-solver certificate tolerance for this run: ``tol`` if set, else 1e-10."""
-        return 1e-10 if self.tol is None else self.tol
+        """Certificate tolerance of this run's margin solves, the same for every run."""
+        return SOLVE_TOL
 
 
 # each field's value type: ``X`` for a field annotated ``X`` or ``X | None``
@@ -116,15 +112,6 @@ _FIELD_TYPES = {
     key: next(t for t in get_args(hint) or (hint,) if t is not type(None))
     for key, hint in get_type_hints(RunConfig).items()
 }
-
-
-def _parse_bool(val: str) -> bool:
-    if val.lower() not in ("true", "false", "1", "0"):
-        raise ValueError(f"not a boolean: {val!r}")
-    return val.lower() in ("true", "1")
-
-
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,11 +140,11 @@ def parse_config(text: str) -> RunConfig:
         try:
             if name == "two_over_c":
                 reach = float(val)
-                if not 0.0 < reach < math.inf:
-                    raise ValueError(f"two_over_c must be positive and finite, got {val}")
+                if not (0.0 < reach < math.inf and math.isfinite(2.0 / reach)):
+                    raise ValueError(f"two_over_c must be positive and finite, and so must 2/two_over_c, got {val}")
                 values[key] = 2.0 / reach
             else:
-                values[key] = _PARSERS[_FIELD_TYPES[key]](val)
+                values[key] = _FIELD_TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return RunConfig(**values)
@@ -353,9 +340,9 @@ def _first_bad_row(path, lines) -> ValueError:
 
 def _build_learner(cfg: RunConfig, model: CostModel):
     if cfg.algorithm == "smm":
-        return SmmLearner(model, solver_tol=cfg.solve_tol, force_resolve=cfg.force_resolve)
+        return SmmLearner(model)
     if cfg.algorithm == "gradsmm":
-        return GradSmmLearner(model, schedule=cfg.schedule, solver_tol=cfg.solve_tol)
+        return GradSmmLearner(model, schedule=cfg.schedule)
     return PerceptronLearner(model, cone=ConeKind(cfg.cone), gamma=cfg.gamma)
 
 

@@ -91,9 +91,8 @@ class _MarginLearner(_Learner):
     holds both labels.  After it, each response is pooled as its proxy.
     """
 
-    def __init__(self, m: CostModel, solver_tol: float):
+    def __init__(self, m: CostModel):
         self.model = m
-        self.solver_tol = solver_tol
         self.pool = PointSetPair(m.dim)
         self.in_init = True
         self.classifier = Classifier(np.zeros(m.dim), 1.0)
@@ -118,16 +117,13 @@ class SmmLearner(_MarginLearner):
     problem unchanged); the classifier is the exact max-margin solution
     over the pool.  A cached solution is reused whenever the incremental
     margin gate shows the new point cannot have changed the optimum, a
-    repeated proxy included (disable the gate with
-    ``force_resolve`` to re-solve at every step).  If the pool ever turns
-    inseparable the learner parks at the degenerate (0, 0) classifier —
-    the pool only grows, so separability cannot come back; the fallback is
-    logged once.
+    repeated proxy included.  If the pool ever turns inseparable the learner
+    parks at the degenerate (0, 0) classifier — the pool only grows, so
+    separability cannot come back; the fallback is logged once.
     """
 
-    def __init__(self, m: CostModel, solver_tol: float = 1e-10, force_resolve: bool = False):
-        super().__init__(m, solver_tol)
-        self.force_resolve = force_resolve
+    def __init__(self, m: CostModel):
+        super().__init__(m)
         self.solution: MarginSolution | None = None
         self.updates = 0  # rows consumed
 
@@ -153,7 +149,7 @@ class SmmLearner(_MarginLearner):
             n = self._warm_up(rows, labels)
             self.updates += n
             if not self.in_init:
-                self._adopt(solve_max_margin(self.pool, self.model, self.solver_tol))
+                self._adopt(solve_max_margin(self.pool, self.model))
                 self.solve_count += 1
             return n
         proxies = proxy_from_response(rows, labels, predicted, self.classifier, self.model)
@@ -161,12 +157,12 @@ class SmmLearner(_MarginLearner):
         if not self.solution.separable:  # parked: the pool stays inseparable
             n, resolve = k, False
         else:
-            cleared = 0 if self.force_resolve else incremental_check(self.solution, proxies, labels)
+            cleared = incremental_check(self.solution, proxies, labels)
             n, resolve = min(cleared + 1, k), cleared < k
         self.pool.add(proxies[:n], labels[:n])
         self.updates += n
         if resolve:
-            self._adopt(solve_max_margin(self.pool, self.model, self.solver_tol, warm=self.solution))
+            self._adopt(solve_max_margin(self.pool, self.model, warm=self.solution))
             self.solve_count += 1
         return n
 
@@ -200,10 +196,10 @@ class GradSmmLearner(_MarginLearner):
     no solve is declared, so ``solve_count`` stays 0.
     """
 
-    def __init__(self, m: CostModel, schedule: str = "invsqrt", solver_tol: float = 1e-10):
+    def __init__(self, m: CostModel, schedule: str = "invsqrt"):
         if m.norm.kind != "l2":
             raise ValueError("the averaged-gradient learner requires the l2 cost norm")
-        super().__init__(m, solver_tol)
+        super().__init__(m)
         self.schedule = _step_schedule(schedule)
         self._z: np.ndarray | None = None
         self._t = 0
@@ -215,7 +211,7 @@ class GradSmmLearner(_MarginLearner):
         if self.in_init:
             n = self._warm_up(rows, labels)
             if not self.in_init:
-                sol = solve_max_margin(self.pool, self.model, self.solver_tol)
+                sol = solve_max_margin(self.pool, self.model)
                 self._z = sol.y.copy()
                 self._t = 1
                 w = self.schedule(1)

@@ -15,8 +15,9 @@ as the clouds grow.  Every other norm is solved as a linear program with
 cutting planes for the curved part of the dual-norm ball, and the cuts
 carry over to the next solve.  Either way the answer is certified: the
 margin achieved by ``(y, b)`` and half the cost-norm distance between two
-hull points named by convex weights are within ``tol`` of each other, or
-the solver raises ``SolverError``.
+hull points named by convex weights are within ``tol`` (``SOLVE_TOL``
+unless a caller passes its own) of each other, or the solver raises
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ from .norms import (
 )
 from .response import _score
 
+# Certificate tolerance of every margin solve a run makes.
+SOLVE_TOL = 1e-10
+
 # Declare the clouds inseparable when the achievable margin is this many
 # solver tolerances or less.
 _INSEPARABLE_FACTOR = 10.0
 
-# LP solves (one per cutting-plane round) before a non-l2 solve gives up.
+# LP solves (one per cutting-plane round) before a non-l2 solve gives up,
+# and Wolfe major cycles before an l2 solve does.
 _MAX_CUT_ROUNDS = 200
+_MAX_WOLFE_CYCLES = 1_000
 # HiGHS options, as ``scipy.optimize.linprog(method="highs")`` sets them:
 # presolve on and the dual simplex (strategy 1), silent, and the tightest
 # feasibility tolerances HiGHS accepts.  At its 1e-7 default it takes a cut
@@ -253,8 +259,7 @@ def _affine_polish(wp, wn, P, N):
 
 def nearest_points_convex_hulls(
     sets: PointSetPair,
-    tol: float = 1e-10,
-    max_iter: int = 1_000,
+    tol: float = SOLVE_TOL,
     warm: tuple[dict[int, float], dict[int, float]] | None = None,
 ) -> NearestPoints:
     """Minimize ``||x_plus - x_minus||_2`` over the two convex hulls.
@@ -270,7 +275,8 @@ def nearest_points_convex_hulls(
     intersect to solver precision.  Warm starts reuse a previous weight
     pair; indices stay valid because clouds only grow.
 
-    Raises SolverError if the cap is hit before the certificate holds.
+    Raises SolverError if ``_MAX_WOLFE_CYCLES`` cycles pass before the
+    certificate holds.
     """
     if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("nearest_points_convex_hulls requires nonempty clouds")
@@ -284,7 +290,7 @@ def nearest_points_convex_hulls(
         wp, wn = {0: 1.0}, {0: 1.0}
     u = np.subtract(*_combination((wp, wn), P, N))
 
-    for it in range(max_iter):
+    for it in range(_MAX_WOLFE_CYCLES):
         sp = P @ u
         sn = N @ u
         i_fw = int(np.argmin(sp))
@@ -308,7 +314,7 @@ def nearest_points_convex_hulls(
         wp, wn, u = _affine_polish(wp, wn, P, N)
 
     raise SolverError(
-        f"nearest-point iteration cap {max_iter} reached with gap {gap:.3e} > "
+        f"nearest-point iteration cap {_MAX_WOLFE_CYCLES} reached with gap {gap:.3e} > "
         f"2*tol*||u|| = {limit:.3e} (tol {tol:.3e})"
     )
 
@@ -347,7 +353,7 @@ class MarginSolution:
 def solve_max_margin(
     sets: PointSetPair,
     m: CostModel,
-    tol: float = 1e-10,
+    tol: float = SOLVE_TOL,
     warm: MarginSolution | None = None,
 ) -> MarginSolution:
     """Maximize h(y, b) subject to ``||y||_* <= 1``.
@@ -548,9 +554,11 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
     optimal direction when those points are the nearest ones.  Returns the
     first whose achieved margin is within ``tol`` of the bound.  Each LP is
     built afresh and solved by HiGHS's dual simplex (``_highs_lp``).  Raises
-    ``SolverError`` when a round's cut is already in place: HiGHS took its
-    violation, below the feasibility tolerance, for satisfied, and every
-    later LP would return the same optimum.
+    ``SolverError`` when the next LP would repeat this one, because its
+    optimum already lies in the ball or its cut is already in place (HiGHS
+    took the violation, below its feasibility tolerance, for satisfied), or
+    after ``_MAX_CUT_ROUNDS`` LPs; either message reports the bound minus the
+    larger margin of the two directions.
     """
     P = sets.positives
     N = sets.negatives
@@ -581,11 +589,13 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
         if upper <= _INSEPARABLE_FACTOR * tol:
             return _inseparable(x_plus, x_minus, weights, upper, rounds, cuts)
         y = x[:dim]
+        best = -math.inf  # the larger margin the two directions achieve
         for direction in (y, norming_functional(m, x_plus - x_minus)):
             y_hat = direction / dual_norm_eval(m, direction)
             lo = float(np.min(P @ y_hat))
             hi = float(np.max(N @ y_hat))
             lower = 0.5 * (lo - hi)
+            best = max(best, lower)
             if upper - lower <= tol:
                 return MarginSolution(
                     y=y_hat,
@@ -600,21 +610,16 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
                     cuts=cuts,
                 )
         v = manipulation_direction(m, y)
-        if float(v @ y) <= 1.0:  # y is in the ball: the cut would change nothing
+        # y in the ball, or a cut HiGHS took for satisfied: every later LP would repeat this one
+        if float(v @ y) <= 1.0 or (cuts == v).all(axis=1).any():
             raise SolverError(
-                f"max-margin LP optimum lies in the dual-norm ball, but its certificate "
-                f"gap {upper - lower:.3e} exceeds tol {tol:.3e}"
-            )
-        if (cuts == v).all(axis=1).any():  # HiGHS took it for satisfied: every LP would repeat this one
-            raise SolverError(
-                f"max-margin cutting planes stalled at LP {rounds}: its cut is already in place, "
-                f"violated by v.y - 1 = {float(v @ y) - 1.0:.3e}, with gap {upper - lower:.3e} "
-                f"> tol {tol:.3e}"
+                f"max-margin cutting planes stalled at LP {rounds}: the next LP would repeat it "
+                f"(v.y - 1 = {float(v @ y) - 1.0:.3e}), with gap {upper - best:.3e} > tol {tol:.3e}"
             )
         cuts = np.vstack([cuts, v])
     raise SolverError(
         f"max-margin cutting planes hit the {_MAX_CUT_ROUNDS}-round cap with gap "
-        f"{upper - lower:.3e} > tol {tol:.3e}"
+        f"{upper - best:.3e} > tol {tol:.3e}"
     )
 
 

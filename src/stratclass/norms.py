@@ -97,8 +97,8 @@ class CostModel:
     dim: int
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValueError(f"cost scale c must be positive, got {self.c}")
+        if not (self.c > 0 and math.isfinite(2.0 / float(self.c))):
+            raise ValueError(f"cost scale c must be positive, with a finite reach 2/c, got {self.c}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.norm.kind == "wl1" and len(self.norm.weights) != self.dim:

@@ -108,17 +108,6 @@ def predict(clf: Classifier, m: CostModel, x) -> int:
     return 1 if _clears_offset(float(_score(x, clf.y)) + clf.b, clf.dual_norm(m), m) else -1
 
 
-def _respond(A: np.ndarray, clf: Classifier, m: CostModel):
-    """:func:`respond` to ``A`` (``A`` itself unless it moves), with ``y.A + b`` and ``||y||_*``."""
-    q = float(_score(A, clf.y)) + clf.b
-    dn = clf.dual_norm(m)
-    if dn != 0.0:
-        ratio = q / dn
-        if -EPS_GEOM <= ratio < m.two_over_c:
-            return A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y), q, dn
-    return A, q, dn
-
-
 def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
     """Best response of a rational agent to the declared classifier.
 
@@ -128,8 +117,9 @@ def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
     The lower window edge is guarded by EPS_GEOM so that agents sitting on
     the decision boundary up to float noise still manipulate (indifference
     at cost exactly 2 resolves to manipulating); the upper edge is strict.
+    It is the response :func:`interact` reports when there is no noise.
     """
-    return _respond(agent.features, clf, m)[0]
+    return interact(agent, clf, m).response
 
 
 def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostModel) -> np.ndarray:
@@ -166,14 +156,20 @@ def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostMo
 def interact(agent: Agent, clf: Classifier, m: CostModel, noise=None) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
-    The best response and the score ``y.A + b`` come from the helper behind
-    :func:`respond`; the observed response adds the noise row ``noise``, if
-    any.  Prediction and mistake are :func:`predict`'s on the observed
-    response, reusing the score when that is ``A`` itself; the manipulation
-    flag compares the noise-free response with ``A`` exactly.
+    The best response (see :func:`respond`) is ``A`` itself unless it
+    moves; the observed response adds the noise row ``noise``, if any.
+    Prediction and mistake are :func:`predict`'s on the observed response,
+    reusing the score ``y.A + b`` when that is ``A`` itself; the
+    manipulation flag compares the noise-free response with ``A`` exactly.
     """
     A = agent.features
-    clean, q, dn = _respond(A, clf, m)
+    q = float(_score(A, clf.y)) + clf.b
+    dn = clf.dual_norm(m)
+    clean = A
+    if dn != 0.0:
+        ratio = q / dn
+        if -EPS_GEOM <= ratio < m.two_over_c:
+            clean = A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
     observed = clean if noise is None else clean + noise
     if observed is not A:
         q = float(_score(observed, clf.y)) + clf.b

@@ -33,7 +33,7 @@ from stratclass.harness import (
     sweep,
     write_metrics,
 )
-from stratclass.maxmargin import margin_h
+from stratclass.maxmargin import SOLVE_TOL, SolverError, margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
 from stratclass.response import Agent, Classifier, interact, margin_ratio
 
@@ -69,8 +69,6 @@ class TestParseConfig:
             sigma = 0.001
             cone = nonneg
             gamma = 0.5
-            tol = 1e-9
-            force_resolve = true
             dataset = synthetic
             synth_seed = 4
             synth_n = 50
@@ -82,7 +80,7 @@ class TestParseConfig:
         assert cfg.algorithm == "perceptron" and cfg.norm == "l1"
         assert cfg.c == 2.5 and cfg.T == 100 and cfg.mode == "stream"
         assert cfg.rounds == 3 and cfg.sigma == 0.001 and cfg.cone == "nonneg"
-        assert cfg.force_resolve is True and cfg.synth_d == 3
+        assert cfg.synth_d == 3
 
     def test_two_over_c_sets_the_budget(self):
         cfg = parse_config("two_over_c = 0.5\nT = 10")
@@ -91,7 +89,7 @@ class TestParseConfig:
     def test_solver_tolerance_defaults_to_1e10_unless_set(self):
         assert RunConfig(c=1.0).solve_tol == 1e-10
         assert RunConfig(c=1.0, sigma=1e-3).solve_tol == 1e-10  # noise does not loosen it
-        assert RunConfig(c=1.0, sigma=1e-3, tol=1e-12).solve_tol == 1e-12
+        assert RunConfig(c=1.0).solve_tol == SOLVE_TOL
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -100,7 +98,7 @@ class TestParseConfig:
             ("c = 1\nc = 2", "line 2"),
             ("c 1", "key = value"),
             ("T = ten\nc = 1", "line 1"),
-            ("force_resolve = maybe\nc = 1", "boolean"),
+            ("force_resolve = maybe\nc = 1", "line 1: unknown key 'force_resolve'"),
             ("algorithm = svm\nc = 1", "algorithm"),
             ("mode = batch\nc = 1", "mode"),
             ("track = everything\nc = 1", "track"),
@@ -112,10 +110,12 @@ class TestParseConfig:
             ("sigma = nan\nc = 1", "sigma"),
             ("c = inf", "c must be finite"),
             ("gamma = nan\nc = 1", "gamma"),
-            ("tol = 0\nc = 1", "tol"),
+            ("tol = 0\nc = 1", "line 1: unknown key 'tol'"),
             ("c = 0", "positive"),
+            ("c = 1e-320", "^c must be positive, with a finite reach 2/c, got 1e-320"),
             ("T = 5", "c or two_over_c"),
             ("T = 10\ntwo_over_c = 0", "line 2: two_over_c must be positive"),
+            ("T = 10\ntwo_over_c = 1e-320", "^line 2: two_over_c must be .* so must 2/two_over_c"),
             ("two_over_c = abc", "line 1"),
             ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
             ("algorithm = smm\nschedule = bogus\nc = 1", "step schedule"),
@@ -131,9 +131,8 @@ class TestParseConfig:
     # a valid value for each key whose annotation is str; other keys get one per type
     WORDS = {"algorithm": "gradsmm", "norm": "lp:3", "mode": "stream", "cone": "nonneg",
              "schedule": "const:0.5", "dataset": "agents.csv", "track": "counts"}
-    TYPES = {"str": str, "bool": bool, "int": int, "int | None": int, "float": float,
-             "float | None": float}
-    SAMPLES = {bool: ("true", True), int: ("3", 3), float: ("0.25", 0.25)}
+    TYPES = {"str": str, "int": int, "int | None": int, "float": float, "float | None": float}
+    SAMPLES = {int: ("3", 3), float: ("0.25", 0.25)}
 
     @pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
     def test_each_key_parses_to_its_annotated_type(self, f):
@@ -500,7 +499,10 @@ class TestBlockEngine:
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
-    def test_matches_the_per_step_loop(self, case):
+    def test_matches_the_per_step_loop(self, monkeypatch, case):
+        case = dict(case)
+        if case.pop("force_resolve", False):  # a gate that clears nothing: every step re-solves
+            monkeypatch.setattr(learners, "incremental_check", lambda *args: 0)
         ds = generate_synthetic(SynthConfig(seed=3, n=400, d=4))
         cfg = RunConfig(c=125.0, T=None if case.get("mode") == "stream" else 2500, seed=7,
                         **case)
@@ -963,6 +965,31 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, "two_over_c = 0\nT = 10\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("c = 1e-320\nT = 10\n", "error: c must be positive, with a finite reach 2/c"),
+        ("T = 10\ntwo_over_c = 1e-320\n", "error: line 2: two_over_c must be"),
+    ])
+    def test_a_budget_whose_reach_overflows_is_exit_2(self, tmp_path, capsys, text, message):
+        assert cli.main(["simulate", "--config", self.write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+
+    @pytest.mark.parametrize("line", ["tol = 1e-9", "force_resolve = true"])
+    def test_retired_solver_keys_are_exit_2(self, tmp_path, capsys, line):
+        cfg = self.write_cfg(tmp_path, f"c = 4\nT = 10\n{line}\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"error: line 3: unknown key {key!r}\n"
+
+    def test_a_solver_error_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("nearest-point iteration cap 1000 reached")
+
+        monkeypatch.setattr(learners, "solve_max_margin", fail)
+        cfg = self.write_cfg(tmp_path, "c = 4\nT = 30\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n")
+        assert cli.main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: nearest-point iteration cap 1000 reached\n"
 
     def test_missing_file_is_exit_2(self, capsys):
         assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == 2

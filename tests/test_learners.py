@@ -123,9 +123,10 @@ class TestSmmLearner:
         assert sum(o.manipulated for o in outs) == 498
         assert np.max(np.abs(learner.pool.positives[-1] - np.array([-1.0, 2.0]))) <= 1e-12
 
-    def test_force_resolve_solves_every_step(self):
+    def test_force_resolve_solves_every_step(self, monkeypatch):
         m = CostModel(L2, c=math.sqrt(2), dim=2)
-        learner = SmmLearner(m, force_resolve=True)
+        learner = SmmLearner(m)
+        monkeypatch.setattr(learners, "incremental_check", lambda *args: 0)  # a gate that clears nothing
         stream = [((0.0, 1.0), 1), ((-2.0, -1.0), -1)] + [((-2.0, 1.0), 1)] * 20
         drive(learner, m, stream)
         assert learner.solve_count == 21  # init solve + one per later update
@@ -169,7 +170,7 @@ class TestSmmLearner:
         for seed in (0, 1, 2):
             ds = generate_synthetic(SynthConfig(seed=seed))
             m = CostModel(parse_norm(norm), c=125.0, dim=ds.dim)
-            learner = SmmLearner(m, solver_tol=tol)
+            learner = SmmLearner(m)
             d_t = []
             for i in np.random.default_rng(seed).integers(0, ds.n, size=1500):
                 drive(learner, m, [(ds.features[i], int(ds.labels[i]))])
@@ -442,7 +443,7 @@ class TestPerceptron:
 
 MAKERS = {
     "smm": SmmLearner,
-    "smm-force": lambda m: SmmLearner(m, force_resolve=True),
+    "smm-force": SmmLearner,  # under a gate that clears nothing: every update re-solves
     "gradsmm": GradSmmLearner,
     "perceptron-full": lambda m: PerceptronLearner(m, ConeKind.FULL),
     "perceptron-zero-b": lambda m: PerceptronLearner(m, ConeKind.ZERO_INTERCEPT),
@@ -524,7 +525,8 @@ def test_block_updates_equal_one_row_updates(kind, seed, prefix, sigma, sizes, a
             return solve_max_margin(pool, *args, **kwargs)
 
         learner = MAKERS[kind](m)
-        with mock.patch.object(learners, "solve_max_margin", logged_solve):
+        gate = {"incremental_check": lambda *args: 0} if kind == "smm-force" else {}
+        with mock.patch.multiple(learners, solve_max_margin=logged_solve, **gate):
             declared, changes = play_blocks(learner, m, A, labels, noise, block_sizes)
         runs.append((declared, changes, solves, learner_state(learner)))
         if aligned:  # blocks that end where the one-row run declared anew

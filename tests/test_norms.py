@@ -72,6 +72,8 @@ def test_cost_model_validation():
         CostModel(L2, c=0.0, dim=3)
     with pytest.raises(ValueError):
         CostModel(L2, c=-1.0, dim=3)
+    with pytest.raises(ValueError, match=r"^cost scale c must be positive, with a finite reach 2/c"):
+        CostModel(L2, c=1e-320, dim=3)  # 2/c overflows
     with pytest.raises(ValueError):
         CostModel(L2, c=1.0, dim=0)
     with pytest.raises(ValueError):
