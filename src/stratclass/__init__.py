@@ -64,10 +64,7 @@ from .response import (
     Classifier,
     Interaction,
     interact,
-    margin_ratio,
-    predict,
     proxy_from_response,
-    respond,
 )
 
 __all__ = [
@@ -107,19 +104,16 @@ __all__ = [
     "load_csv",
     "manipulation_direction",
     "margin_h",
-    "margin_ratio",
     "nearest_points_convex_hulls",
     "norm_eval",
     "parse_config",
     "parse_norm",
     "perceptron_mistake_bound",
-    "predict",
     "project_cone",
     "proxy_from_response",
     "read_config",
     "read_metrics",
     "reproduce_example",
-    "respond",
     "run_online",
     "save_csv",
     "smm_manipulation_bounds",

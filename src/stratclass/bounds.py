@@ -30,6 +30,9 @@ from .norms import CostModel, dual_norm_eval, l2_envelope_constant
 if TYPE_CHECKING:
     from .data import Dataset
 
+_CHUNK = 512
+_HYPOTHESIS_TOL = 1e-9
+
 
 class HypothesisViolation(ValueError):
     """The benchmark does not satisfy the hypothesis a certificate assumes."""
@@ -97,11 +100,11 @@ class DatasetConstants:
         return max(self.D_tilde_plus, self.D_tilde_minus)
 
 
-def _half_diameter(X: np.ndarray, chunk: int = 512) -> float:
+def _half_diameter(X: np.ndarray) -> float:
     """Half the largest pairwise Euclidean distance (0 for < 2 points).
 
     The value is the full scan's, bit for bit: the largest entry of
-    ``sq_i + sq_j - 2 X X^T``, computed in row chunks of ``chunk`` points.
+    ``sq_i + sq_j - 2 X X^T``, computed in row chunks of ``_CHUNK`` points.
     Only the rows that can hold that entry are scored, found in two steps.
 
     *Candidates.*  A double farthest-point sweep gives a pair at distance
@@ -133,18 +136,18 @@ def _half_diameter(X: np.ndarray, chunk: int = 512) -> float:
     every = len(cand) == n
     Y, ysq = (X, sq) if every else (X[cand], sq[cand])
     row_best = np.empty(len(cand))
-    for start in range(0, len(cand), chunk):
-        d2 = ysq[start : start + chunk, None] + ysq[None, :] - 2.0 * Y[start : start + chunk] @ Y.T
-        row_best[start : start + chunk] = np.max(d2, axis=1)
+    for start in range(0, len(cand), _CHUNK):
+        d2 = ysq[start : start + _CHUNK, None] + ysq[None, :] - 2.0 * Y[start : start + _CHUNK] @ Y.T
+        row_best[start : start + _CHUNK] = np.max(d2, axis=1)
     if every:  # that was the full scan
         return 0.5 * math.sqrt(max(float(np.max(row_best)), 0.0))
     rows = cand[row_best >= np.max(row_best) - 4.0 * err]
 
     best = 0.0
-    for start in np.unique(rows // chunk) * chunk:
+    for start in np.unique(rows // _CHUNK) * _CHUNK:
         # the full scan's expression: (2 * block) @ X.T, same operands
-        gram2 = 2.0 * X[start : start + chunk] @ X.T
-        mine = rows[(rows >= start) & (rows < start + chunk)]
+        gram2 = 2.0 * X[start : start + _CHUNK] @ X.T
+        mine = rows[(rows >= start) & (rows < start + _CHUNK)]
         d2 = sq[mine, None] + sq[None, :] - gram2[mine - start]
         best = max(best, float(np.max(d2)))
     return 0.5 * math.sqrt(max(best, 0.0))
@@ -212,7 +215,6 @@ def perceptron_mistake_bound(
     consts: DatasetConstants,
     m: CostModel,
     cone: ConeKind,
-    tol: float = 1e-9,
 ) -> float:
     """Certificate on projected-perceptron mistakes for a hypothesis cone.
 
@@ -236,12 +238,12 @@ def perceptron_mistake_bound(
             raise HypothesisViolation(
                 "the zero-intercept certificate is only available for the l2 cost norm"
             )
-        if abs(bench.b_star) > tol:
+        if abs(bench.b_star) > _HYPOTHESIS_TOL:
             raise HypothesisViolation(
                 f"zero-intercept certificate requires b_star = 0, got {bench.b_star}"
             )
         return energy / bench.d_star**2
-    if np.min(bench.y_star) < -tol:
+    if np.min(bench.y_star) < -_HYPOTHESIS_TOL:
         raise HypothesisViolation(
             "nonnegative-weights certificate requires a nonnegative benchmark direction"
         )

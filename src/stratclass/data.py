@@ -24,6 +24,7 @@ from .maxmargin import PointSetPair, solve_max_margin
 from .norms import L2, CostModel, dual_norm_eval
 
 _MAX_REJECTION_TRIES = 10_000
+_HINGE_ITERS = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +250,7 @@ def write_descriptor(dataset: Dataset, path) -> None:
     bench = dataset.benchmark
     if bench is not None:
         doc["benchmark"] = {
-            "norm": L2.token(),
+            "norm": "l2",
             "y_star": [float(v) for v in bench.y_star],
             "b_star": bench.b_star,
             "d_star": bench.d_star,
@@ -257,7 +258,7 @@ def write_descriptor(dataset: Dataset, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _hinge_reference(dataset: Dataset, m: CostModel, iters: int = 4000):
+def _hinge_reference(dataset: Dataset):
     """Averaged-subgradient hinge fit: an approximate separator for noisy data."""
     X, lbl = dataset.features, dataset.labels.astype(float)
     scale = 1.0 + float(np.max(np.einsum("ij,ij->i", X, X)))
@@ -265,7 +266,7 @@ def _hinge_reference(dataset: Dataset, m: CostModel, iters: int = 4000):
     b = 0.0
     y_avg = np.zeros(dataset.dim)
     b_avg = 0.0
-    for t in range(1, iters + 1):
+    for t in range(1, _HINGE_ITERS + 1):
         active = lbl * (X @ y + b) < 1.0
         gy = -(lbl[active, None] * X[active]).sum(axis=0) / len(lbl)
         gb = -float(lbl[active].sum()) / len(lbl)
@@ -274,7 +275,7 @@ def _hinge_reference(dataset: Dataset, m: CostModel, iters: int = 4000):
         b -= step * gb
         y_avg += y
         b_avg += b
-    return y_avg / iters, b_avg / iters
+    return y_avg / _HINGE_ITERS, b_avg / _HINGE_ITERS
 
 
 def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
@@ -288,7 +289,7 @@ def trim_margin(dataset: Dataset, rho: float, m: CostModel) -> Dataset:
     if rho <= 0:
         raise ValueError("rho must be positive")
     ref = dataset.benchmark_for(m)
-    ref_y, ref_b = (ref.y_star, ref.b_star) if ref is not None else _hinge_reference(dataset, m)
+    ref_y, ref_b = (ref.y_star, ref.b_star) if ref is not None else _hinge_reference(dataset)
     dn = dual_norm_eval(m, ref_y)
     if dn <= 0:
         raise ValueError("reference separator degenerated to zero")

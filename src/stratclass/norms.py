@@ -18,6 +18,7 @@ import numpy as np
 # proxy pull-back trigger, incremental margin gate).
 EPS_GEOM = 1e-9
 _TINY = float(np.finfo(float).tiny)
+_MAX_REACH = math.sqrt(float(np.finfo(float).max))
 
 _KINDS = ("l2", "l1", "linf", "lp", "wl1")
 
@@ -48,14 +49,6 @@ class NormKind:
         elif self.weights is not None:
             raise ValueError(f"weights are only meaningful for wl1 norms, got kind {self.kind!r}")
 
-    def token(self) -> str:
-        """Config-file token for this norm; :func:`parse_norm` inverts it exactly."""
-        if self.kind == "lp":
-            return f"lp:{float(self.p)!r}"
-        if self.kind == "wl1":
-            return "wl1:" + ",".join(repr(float(w)) for w in self.weights)
-        return self.kind
-
 
 L2 = NormKind("l2")
 L1 = NormKind("l1")
@@ -82,6 +75,20 @@ def parse_norm(token: str) -> NormKind:
     raise ValueError(f"unknown norm token {token!r}")
 
 
+def cost_scale(value: float, key: str = "c") -> float:
+    """The cost scale ``c`` that ``key = value`` sets, ``key`` being ``c`` or ``two_over_c``.
+
+    ``c``, its reach ``2/c`` and the reach's square, which the margin solvers
+    take, must be finite and positive: ``c > 2/sqrt(max float)``, about 1.5e-154.
+    Raises ``ValueError`` otherwise.
+    """
+    if value > 0:
+        c, reach = (value, 2.0 / value) if key == "c" else (2.0 / value, value)
+        if c < math.inf and reach < _MAX_REACH:
+            return c
+    raise ValueError("c, 2/c and (2/c)**2 must all be positive and finite")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """A cost norm together with the manipulation budget scale ``c > 0``.
@@ -97,8 +104,7 @@ class CostModel:
     dim: int
 
     def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(2.0 / float(self.c))):
-            raise ValueError(f"cost scale c must be positive, with a finite reach 2/c, got {self.c}")
+        cost_scale(self.c)
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.norm.kind == "wl1" and len(self.norm.weights) != self.dim:

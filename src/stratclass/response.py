@@ -88,38 +88,12 @@ def _score(X, y):
 
 
 def _clears_offset(q, dn: float, m: CostModel):
-    """Whether a score ``y.x + b`` (or each of an array of them) predicts +1 given ``||y||_* = dn``."""
+    """Whether a score ``y.x + b`` (or each of an array of them) predicts +1 given ``||y||_* = dn``.
+
+    Manipulated responses land exactly on the offset boundary; a score within
+    ``EPS_GEOM * dn`` of it counts as on it, so sign(0) = +1 survives rounding.
+    """
     return q - m.two_over_c * dn >= -EPS_GEOM * dn
-
-
-def margin_ratio(clf: Classifier, m: CostModel, x) -> float:
-    """Signed margin ``(y.x + b) / ||y||_*``; defined only for ``||y||_* > 0``."""
-    return (float(_score(x, clf.y)) + clf.b) / clf.dual_norm(m)
-
-
-def predict(clf: Classifier, m: CostModel, x) -> int:
-    """Offset prediction ``sign(y.x + b - 2||y||_*/c)``, sign(0) = +1.
-
-    Reduces to ``sign(b)`` when ``y == 0``.  Scores within EPS_GEOM
-    (relative to ``||y||_*``) of the offset boundary count as positive:
-    manipulated responses land exactly on that boundary, where the sign(0)
-    convention must survive rounding in either direction.
-    """
-    return 1 if _clears_offset(float(_score(x, clf.y)) + clf.b, clf.dual_norm(m), m) else -1
-
-
-def respond(agent: Agent, clf: Classifier, m: CostModel) -> np.ndarray:
-    """Best response of a rational agent to the declared classifier.
-
-    Returns ``A + (2/c - ratio) * v(y)`` when the margin ratio lies in the
-    manipulation window ``[0, 2/c)`` and ``A`` itself otherwise (including
-    for ``||y||_* == 0``, where no movement can change the prediction).
-    The lower window edge is guarded by EPS_GEOM so that agents sitting on
-    the decision boundary up to float noise still manipulate (indifference
-    at cost exactly 2 resolves to manipulating); the upper edge is strict.
-    It is the response :func:`interact` reports when there is no noise.
-    """
-    return interact(agent, clf, m).response
 
 
 def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostModel) -> np.ndarray:
@@ -156,11 +130,14 @@ def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostMo
 def interact(agent: Agent, clf: Classifier, m: CostModel, noise=None) -> Interaction:
     """Run one protocol round and report everything the harness logs.
 
-    The best response (see :func:`respond`) is ``A`` itself unless it
-    moves; the observed response adds the noise row ``noise``, if any.
-    Prediction and mistake are :func:`predict`'s on the observed response,
-    reusing the score ``y.A + b`` when that is ``A`` itself; the
-    manipulation flag compares the noise-free response with ``A`` exactly.
+    The agent's best response is ``A + (2/c - ratio) * v(y)`` when its margin
+    ratio lies in the window ``[-EPS_GEOM, 2/c)`` (the guard keeps an agent on
+    the decision boundary up to float noise manipulating), and ``A`` itself
+    otherwise or when ``||y||_* == 0``.  The observed response adds the noise
+    row ``noise``, if any.  Prediction and mistake are the offset rule's on
+    the observed response, reusing the score ``y.A + b`` when that is ``A``
+    itself; the manipulation flag compares the noise-free response with
+    ``A`` exactly.
     """
     A = agent.features
     q = float(_score(A, clf.y)) + clf.b

@@ -23,7 +23,9 @@ protocol round and the distance column as first written, scoring each
 response afresh and measuring the distance with ``np.linalg.norm``.  ``oracle_half_diameter``
 scans every pair of points, the reference for the pruned scan in
 ``bounds``; ``oracle_truncated_normal`` draws one row at a time, the
-reference for the batched sampler in ``data``.
+reference for the batched sampler in ``data``.  ``offset_prediction`` is
+the protocol's prediction on a point no agent moved, for tests that feed a
+learner raw points.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from stratclass.norms import (
     norm_eval,
     parse_norm,
 )
-from stratclass.response import Agent, Interaction, _score
+from stratclass.response import Agent, Interaction, _clears_offset, _score
 
 
 def _subset_candidate(P_sub: np.ndarray, N_sub: np.ndarray):
@@ -298,6 +300,11 @@ def oracle_normalized_distance(y, b, bench) -> float | None:
 
 def _oracle_margin_h(y, b, pair) -> float:
     return float(min(np.min(pair.positives @ y) + b, -np.max(pair.negatives @ y) - b))
+
+
+def offset_prediction(clf, m, x) -> int:
+    """The protocol's offset prediction on ``x`` as given, a point no agent's response moved."""
+    return 1 if _clears_offset(float(_score(x, clf.y)) + clf.b, clf.dual_norm(m), m) else -1
 
 
 def feed(learner, inter: Interaction, label: int) -> int:

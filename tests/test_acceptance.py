@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import feed, oracle_margin
+from oracle import feed, offset_prediction, oracle_margin
 from stratclass.bounds import (
     dataset_constants,
     perceptron_mistake_bound,
@@ -43,7 +43,7 @@ from stratclass.norms import (
     norm_eval,
     parse_norm,
 )
-from stratclass.response import Agent, Classifier, interact, predict, proxy_from_response, respond
+from stratclass.response import Agent, Classifier, interact, proxy_from_response
 
 SEEDS = range(50)
 HORIZON = 10_000
@@ -142,7 +142,7 @@ def test_criterion_1_micro_instances_exact():
     start = time.perf_counter()
 
     m4 = CostModel(L2, c=4.0, dim=2)
-    r = respond(Agent(np.array([-1.0, 1.0]), 1), Classifier(np.array([1.0, 2.0]), 0.0), m4)
+    r = interact(Agent(np.array([-1.0, 1.0]), 1), Classifier(np.array([1.0, 2.0]), 0.0), m4).response
     expected = np.array([-6 / 5 + math.sqrt(5) / 10, 3 / 5 + math.sqrt(5) / 5])
     assert np.max(np.abs(r - expected)) <= 1e-12
 
@@ -328,8 +328,7 @@ def test_criterion_7_property_suites():
         clf = Classifier(rng.normal(size=3), float(rng.normal()))
         x = rng.normal(size=3)
         label = 1 if float(clf.y @ x) + clf.b >= 0 else -1
-        r = respond(Agent(x, label), clf, m)
-        assert predict(clf, m, r) == label
+        assert interact(Agent(x, label), clf, m).predicted == label
 
     # (c) prediction outcome and the proxy's signed margin never disagree
     rng = np.random.default_rng(72)
@@ -396,7 +395,7 @@ def test_criterion_7_property_suites():
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
             for learner in (base_generic, tenx):
-                learner.update(x[None], np.array([label]), np.array([predict(learner.declare(), m, x)]))
+                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.declare(), m, x)]))
         scale = max(1.0, float(np.max(np.abs(base_generic.q))))
         assert np.max(np.abs(tenx.q / 10.0 - base_generic.q)) <= 1e-9 * scale
 
@@ -417,12 +416,12 @@ def test_criterion_7_property_suites():
         b = float(rng.normal())
         alpha = float(rng.uniform(0.1, 50.0))
         agent = Agent(rng.normal(size=3), int(rng.choice([-1, 1])))
-        r1 = respond(agent, Classifier(y, b), m)
-        r2 = respond(agent, Classifier(alpha * y, alpha * b), m)
-        assert np.max(np.abs(r1 - r2)) <= 1e-12 * max(1.0, float(np.max(np.abs(r1))))
         c1, c2 = Classifier(y, b), Classifier(alpha * y, alpha * b)
-        s1 = proxy_from_response(r1[None], [agent.label], [predict(c1, m, r1)], c1, m)[0]
-        s2 = proxy_from_response(r2[None], [agent.label], [predict(c2, m, r2)], c2, m)[0]
+        out1, out2 = interact(agent, c1, m), interact(agent, c2, m)
+        r1, r2 = out1.response, out2.response
+        assert np.max(np.abs(r1 - r2)) <= 1e-12 * max(1.0, float(np.max(np.abs(r1))))
+        s1 = proxy_from_response(r1[None], [agent.label], [out1.predicted], c1, m)[0]
+        s2 = proxy_from_response(r2[None], [agent.label], [out2.predicted], c2, m)[0]
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
     # (h) the declaration phase never makes more than two mistakes, driven

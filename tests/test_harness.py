@@ -35,7 +35,7 @@ from stratclass.harness import (
 )
 from stratclass.maxmargin import SOLVE_TOL, SolverError, margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
-from stratclass.response import Agent, Classifier, interact, margin_ratio
+from stratclass.response import Agent, Classifier, _score, interact
 
 from oracle import feed, oracle_lp, oracle_run_online
 
@@ -112,20 +112,34 @@ class TestParseConfig:
             ("gamma = nan\nc = 1", "gamma"),
             ("tol = 0\nc = 1", "line 1: unknown key 'tol'"),
             ("c = 0", "positive"),
-            ("c = 1e-320", "^c must be positive, with a finite reach 2/c, got 1e-320"),
+            ("c = 1e-320", "^line 1: c = 1e-320: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
+            ("c = 1e-300", "^line 1: c = 1e-300: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
+            ("T = 5\nc = 1e-154", "^line 2: c = 1e-154: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
             ("T = 5", "c or two_over_c"),
-            ("T = 10\ntwo_over_c = 0", "line 2: two_over_c must be positive"),
-            ("T = 10\ntwo_over_c = 1e-320", "^line 2: two_over_c must be .* so must 2/two_over_c"),
+            ("T = 10\ntwo_over_c = 0", "line 2: two_over_c = 0: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
+            ("T = 10\ntwo_over_c = 1e-320", "^line 2: two_over_c = 1e-320: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
+            ("T = 10\ntwo_over_c = 2e300", "^line 2: two_over_c = 2e300: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
             ("two_over_c = abc", "line 1"),
             ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
             ("algorithm = smm\nschedule = bogus\nc = 1", "step schedule"),
             ("algorithm = gradsmm\nschedule = const:nan\nc = 125", "positive and finite"),
             ("algorithm = gradsmm\nnorm = l1\nc = 125", "gradsmm requires norm = l2"),
             ("norm = lp:3\nalgorithm = gradsmm\nc = 125", "gradsmm requires norm = l2"),
+            ("algorithm = foo\nc = 1", "^line 1: algorithm must be one of"),
+            ("c = 1\ncone = bogus", "^line 2: cone must be one of .* got 'bogus'$"),
+            ("norm = lp:1\nc = 1", "^line 1: norm = lp:1: lp norm requires finite p > 1$"),
+            ("c = 1\nschedule = fast", "^line 2: schedule = fast: unknown step schedule 'fast'$"),
+            ("sigma = -1\nc = 1", "^line 1: sigma must be >= 0, got -1.0$"),
+            ("c = 1\nT = 0", "^line 2: T must be >= 1, got 0$"),
+            ("c = 1\nrounds = 0", "^line 2: rounds must be >= 1, got 0$"),
+            ("T = ten\nc = 1", "^line 1: T = ten: invalid literal for int"),
+            ("two_over_c = abc", "^line 1: two_over_c = abc: could not convert"),
+            ("algorithm = gradsmm\nc = 125\nnorm = l1", "^line 3: algorithm gradsmm requires norm = l2"),
+            ("norm = l1\nc = 125\nalgorithm = gradsmm", "^line 3: algorithm gradsmm requires norm = l2"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
-        with pytest.raises((ConfigError, ValueError), match=fragment or None):
+        with pytest.raises(ConfigError, match=fragment or None):
             parse_config(text)
 
     # a valid value for each key whose annotation is str; other keys get one per type
@@ -144,7 +158,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.type.startswith("float")],
                              ids=lambda f: f.name)
     def test_each_float_key_rejects_nan_by_name(self, f):
-        with pytest.raises(ConfigError, match=f"^{f.name} must be finite"):
+        with pytest.raises(ConfigError, match=f"^line 1: {f.name} must be finite"):
             parse_config(f"{f.name} = nan" + ("" if f.name == "c" else "\nc = 1"))
 
 
@@ -469,7 +483,7 @@ def _straddling_intercept(x, y, model, T):
     for _ in range(64):
         b = np.nextafter(b, -np.inf)
     for _ in range(128):
-        if margin_ratio(Classifier(y, b), model, x) >= -EPS_GEOM:
+        if (float(_score(x, y)) + b) / dn >= -EPS_GEOM:
             for k in sizes:
                 if np.any((np.tile(x, (k, 1)) @ y + b) / dn < -EPS_GEOM):
                     return float(b)
@@ -967,13 +981,19 @@ class TestCli:
         assert "line 1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
-        ("c = 1e-320\nT = 10\n", "error: c must be positive, with a finite reach 2/c"),
-        ("T = 10\ntwo_over_c = 1e-320\n", "error: line 2: two_over_c must be"),
+        ("c = 1e-320\nT = 10\n", "error: line 1: c = 1e-320: c, 2/c and (2/c)**2 must all be positive and finite\n"),
+        ("c = 1e-300\nT = 300\nsynth_n = 300\n", "error: line 1: c = 1e-300: c, 2/c and (2/c)**2 must all be positive and finite\n"),
+        ("T = 10\ntwo_over_c = 1e-320\n", "error: line 2: two_over_c = 1e-320: c, 2/c and (2/c)**2"),
     ])
     def test_a_budget_whose_reach_overflows_is_exit_2(self, tmp_path, capsys, text, message):
         assert cli.main(["simulate", "--config", self.write_cfg(tmp_path, text)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.out == ""
+
+    def test_a_budget_whose_reach_squares_in_range_runs(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "c = 1e-150\nT = 300\nsynth_n = 300\n")
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("T=300 ")
 
     @pytest.mark.parametrize("line", ["tol = 1e-9", "force_resolve = true"])
     def test_retired_solver_keys_are_exit_2(self, tmp_path, capsys, line):

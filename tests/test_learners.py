@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import feed, two_sided_certificate
+from oracle import feed, offset_prediction, two_sided_certificate
 from stratclass.data import SynthConfig, generate_synthetic
 from stratclass import learners
 from stratclass.learners import (
@@ -23,7 +23,7 @@ from stratclass.learners import (
 )
 from stratclass.maxmargin import PointSetPair, solve_max_margin
 from stratclass.norms import L1, L2, CostModel, parse_norm
-from stratclass.response import Agent, Classifier, answer, interact, predict, proxy_from_response, respond
+from stratclass.response import Agent, Classifier, answer, interact, proxy_from_response
 
 
 def drive(learner, m, stream):
@@ -435,7 +435,7 @@ class TestPerceptron:
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
             for learner in (a, b):
-                learner.update(x[None], np.array([label]), np.array([predict(learner.declare(), m, x)]))
+                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.declare(), m, x)]))
             if np.any(a.q):
                 assert np.max(np.abs(b.q / 10.0 - a.q)) <= 1e-9 * max(1.0, np.max(np.abs(a.q)))
         assert a.mistakes == b.mistakes and a.mistakes > 10

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_interact
+from oracle import offset_prediction, oracle_interact
 from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, manipulation_direction, parse_norm
-from stratclass.response import (
-    Agent,
-    Classifier,
-    answer,
-    interact,
-    margin_ratio,
-    predict,
-    proxy_from_response,
-    respond,
-)
+from stratclass.response import Agent, Classifier, _score, answer, interact, proxy_from_response
+
+
+def ratio(clf, m, x):
+    """The signed margin ratio ``(y.x + b) / ||y||_*`` of ``x``, scored as ``interact`` scores it."""
+    return (float(_score(x, clf.y)) + clf.b) / clf.dual_norm(m)
 
 
 def test_respond_worked_instance():
@@ -26,7 +22,7 @@ def test_respond_worked_instance():
     # margin ratio 1/sqrt(5), inside [0, 1/2), and moves along (1, 2)/sqrt(5)
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = respond(Agent(np.array([-1.0, 1.0]), 1), clf, m)
+    r = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m).response
     expected = np.array([-6 / 5 + math.sqrt(5) / 10, 3 / 5 + math.sqrt(5) / 5])
     assert np.max(np.abs(r - expected)) <= 1e-12
 
@@ -34,10 +30,10 @@ def test_respond_worked_instance():
 def test_respond_lands_exactly_on_offset_boundary():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = respond(Agent(np.array([-1.0, 1.0]), 1), clf, m)
-    assert margin_ratio(clf, m, r) == pytest.approx(m.two_over_c, abs=1e-15)
+    out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m)
+    assert ratio(clf, m, out.response) == pytest.approx(m.two_over_c, abs=1e-15)
     # ... and sign(0) = +1 resolves the resulting knife-edge score to +1
-    assert predict(clf, m, r) == 1
+    assert out.predicted == 1
 
 
 def test_manipulation_window_edges():
@@ -45,59 +41,60 @@ def test_manipulation_window_edges():
     clf = Classifier(np.array([1.0]), 0.0)
 
     # ratio 0 (on the decision boundary): indifferent at cost exactly 2 -> moves
-    r = respond(Agent(np.array([0.0]), 1), clf, m)
+    r = interact(Agent(np.array([0.0]), 1), clf, m).response
     assert r[0] == pytest.approx(1.0, abs=0)
 
     # slightly below 0 but within the geometric guard: still moves
-    r = respond(Agent(np.array([-EPS_GEOM / 2]), 1), clf, m)
+    r = interact(Agent(np.array([-EPS_GEOM / 2]), 1), clf, m).response
     assert r[0] == pytest.approx(1.0, abs=1e-12)
 
     # clearly below the window: stays put
-    assert respond(Agent(np.array([-1e-6]), 1), clf, m)[0] == -1e-6
+    assert interact(Agent(np.array([-1e-6]), 1), clf, m).response[0] == -1e-6
 
     # at the top edge the prediction is already +1, nothing to gain
-    assert respond(Agent(np.array([1.0]), 1), clf, m)[0] == 1.0
-    assert respond(Agent(np.array([2.0]), 1), clf, m)[0] == 2.0
+    assert interact(Agent(np.array([1.0]), 1), clf, m).response[0] == 1.0
+    assert interact(Agent(np.array([2.0]), 1), clf, m).response[0] == 2.0
 
 
 def test_response_independent_of_label():
     # the window test uses position only: a negative agent inside it moves too
     m = CostModel(L2, c=2.0, dim=1)
     clf = Classifier(np.array([1.0]), 0.0)
-    assert respond(Agent(np.array([0.5]), -1), clf, m)[0] == pytest.approx(1.0)
+    assert interact(Agent(np.array([0.5]), -1), clf, m).response[0] == pytest.approx(1.0)
 
 
 def test_zero_classifier_is_inert():
     m = CostModel(L2, c=2.0, dim=2)
     x = np.array([0.3, -0.7])
     clf = Classifier(np.zeros(2), 0.5)
-    assert np.array_equal(respond(Agent(x, -1), clf, m), x)
-    assert predict(clf, m, x) == 1  # sign(b) with b > 0
-    assert predict(Classifier(np.zeros(2), -0.5), m, x) == -1
-    assert predict(Classifier(np.zeros(2), 0.0), m, x) == 1
+    out = interact(Agent(x, -1), clf, m)
+    assert np.array_equal(out.response, x)
+    assert out.predicted == 1  # sign(b) with b > 0
+    assert interact(Agent(x, -1), Classifier(np.zeros(2), -0.5), m).predicted == -1
+    assert interact(Agent(x, -1), Classifier(np.zeros(2), 0.0), m).predicted == 1
 
 
 def proxy_of(x, label, clf, m):
     """``proxy_from_response`` of one response, with the prediction the protocol makes on it."""
     x = np.asarray(x, dtype=float)
-    return proxy_from_response(x[None], [label], [predict(clf, m, x)], clf, m)[0]
+    return proxy_from_response(x[None], [label], [offset_prediction(clf, m, x)], clf, m)[0]
 
 
 def test_proxy_pulls_back_negative_boundary_response():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), -1)
-    r = respond(agent, clf, m)
+    r = interact(agent, clf, m).response
     s = proxy_of(r, -1, clf, m)
     # pulled state sits back on the decision boundary side the agent came from
     assert np.max(np.abs(s - (r - m.two_over_c * clf.y / math.sqrt(5)))) <= 1e-15
-    assert margin_ratio(clf, m, s) == pytest.approx(0.0, abs=1e-15)
+    assert ratio(clf, m, s) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_proxy_keeps_positive_and_off_boundary_responses():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = respond(Agent(np.array([-1.0, 1.0]), 1), clf, m)
+    r = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m).response
     assert np.array_equal(proxy_of(r, 1, clf, m), r)
     # truthful negatives are nowhere near the boundary: stored as-is
     x = np.array([-3.0, -1.0])
@@ -123,19 +120,19 @@ def test_block_proxies_equal_one_row_proxies_bit_for_bit(seed, token, zero_y):
     m = CostModel(parse_norm(token), c=float(rng.uniform(0.5, 8.0)), dim=3)
     clf = Classifier(np.zeros(3) if zero_y else rng.normal(size=3), float(rng.normal()))
     labels = rng.choice([-1, 1], size=10)
-    R = np.array([respond(Agent(a, int(lbl)), clf, m) for a, lbl in zip(rng.normal(size=(10, 3)), labels)])
+    R = np.array([interact(Agent(a, int(lbl)), clf, m).response for a, lbl in zip(rng.normal(size=(10, 3)), labels)])
     if not zero_y:
         off = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(10, 1)) * EPS_GEOM * clf.dual_norm(m)
         R = np.vstack([R, R + off * clf.y / float(clf.y @ clf.y)])
         labels = np.concatenate([labels, labels])
     R, labels = np.vstack([R, R[::3]]), np.concatenate([labels, labels[::3]])
-    predicted = np.array([predict(clf, m, r) for r in R])
+    predicted = np.array([offset_prediction(clf, m, r) for r in R])
     block = proxy_from_response(R, labels, predicted, clf, m)
     dn = dual_norm_eval(m, clf.y)
     for j, r in enumerate(R):
         one = proxy_from_response(R[j : j + 1], labels[j : j + 1], predicted[j : j + 1], clf, m)
         assert one.tobytes() == block[j].tobytes()
-        on_boundary = dn > 0 and labels[j] == -1 and abs(margin_ratio(clf, m, r) - m.two_over_c) <= EPS_GEOM
+        on_boundary = dn > 0 and labels[j] == -1 and abs(ratio(clf, m, r) - m.two_over_c) <= EPS_GEOM
         want = r - m.two_over_c * manipulation_direction(m, clf.y) if on_boundary else r
         assert block[j].tobytes() == want.tobytes()
 
@@ -146,14 +143,14 @@ def test_interact_without_noise_observes_the_best_response():
     for features in ([-1.0, 1.0], [2.0, 2.0]):  # one agent moves, one stays put
         agent = Agent(np.array(features), 1)
         out = interact(agent, clf, m)
-        assert out.response.tobytes() == respond(agent, clf, m).tobytes()
+        assert out.response.tobytes() == oracle_interact(agent, clf, m).response.tobytes()
 
 
 def test_interact_noise_adds_gaussian_perturbation():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     agent = Agent(np.array([-1.0, 1.0]), 1)
-    r0 = respond(agent, clf, m)
+    r0 = interact(agent, clf, m).response
     out = interact(agent, clf, m, 1e-3 * np.random.default_rng(3).standard_normal(2))
     delta = np.linalg.norm(out.response - r0)
     assert 0 < delta < 1e-2
@@ -170,7 +167,7 @@ def test_interact_flags():
     out = interact(Agent(np.array([-1.0, 1.0]), -1), clf, m)
     assert out.manipulated and out.predicted == 1 and out.mistake
     proxy = proxy_of(out.response, -1, clf, m)
-    assert margin_ratio(clf, m, proxy) == pytest.approx(0.0, abs=1e-15)
+    assert ratio(clf, m, proxy) == pytest.approx(0.0, abs=1e-15)
     # truthful far positive
     out = interact(Agent(np.array([2.0, 2.0]), 1), clf, m)
     assert not out.manipulated and not out.mistake
@@ -186,7 +183,7 @@ def test_interact_noisy_uses_observed_response_for_learning():
     assert out.manipulated
     # ...but the noisy observation misses the boundary, so no pull-back
     assert np.array_equal(proxy_of(out.response, -1, clf, m), out.response)
-    assert not np.array_equal(out.response, respond(agent, clf, m))
+    assert not np.array_equal(out.response, interact(agent, clf, m).response)
 
 
 @pytest.mark.parametrize("token", ["l2", "l1", "linf", "lp:3", "wl1:1,2"])
@@ -201,14 +198,14 @@ def test_response_invariant_under_classifier_scaling(token, alpha):
         clf = Classifier(y, b)
         scaled = Classifier(alpha * y, alpha * b)
         agent = Agent(x, 1)
-        assert np.allclose(respond(agent, clf, m), respond(agent, scaled, m), atol=1e-12)
-        assert predict(clf, m, x) == predict(scaled, m, x)
+        assert np.allclose(interact(agent, clf, m).response, interact(agent, scaled, m).response, atol=1e-12)
+        assert offset_prediction(clf, m, x) == offset_prediction(scaled, m, x)
 
 
 def test_l1_response_moves_single_coordinate():
     m = CostModel(L1, c=2.0, dim=2)
     clf = Classifier(np.array([0.75, 0.25]), 0.0)  # ||y||_inf = 0.75
-    r = respond(Agent(np.array([0.0, 0.0]), 1), clf, m)
+    r = interact(Agent(np.array([0.0, 0.0]), 1), clf, m).response
     # all movement lands on the heaviest coordinate
     assert r[1] == 0.0 and r[0] == pytest.approx(1.0)
 
@@ -267,7 +264,7 @@ def test_screen_answers_like_interact_on_every_row_it_decides(norm, sigma):
         A = _placed_rows(rng, m, clf, targets, d)
         Z = rng.standard_normal(A.shape)
         manipulated = _assert_answers_like_interact(A, clf, m, sigma, Z)
-        in_window = np.array([dn > 0 and -EPS_GEOM <= margin_ratio(clf, m, a) < m.two_over_c for a in A])
+        in_window = np.array([dn > 0 and -EPS_GEOM <= ratio(clf, m, a) < m.two_over_c for a in A])
         # an agent just below the upper edge may move by less than an ulp
         assert not np.any(manipulated & ~in_window)
         assert np.any(manipulated) == (dn > 0) and not np.all(in_window)
