@@ -7,12 +7,13 @@ times the envelope constant of the cost norm, and on the benchmark margin
 or a cone hypothesis the benchmark violates) are reported as unbounded or
 rejected — never silently computed.
 
-The radii are exact and near-linear to measure: each half-diameter scans
-pairs only among the points a triangle-inequality cut cannot rule out as
-an endpoint of a farthest pair (see ``_half_diameter``), and returns the
-full pairwise scan's value bit for bit.  Each set is measured about its
-own centroid, so data far from the origin does not cancel the distances.
-A ``Dataset`` measures its radii once; ``dataset_constants`` adds the cost model's.
+The radii are exact and near-linear to measure: a half-diameter is half
+the largest pair's own sum of squared differences, scored only on the
+pairs that a triangle-inequality cut and a Gram-kernel screen cannot rule
+out (see ``_half_diameter``), and equals the full scan of every pair bit
+for bit.  Each set is measured about its own centroid, so data far from
+the origin does not cancel the screen.  A ``Dataset`` measures its radii
+once; ``dataset_constants`` adds the cost model's.
 """
 
 from __future__ import annotations
@@ -103,26 +104,29 @@ class DatasetConstants:
 def _half_diameter(X: np.ndarray) -> float:
     """Half the largest pairwise Euclidean distance (0 for < 2 points).
 
-    The value is the full scan's, bit for bit: the largest entry of
-    ``sq_i + sq_j - 2 X X^T``, computed in row chunks of ``_CHUNK`` points.
-    Only the rows that can hold that entry are scored, found in two steps.
+    A pair's squared distance is its own sum ``sum_k (x_ik - x_jk)^2``,
+    added along the row as ``response._score`` adds: it depends on no other
+    row, no chunking and no BLAS blocking, and it does not cancel.  The
+    value is its maximum over every pair, bit for bit, but only the pairs
+    that can hold that maximum are scored, found in two steps.
 
     *Candidates.*  A double farthest-point sweep gives a pair at distance
     ``L``; with ``c`` the centroid and ``R`` the largest
     ``r_i = ||x_i - c||``, the triangle inequality puts both endpoints of
-    any pair at least ``L`` apart at ``r_i >= L - R``.  Every evaluation of
-    the kernel is within ``err = 8 (d + 2) eps max||x||^2`` of the true
-    squared distance, so the pair holding the full scan's maximum is at
-    least ``L - sqrt(2 err)`` long; the cut is lowered by twice that, which
-    also covers the rounding of ``r``, ``R`` and ``L``.
+    any pair at least ``L`` apart at ``r_i >= L - R``.  Each kernel below
+    is within ``err = 8 (d + 2) eps max||x||^2`` of the true squared
+    distance, so the pair holding the maximum is at least
+    ``L - sqrt(2 err)`` long; the cut is lowered by twice that, which also
+    covers the rounding of ``r``, ``R`` and ``L``.
 
-    *Rows.*  The kernel over the candidates alone puts that pair within
-    ``4 err`` of the candidates' maximum.  A matrix product rounds an entry
-    differently depending on where it sits in the product, so the rows of
-    such pairs are scored again from the full scan's own product for their
-    chunk.  On points spread through a ball most points are cut and one or
-    two chunk products rerun; on points on a sphere nothing is cut, and
-    the scan over the candidates is the full scan.
+    *Band.*  The Gram screen ``sq_i + sq_j - 2 x_i.x_j``, run over the
+    candidates in row chunks of ``_CHUNK``, is within ``err`` of each true
+    squared distance, and the pair kernel within ``err / 4`` (``d + 2``
+    roundings of ``eps / 2`` on at most ``4 max||x||^2``).  The pair at the
+    screen's maximum ``g`` scores at least ``g - 5 err / 4``, so the pair
+    kernel's maximum sits on a pair screened at least ``g - 4 err``.  Each
+    chunk rescores the pairs within ``4 err`` of the screen's running
+    maximum, which is at most ``g``; each value rescored is a real pair's.
     """
     n, d = X.shape
     if n < 2:
@@ -133,32 +137,26 @@ def _half_diameter(X: np.ndarray) -> float:
     L = float(np.max(np.linalg.norm(X - X[a], axis=1)))
     err = 8.0 * (d + 2) * np.finfo(float).eps * float(np.max(sq))
     cand = np.flatnonzero(r >= L - float(np.max(r)) - 2.0 * math.sqrt(2.0 * err))
-    every = len(cand) == n
-    Y, ysq = (X, sq) if every else (X[cand], sq[cand])
-    row_best = np.empty(len(cand))
-    for start in range(0, len(cand), _CHUNK):
-        d2 = ysq[start : start + _CHUNK, None] + ysq[None, :] - 2.0 * Y[start : start + _CHUNK] @ Y.T
-        row_best[start : start + _CHUNK] = np.max(d2, axis=1)
-    if every:  # that was the full scan
-        return 0.5 * math.sqrt(max(float(np.max(row_best)), 0.0))
-    rows = cand[row_best >= np.max(row_best) - 4.0 * err]
-
-    best = 0.0
-    for start in np.unique(rows // _CHUNK) * _CHUNK:
-        # the full scan's expression: (2 * block) @ X.T, same operands
-        gram2 = 2.0 * X[start : start + _CHUNK] @ X.T
-        mine = rows[(rows >= start) & (rows < start + _CHUNK)]
-        d2 = sq[mine, None] + sq[None, :] - gram2[mine - start]
-        best = max(best, float(np.max(d2)))
-    return 0.5 * math.sqrt(max(best, 0.0))
+    Y, ysq = X[cand], sq[cand]
+    top, best = -math.inf, 0.0
+    for start in range(0, len(Y), _CHUNK):
+        screen = ysq[start : start + _CHUNK, None] + ysq[None, :] - 2.0 * Y[start : start + _CHUNK] @ Y.T
+        row_top = np.max(screen, axis=1)
+        top = max(top, float(np.max(row_top)))
+        floor = top - 4.0 * err
+        for i in np.flatnonzero(row_top >= floor):
+            far = Y[screen[i] >= floor] - Y[start + i]
+            best = max(best, float(np.max(np.add.reduce(np.square(far), axis=-1))))
+    return 0.5 * math.sqrt(best)
 
 
 def _centred_half_diameter(X: np.ndarray) -> float:
     """``_half_diameter`` of ``X`` moved to its own centroid.
 
-    The kernel ``sq_i + sq_j - 2 x_i.x_j`` cancels when the points sit far
-    from the origin compared with their spread; distances do not change
-    under a shift, so the set is measured about its centroid instead.
+    The screen ``sq_i + sq_j - 2 x_i.x_j`` cancels when the points sit far
+    from the origin compared with their spread, and its band then holds
+    every pair; distances do not change under a shift, so the set is
+    measured about its centroid instead.
     """
     return _half_diameter(X - X.mean(axis=0)) if len(X) else 0.0
 

@@ -100,7 +100,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters of the truncated-Gaussian synthetic family."""
+    """Parameters of the truncated-Gaussian synthetic family.
+
+    A bad value raises ``ValueError`` whose message starts with the field's name.
+    """
 
     seed: int
     n: int = 2000
@@ -110,10 +113,11 @@ class SynthConfig:
     variance: float = 0.04
 
     def __post_init__(self):
-        if self.n < 2 or self.d < 1:
-            raise ValueError("need n >= 2 and d >= 1")
-        if self.rho < 0 or self.radius <= 0 or self.variance <= 0:
-            raise ValueError("rho must be >= 0; radius and variance positive")
+        for name, low, strict in (("n", 2, False), ("d", 1, False), ("rho", 0, False),
+                                  ("radius", 0, True), ("variance", 0, True)):
+            value = getattr(self, name)
+            if not (value > low if strict else value >= low):
+                raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
 
 
 def sample_truncated_normal(rng, cfg: SynthConfig) -> np.ndarray:

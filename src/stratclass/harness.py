@@ -94,6 +94,14 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}", key)
+        for key in ("gamma", "trim_rho"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{key} must be > 0, got {value}", key)
+        try:
+            self.synth
+        except ValueError as exc:  # its message starts with the field's name
+            raise ConfigError(f"synth_{exc}", "synth_" + str(exc).split()[0]) from None
         for key, check in (("c", cost_scale), ("norm", parse_norm), ("schedule", _step_schedule)):
             try:
                 check(getattr(self, key))
@@ -101,6 +109,11 @@ class RunConfig:
                 raise ConfigError(f"{key} = {getattr(self, key)}: {exc}", key) from None
         if parse_norm(self.norm).kind != "l2" and self.algorithm == "gradsmm":
             raise ConfigError(f"algorithm gradsmm requires norm = l2, got {self.norm!r}", "algorithm", "norm")
+
+    @property
+    def synth(self) -> SynthConfig:
+        """The synthetic family the ``synth_*`` keys describe."""
+        return SynthConfig(**{f.name: getattr(self, "synth_" + f.name) for f in fields(SynthConfig)})
 
     @property
     def solve_tol(self) -> float:
@@ -160,9 +173,7 @@ def read_config(path) -> RunConfig:
 def build_dataset(cfg: RunConfig) -> Dataset:
     """Materialize the dataset a config refers to, applying any trim."""
     if cfg.dataset == "synthetic":
-        ds = generate_synthetic(
-            SynthConfig(**{f.name: getattr(cfg, "synth_" + f.name) for f in fields(SynthConfig)})
-        )
+        ds = generate_synthetic(cfg.synth)
     else:
         ds = load_csv(cfg.dataset)
     if cfg.trim_rho is not None:

@@ -21,8 +21,8 @@ learner as a one-row block through ``feed``, the reference the harness's
 block engine and its lean one-agent step must reproduce bit for bit; ``oracle_interact`` and ``oracle_normalized_distance`` keep the
 protocol round and the distance column as first written, scoring each
 response afresh and measuring the distance with ``np.linalg.norm``.  ``oracle_half_diameter``
-scans every pair of points, the reference for the pruned scan in
-``bounds``; ``oracle_truncated_normal`` draws one row at a time, the
+scores every pair of points with the pair kernel, the reference for the
+pruned scan in ``bounds``; ``oracle_truncated_normal`` draws one row at a time, the
 reference for the batched sampler in ``data``.  ``offset_prediction`` is
 the protocol's prediction on a point no agent moved, for tests that feed a
 learner raw points.
@@ -378,18 +378,12 @@ def oracle_run_online(cfg, dataset=None):
     return metrics
 
 
-def oracle_half_diameter(X: np.ndarray, chunk: int = 512) -> float:
-    """Half the largest pairwise distance, every pair scanned in row chunks."""
-    n = X.shape[0]
-    if n < 2:
-        return 0.0
-    sq = np.einsum("ij,ij->i", X, X)
+def oracle_half_diameter(X: np.ndarray) -> float:
+    """Half the largest pairwise distance: every pair's own ``sum_k (x_ik - x_jk)^2``, scanned row by row."""
     best = 0.0
-    for start in range(0, n, chunk):
-        block = X[start : start + chunk]
-        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * block @ X.T
-        best = max(best, float(np.max(d2)))
-    return 0.5 * math.sqrt(max(best, 0.0))
+    for x in X:
+        best = max(best, float(np.max(np.add.reduce(np.square(X - x), axis=-1))))
+    return 0.5 * math.sqrt(best)
 
 
 def oracle_truncated_normal(rng, cfg: SynthConfig) -> np.ndarray:

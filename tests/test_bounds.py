@@ -1,6 +1,7 @@
 """Certificate arithmetic: population radii, contraction factors, mistake bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stratclass.bounds import (
     Benchmark,
     DatasetConstants,
     HypothesisViolation,
+    _CHUNK,
     _half_diameter,
     dataset_constants,
     kappa_l2_upper,
@@ -137,7 +139,7 @@ def _sphere(n, d, seed):
 
 
 class TestPrunedHalfDiameter:
-    """The pruned scan returns the full scan's value bit for bit."""
+    """The pruned scan returns the pair kernel's full scan value bit for bit."""
 
     @staticmethod
     def check(X):
@@ -178,9 +180,9 @@ class TestPrunedHalfDiameter:
         self.check(1e6 + spread * rng.normal(size=(1200, 3)))
 
     def test_pair_the_candidate_product_rounds_differently(self):
-        # With OpenBLAS, the farthest pair's entry in the product over the
-        # candidates alone is one ulp above its entry in the full scan's
-        # chunk product on this class; the full scan's value must win.
+        # With OpenBLAS, the Gram screen's maximum on this class is one ulp
+        # above the pair kernel's value on the same pair; the screen only
+        # filters, and the pair kernel's value must win.
         ds = generate_synthetic(SynthConfig(seed=26, n=2000))
         self.check(ds.features[ds.labels == 1])
 
@@ -204,6 +206,67 @@ class TestPrunedHalfDiameter:
             X = rng.uniform(-1.0, 1.0, size=(n, d))
         X = np.repeat(offset + scale * X, repeats, axis=0)
         self.check(rng.permutation(X))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        d=st.integers(1, 8),
+        distinct=st.integers(1, 300),
+        offset=st.floats(-1e6, 1e6),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+    )
+    def test_matches_the_pair_kernel_with_repeated_rows(self, seed, n, d, distinct, offset, scale):
+        rng = np.random.default_rng(seed)
+        base = offset + scale * rng.normal(size=(distinct, d))
+        self.check(base[rng.integers(0, distinct, size=n)])
+
+
+def _population(seed, n):
+    return generate_synthetic(SynthConfig(seed=seed, n=n))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.default_rng(6).normal(size=(1500, 6)),
+    lambda: 2.0 * _sphere(1100, 4, seed=9),
+    lambda: _population(3, 10_000).features,
+], ids=["gaussian", "sphere", "seed-3-population"])
+def test_half_diameter_does_not_depend_on_row_order(make):
+    X = make()
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(X))
+        assert _half_diameter(X[perm]) == _half_diameter(X)
+
+
+@pytest.mark.parametrize("points, want", [
+    ([[0.0, 0.0, 0.0], [3.0, 4.0, 12.0]], 6.5),
+    ([[1e6, -2.0, 0.5]], 0.0),
+])
+def test_every_pair_in_the_band_keeps_memory_to_a_few_chunks(points, want):
+    # two points repeated: every pair between them screens within the band,
+    # so the pair kernel rescores n^2 / 2 pairs, one screened row at a time
+    X = np.random.default_rng(0).permutation(np.repeat(np.array(points), 3000 // len(points), axis=0))
+    tracemalloc.start()
+    try:
+        got = _half_diameter(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # chunk-sized blocks: the last screen, and the next one's product and sum
+    assert peak <= 4 * _CHUNK * len(X) * 8
+
+
+def test_radii_of_a_large_population_measure_in_little_memory():
+    ds = _population(3, 10_000)
+    fresh = Dataset(ds.features, ds.labels)
+    tracemalloc.start()
+    try:
+        fresh.radii
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 class TestKappa:

@@ -91,7 +91,8 @@ class TestSynthConfig:
         [dict(n=1), dict(d=0), dict(rho=-0.1), dict(radius=0.0), dict(variance=0.0)],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # RunConfig names the key from the message's first word
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             SynthConfig(seed=0, **kwargs)
 
 

@@ -136,6 +136,13 @@ class TestParseConfig:
             ("two_over_c = abc", "^line 1: two_over_c = abc: could not convert"),
             ("algorithm = gradsmm\nc = 125\nnorm = l1", "^line 3: algorithm gradsmm requires norm = l2"),
             ("norm = l1\nc = 125\nalgorithm = gradsmm", "^line 3: algorithm gradsmm requires norm = l2"),
+            ("gamma = 0\nc = 1", "^line 1: gamma must be > 0, got 0.0$"),
+            ("c = 1\ntrim_rho = -1", "^line 2: trim_rho must be > 0, got -1.0$"),
+            ("synth_n = 1\nc = 1", "^line 1: synth_n must be >= 2, got 1$"),
+            ("c = 1\nsynth_d = 0", "^line 2: synth_d must be >= 1, got 0$"),
+            ("synth_rho = -0.5\nc = 1", "^line 1: synth_rho must be >= 0, got -0.5$"),
+            ("synth_radius = 0\nc = 1", "^line 1: synth_radius must be > 0, got 0.0$"),
+            ("synth_n = 50\nc = 1\nsynth_variance = 0", "^line 3: synth_variance must be > 0, got 0.0$"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
@@ -962,6 +969,11 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, "algorithm = svm\nc = 1\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_bad_synthetic_key_is_exit_2_naming_its_line(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_n = 1\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: line 3: synth_n must be >= 2, got 1\n"
 
     def test_gradsmm_under_a_non_l2_norm_is_exit_2(self, tmp_path, capsys):
         text = "algorithm = gradsmm\nc = 4\nT = 30\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n"
