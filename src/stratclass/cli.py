@@ -7,14 +7,13 @@ that cannot certify its answer included), 2 bad input.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import harness
 from .data import load_csv, save_csv, write_descriptor
 from .harness import ConfigError, read_config
-from .maxmargin import SOLVE_TOL, SolverError, solve_max_margin
+from .maxmargin import SolverError, solve_max_margin
 from .norms import CostModel, parse_norm
 
 
@@ -52,11 +51,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_solve_margin(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     ds = load_csv(args.points)
     model = CostModel(parse_norm(args.norm), c=1.0, dim=ds.dim)
-    sol = solve_max_margin(ds.point_sets(), model, tol=args.tol)
+    sol = solve_max_margin(ds.point_sets(), model)
     if not sol.separable:
         print("inseparable: margin 0, zero classifier")
         return 0
@@ -108,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-margin", help="max-margin classifier for a labeled CSV")
     p.add_argument("--points", required=True, help="CSV with header f1,...,fd,label")
     p.add_argument("--norm", default="l2")
-    p.add_argument("--tol", type=float, default=SOLVE_TOL)
     p.set_defaults(fn=_cmd_solve_margin)
 
     p = sub.add_parser("gen-data", help="materialize a dataset (CSV + JSON descriptor)")

@@ -113,8 +113,8 @@ class SynthConfig:
     variance: float = 0.04
 
     def __post_init__(self):
-        for name, low, strict in (("n", 2, False), ("d", 1, False), ("rho", 0, False),
-                                  ("radius", 0, True), ("variance", 0, True)):
+        for name, low, strict in (("seed", 0, False), ("n", 2, False), ("d", 1, False),
+                                  ("rho", 0, False), ("radius", 0, True), ("variance", 0, True)):
             value = getattr(self, name)
             if not (value > low if strict else value >= low):
                 raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")

@@ -27,13 +27,7 @@ from .bounds import (
     smm_mistake_bound,
 )
 from .data import Dataset, SynthConfig, generate_synthetic, load_csv, trim_margin
-from .learners import (
-    ConeKind,
-    GradSmmLearner,
-    PerceptronLearner,
-    SmmLearner,
-    _step_schedule,
-)
+from .learners import ConeKind, GradSmmLearner, PerceptronLearner, SmmLearner
 from .maxmargin import SOLVE_TOL, PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, cost_scale, l2_norm, parse_norm
 from .response import Agent, Classifier, Interaction, answer, interact, proxy_from_response
@@ -68,7 +62,6 @@ class RunConfig:
     sigma: float = 0.0
     cone: str = "full"
     gamma: float = 1.0
-    schedule: str = "invsqrt"
     dataset: str = "synthetic"
     synth_seed: int = 0
     synth_n: int = SynthConfig.n
@@ -85,12 +78,12 @@ class RunConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}", key)
         if self.c is None:
-            raise ConfigError("manipulation budget missing: set c or two_over_c")
+            raise ConfigError("manipulation budget missing: set c")
         for key, kind in _FIELD_TYPES.items():
             value = getattr(self, key)
             if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}", key)
-        for key, low in (("T", 1), ("rounds", 1), ("sigma", 0)):
+        for key, low in (("T", 1), ("seed", 0), ("rounds", 1), ("sigma", 0)):
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}", key)
@@ -102,7 +95,7 @@ class RunConfig:
             self.synth
         except ValueError as exc:  # its message starts with the field's name
             raise ConfigError(f"synth_{exc}", "synth_" + str(exc).split()[0]) from None
-        for key, check in (("c", cost_scale), ("norm", parse_norm), ("schedule", _step_schedule)):
+        for key, check in (("c", cost_scale), ("norm", parse_norm)):
             try:
                 check(getattr(self, key))
             except ValueError as exc:
@@ -135,32 +128,28 @@ def parse_config(text: str) -> RunConfig:
     value names the line that set it (the later line, for two keys).
     """
     values: dict = {}
-    written: dict[str, tuple[str, int]] = {}  # field -> the key that set it, and its line
+    written: dict[str, int] = {}  # field -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        name, _, val = line.partition("=")
-        name, val = name.strip(), val.strip()
-        key = "c" if name == "two_over_c" else name
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in written:
-            first = written[key][0]
-            clash = f"duplicate key {name!r}" if first == name else f"{name!r} conflicts with {first!r}"
-            raise ConfigError(f"line {lineno}: {clash}")
-        written[key] = name, lineno
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        written[key] = lineno
         try:
-            value = _FIELD_TYPES[key](val)
-            values[key] = cost_scale(value, name) if name == "two_over_c" else value
+            values[key] = _FIELD_TYPES[key](val)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {name} = {val}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {key} = {val}: {exc}") from None
     try:
         return RunConfig(**values)
     except ConfigError as exc:
-        lines = [written[key][1] for key in exc.keys if key in written]
+        lines = [written[key] for key in exc.keys if key in written]
         if not lines:
             raise
         raise ConfigError(f"line {max(lines)}: {exc}", *exc.keys) from None
@@ -356,7 +345,7 @@ def _build_learner(cfg: RunConfig, model: CostModel):
     if cfg.algorithm == "smm":
         return SmmLearner(model)
     if cfg.algorithm == "gradsmm":
-        return GradSmmLearner(model, schedule=cfg.schedule)
+        return GradSmmLearner(model)
     return PerceptronLearner(model, cone=ConeKind(cfg.cone), gamma=cfg.gamma)
 
 

@@ -167,25 +167,14 @@ class SmmLearner(_MarginLearner):
         return n
 
 
-def _step_schedule(token: str):
-    """Step-size schedule ``t -> gamma_t`` for a token: ``invsqrt`` or ``const:<v>``."""
-    if token == "invsqrt":
-        return lambda t: 1.0 / math.sqrt(t)
-    if token.startswith("const:"):
-        v = float(token[6:])
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"constant step size must be positive and finite, got {token!r}")
-        return lambda t: v
-    raise ValueError(f"unknown step schedule {token!r}")
-
-
 class GradSmmLearner(_MarginLearner):
     """Gradient-based approximation of the max-margin learner (Euclidean only).
 
     Instead of re-solving the margin problem, one projected supergradient
     step on the pool objective updates an auxiliary direction ``z`` inside
-    the Euclidean unit ball, and the published direction is the
-    step-weighted running average of all ``z`` iterates; the intercept is
+    the Euclidean unit ball, and the published direction is the running
+    average of all ``z`` iterates, ``z_t`` weighted by ``1/sqrt(t)``, which
+    is also the size of the step taken from it; the intercept is
     re-centered on the pool at every step.  Those per-step scans run over
     the pool's distinct points, so they cost time in proportion to those,
     not to t, and first-index ties make each step exactly the one a pool
@@ -196,13 +185,13 @@ class GradSmmLearner(_MarginLearner):
     no solve is declared, so ``solve_count`` stays 0.
     """
 
-    def __init__(self, m: CostModel, schedule: str = "invsqrt"):
+    def __init__(self, m: CostModel):
         if m.norm.kind != "l2":
             raise ValueError("the averaged-gradient learner requires the l2 cost norm")
         super().__init__(m)
-        self.schedule = _step_schedule(schedule)
         self._z: np.ndarray | None = None
         self._t = 0
+        self._w = 0.0  # the weight 1/sqrt(t) that z_t got, and the step size taken from it
         self._wsum = 0.0
         self._zsum: np.ndarray | None = None
 
@@ -214,9 +203,8 @@ class GradSmmLearner(_MarginLearner):
                 sol = solve_max_margin(self.pool, self.model)
                 self._z = sol.y.copy()
                 self._t = 1
-                w = self.schedule(1)
-                self._wsum = w
-                self._zsum = w * self._z
+                self._w = self._wsum = 1.0
+                self._zsum = self._z.copy()
                 self.classifier = Classifier(sol.y, sol.b)
             return n
         labels = labels[:1]
@@ -224,14 +212,14 @@ class GradSmmLearner(_MarginLearner):
         P = self.pool.positives
         N = self.pool.negatives
         grad = P[P.dot(self._z).argmin()] - N[N.dot(self._z).argmax()]
-        z_next = self._z + self.schedule(self._t) * grad
+        z_next = self._z + self._w * grad
         nrm = l2_norm(z_next)
         if nrm > 1.0:
             z_next /= nrm
         self._t += 1
-        w = self.schedule(self._t)
-        self._wsum += w
-        self._zsum += w * z_next
+        self._w = 1.0 / math.sqrt(self._t)
+        self._wsum += self._w
+        self._zsum += self._w * z_next
         y = self._zsum / self._wsum
         b = -0.5 * (_min(P.dot(y)) + _max(N.dot(y)))
         self._z = z_next

@@ -15,9 +15,8 @@ as the clouds grow.  Every other norm is solved as a linear program with
 cutting planes for the curved part of the dual-norm ball, and the cuts
 carry over to the next solve.  Either way the answer is certified: the
 margin achieved by ``(y, b)`` and half the cost-norm distance between two
-hull points named by convex weights are within ``tol`` (``SOLVE_TOL``
-unless a caller passes its own) of each other, or the solver raises
-``SolverError``.
+hull points named by convex weights are within ``SOLVE_TOL`` of each
+other, or the solver raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ _POLISH_DECREMENT = 1e-30
 
 
 class SolverError(RuntimeError):
-    """Raised when a max-margin solve cannot certify its answer to ``tol``."""
+    """Raised when a max-margin solve cannot certify its answer to ``SOLVE_TOL``."""
 
 
 class PointSetPair:
@@ -259,7 +258,6 @@ def _affine_polish(wp, wn, P, N):
 
 def nearest_points_convex_hulls(
     sets: PointSetPair,
-    tol: float = SOLVE_TOL,
     warm: tuple[dict[int, float], dict[int, float]] | None = None,
 ) -> NearestPoints:
     """Minimize ``||x_plus - x_minus||_2`` over the two convex hulls.
@@ -270,8 +268,8 @@ def nearest_points_convex_hulls(
     ``(argmin P.u, argmax N.u)``, which joins the active sets, and then
     minimizes over the active vertices exactly (``_affine_polish``).
     Terminates when the Frank-Wolfe gap on the squared distance certifies
-    the distance to within ``tol`` (``gap <= 2 tol ||u||``), or the
-    iterate's length itself drops to ``tol``, which means the hulls
+    the distance to within ``SOLVE_TOL`` (``gap <= 2 SOLVE_TOL ||u||``), or
+    the iterate's length itself drops to ``SOLVE_TOL``, which means the hulls
     intersect to solver precision.  Warm starts reuse a previous weight
     pair; indices stay valid because clouds only grow.
 
@@ -298,11 +296,11 @@ def nearest_points_convex_hulls(
         s_val = float(sp[i_fw] - sn[j_fw])
         usq = float(u @ u)
         gap = 2.0 * (usq - s_val)
-        limit = 2.0 * tol * math.sqrt(usq)
+        limit = 2.0 * SOLVE_TOL * math.sqrt(usq)
         d_vec = (P[i_fw] - N[j_fw]) - u
         denom = float(d_vec @ d_vec)
         # denom == 0: u is the supporting pair itself, so its gap is zero
-        if math.sqrt(usq) <= tol or gap <= limit or denom == 0.0:
+        if math.sqrt(usq) <= SOLVE_TOL or gap <= limit or denom == 0.0:
             x_plus, x_minus = _combination((wp, wn), P, N)
             return NearestPoints(x_plus, x_minus, gap, (wp, wn), it)
         step = min(max((usq - s_val) / denom, 0.0), 1.0)
@@ -315,7 +313,7 @@ def nearest_points_convex_hulls(
 
     raise SolverError(
         f"nearest-point iteration cap {_MAX_WOLFE_CYCLES} reached with gap {gap:.3e} > "
-        f"2*tol*||u|| = {limit:.3e} (tol {tol:.3e})"
+        f"2*tol*||u|| = {limit:.3e} (tol {SOLVE_TOL:.3e})"
     )
 
 
@@ -353,27 +351,26 @@ class MarginSolution:
 def solve_max_margin(
     sets: PointSetPair,
     m: CostModel,
-    tol: float = SOLVE_TOL,
     warm: MarginSolution | None = None,
 ) -> MarginSolution:
     """Maximize h(y, b) subject to ``||y||_* <= 1``.
 
-    Every separable answer is certified, ``gap <= tol``, or ``SolverError``
-    is raised.  ``warm`` is a previous solution under the same cost model
+    Every separable answer is certified, ``gap <= SOLVE_TOL``, or
+    ``SolverError`` is raised.  ``warm`` is a previous solution under the same cost model
     over the same, possibly grown, clouds.  The Euclidean cost norm is
     solved through the nearest-points reduction, started from the warm
     solution's ``support_weights``; every other norm is solved as a linear
     program with cutting planes, starting from the warm solution's
     ``cuts``.  When half the cost-norm distance between the hulls is at
-    most ``10 * tol`` the pair is reported as inseparable with the
+    most ``10 * SOLVE_TOL`` the pair is reported as inseparable with the
     degenerate (0, 0) classifier.
     """
     if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("solve_max_margin requires at least one point of each label")
     if m.norm.kind == "l2":
-        return _solve_l2(sets, tol, warm.support_weights if warm else None)
+        return _solve_l2(sets, warm.support_weights if warm else None)
     cuts = warm.cuts if warm else np.empty((0, sets.dim))
-    return _solve_cutting_plane(sets, m, tol, cuts)
+    return _solve_cutting_plane(sets, m, cuts)
 
 
 def _inseparable(x_plus, x_minus, weights, upper: float, rounds: int, cuts) -> MarginSolution:
@@ -391,12 +388,12 @@ def _inseparable(x_plus, x_minus, weights, upper: float, rounds: int, cuts) -> M
     )
 
 
-def _solve_l2(sets, tol, warm) -> MarginSolution:
-    res = nearest_points_convex_hulls(sets, tol=tol, warm=warm)
+def _solve_l2(sets, warm) -> MarginSolution:
+    res = nearest_points_convex_hulls(sets, warm=warm)
     u = res.x_plus - res.x_minus
     dist = float(np.linalg.norm(u))
     no_cuts = np.empty((0, sets.dim))
-    if dist / 2.0 <= _INSEPARABLE_FACTOR * tol:
+    if dist / 2.0 <= _INSEPARABLE_FACTOR * SOLVE_TOL:
         half = dist / 2.0
         return _inseparable(res.x_plus, res.x_minus, res.weights, half, res.iterations, no_cuts)
     y = u / dist
@@ -532,7 +529,7 @@ def _box(norm, dim: int):
     return lower, upper
 
 
-def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> MarginSolution:
+def _solve_cutting_plane(sets: PointSetPair, m: CostModel, cuts) -> MarginSolution:
     """Max-margin under a non-Euclidean cost norm, certified by LP duality.
 
     Solves ``max t`` over ``(y, b, t)`` subject to ``p.y + b >= t`` on the
@@ -552,8 +549,8 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
     Two directions are then tested against that bound: the LP's
     ``y/||y||_*`` and the norming functional of ``x_plus - x_minus``, the
     optimal direction when those points are the nearest ones.  Returns the
-    first whose achieved margin is within ``tol`` of the bound.  Each LP is
-    built afresh and solved by HiGHS's dual simplex (``_highs_lp``).  Raises
+    first whose achieved margin is within ``SOLVE_TOL`` of the bound.  Each
+    LP is built afresh and solved by HiGHS's dual simplex (``_highs_lp``).  Raises
     ``SolverError`` when the next LP would repeat this one, because its
     optimum already lies in the ball or its cut is already in place (HiGHS
     took the violation, below its feasibility tolerance, for satisfied), or
@@ -586,7 +583,7 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
         )
         x_plus, x_minus = alpha @ P, beta @ N
         upper = 0.5 * norm_eval(m, x_plus - x_minus)
-        if upper <= _INSEPARABLE_FACTOR * tol:
+        if upper <= _INSEPARABLE_FACTOR * SOLVE_TOL:
             return _inseparable(x_plus, x_minus, weights, upper, rounds, cuts)
         y = x[:dim]
         best = -math.inf  # the larger margin the two directions achieve
@@ -596,7 +593,7 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
             hi = float(np.max(N @ y_hat))
             lower = 0.5 * (lo - hi)
             best = max(best, lower)
-            if upper - lower <= tol:
+            if upper - lower <= SOLVE_TOL:
                 return MarginSolution(
                     y=y_hat,
                     b=-0.5 * (lo + hi),
@@ -614,12 +611,12 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, tol: float, cuts) -> 
         if float(v @ y) <= 1.0 or (cuts == v).all(axis=1).any():
             raise SolverError(
                 f"max-margin cutting planes stalled at LP {rounds}: the next LP would repeat it "
-                f"(v.y - 1 = {float(v @ y) - 1.0:.3e}), with gap {upper - best:.3e} > tol {tol:.3e}"
+                f"(v.y - 1 = {float(v @ y) - 1.0:.3e}), with gap {upper - best:.3e} > tol {SOLVE_TOL:.3e}"
             )
         cuts = np.vstack([cuts, v])
     raise SolverError(
         f"max-margin cutting planes hit the {_MAX_CUT_ROUNDS}-round cap with gap "
-        f"{upper - best:.3e} > tol {tol:.3e}"
+        f"{upper - best:.3e} > tol {SOLVE_TOL:.3e}"
     )
 
 

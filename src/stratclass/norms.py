@@ -75,17 +75,15 @@ def parse_norm(token: str) -> NormKind:
     raise ValueError(f"unknown norm token {token!r}")
 
 
-def cost_scale(value: float, key: str = "c") -> float:
-    """The cost scale ``c`` that ``key = value`` sets, ``key`` being ``c`` or ``two_over_c``.
+def cost_scale(c: float) -> float:
+    """The cost scale ``c``, checked.
 
     ``c``, its reach ``2/c`` and the reach's square, which the margin solvers
     take, must be finite and positive: ``c > 2/sqrt(max float)``, about 1.5e-154.
     Raises ``ValueError`` otherwise.
     """
-    if value > 0:
-        c, reach = (value, 2.0 / value) if key == "c" else (2.0 / value, value)
-        if c < math.inf and reach < _MAX_REACH:
-            return c
+    if 0 < c < math.inf and 2.0 / c < _MAX_REACH:
+        return c
     raise ValueError("c, 2/c and (2/c)**2 must all be positive and finite")
 
 

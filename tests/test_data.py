@@ -88,12 +88,12 @@ class TestSynthConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(n=1), dict(d=0), dict(rho=-0.1), dict(radius=0.0), dict(variance=0.0)],
+        [dict(n=1), dict(d=0), dict(rho=-0.1), dict(radius=0.0), dict(variance=0.0), dict(seed=-2)],
     )
     def test_validation(self, kwargs):
         # RunConfig names the key from the message's first word
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
-            SynthConfig(seed=0, **kwargs)
+            SynthConfig(**{"seed": 0, **kwargs})
 
 
 def test_truncated_sampling_respects_the_radius():

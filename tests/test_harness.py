@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,9 +83,11 @@ class TestParseConfig:
         assert cfg.rounds == 3 and cfg.sigma == 0.001 and cfg.cone == "nonneg"
         assert cfg.synth_d == 3
 
-    def test_two_over_c_sets_the_budget(self):
-        cfg = parse_config("two_over_c = 0.5\nT = 10")
-        assert cfg.c == 4.0
+    def test_readme_quick_start_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```")[1::2] if "algorithm =" in b)
+        cfg = parse_config(block)
+        assert cfg.algorithm == "smm" and cfg.c == 125.0 and cfg.T == 10000
 
     def test_solver_tolerance_defaults_to_1e10_unless_set(self):
         assert RunConfig(c=1.0).solve_tol == 1e-10
@@ -115,25 +118,16 @@ class TestParseConfig:
             ("c = 1e-320", "^line 1: c = 1e-320: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
             ("c = 1e-300", "^line 1: c = 1e-300: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
             ("T = 5\nc = 1e-154", "^line 2: c = 1e-154: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
-            ("T = 5", "c or two_over_c"),
-            ("T = 10\ntwo_over_c = 0", "line 2: two_over_c = 0: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
-            ("T = 10\ntwo_over_c = 1e-320", "^line 2: two_over_c = 1e-320: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
-            ("T = 10\ntwo_over_c = 2e300", "^line 2: two_over_c = 2e300: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
-            ("two_over_c = abc", "line 1"),
-            ("c = 1\ntwo_over_c = 2", "line 2: 'two_over_c' conflicts with 'c'"),
-            ("algorithm = smm\nschedule = bogus\nc = 1", "step schedule"),
-            ("algorithm = gradsmm\nschedule = const:nan\nc = 125", "positive and finite"),
+            ("T = 5", "^manipulation budget missing: set c$"),
             ("algorithm = gradsmm\nnorm = l1\nc = 125", "gradsmm requires norm = l2"),
             ("norm = lp:3\nalgorithm = gradsmm\nc = 125", "gradsmm requires norm = l2"),
             ("algorithm = foo\nc = 1", "^line 1: algorithm must be one of"),
             ("c = 1\ncone = bogus", "^line 2: cone must be one of .* got 'bogus'$"),
             ("norm = lp:1\nc = 1", "^line 1: norm = lp:1: lp norm requires finite p > 1$"),
-            ("c = 1\nschedule = fast", "^line 2: schedule = fast: unknown step schedule 'fast'$"),
             ("sigma = -1\nc = 1", "^line 1: sigma must be >= 0, got -1.0$"),
             ("c = 1\nT = 0", "^line 2: T must be >= 1, got 0$"),
             ("c = 1\nrounds = 0", "^line 2: rounds must be >= 1, got 0$"),
             ("T = ten\nc = 1", "^line 1: T = ten: invalid literal for int"),
-            ("two_over_c = abc", "^line 1: two_over_c = abc: could not convert"),
             ("algorithm = gradsmm\nc = 125\nnorm = l1", "^line 3: algorithm gradsmm requires norm = l2"),
             ("norm = l1\nc = 125\nalgorithm = gradsmm", "^line 3: algorithm gradsmm requires norm = l2"),
             ("gamma = 0\nc = 1", "^line 1: gamma must be > 0, got 0.0$"),
@@ -143,6 +137,8 @@ class TestParseConfig:
             ("synth_rho = -0.5\nc = 1", "^line 1: synth_rho must be >= 0, got -0.5$"),
             ("synth_radius = 0\nc = 1", "^line 1: synth_radius must be > 0, got 0.0$"),
             ("synth_n = 50\nc = 1\nsynth_variance = 0", "^line 3: synth_variance must be > 0, got 0.0$"),
+            ("c = 1\nseed = -1", "^line 2: seed must be >= 0, got -1$"),
+            ("synth_seed = -2\nc = 1", "^line 1: synth_seed must be >= 0, got -2$"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
@@ -151,7 +147,7 @@ class TestParseConfig:
 
     # a valid value for each key whose annotation is str; other keys get one per type
     WORDS = {"algorithm": "gradsmm", "norm": "lp:3", "mode": "stream", "cone": "nonneg",
-             "schedule": "const:0.5", "dataset": "agents.csv", "track": "counts"}
+             "dataset": "agents.csv", "track": "counts"}
     TYPES = {"str": str, "int": int, "int | None": int, "float": float, "float | None": float}
     SAMPLES = {int: ("3", 3), float: ("0.25", 0.25)}
 
@@ -975,6 +971,11 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: line 3: synth_n must be >= 2, got 1\n"
 
+    def test_a_negative_seed_is_exit_2_naming_its_key_and_line(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_seed = -2\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: line 3: synth_seed must be >= 0, got -2\n"
+
     def test_gradsmm_under_a_non_l2_norm_is_exit_2(self, tmp_path, capsys):
         text = "algorithm = gradsmm\nc = 4\nT = 30\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n"
         out = str(tmp_path / "m.csv")
@@ -987,15 +988,9 @@ class TestCli:
         assert cli.main(["certify", "--config", cfg, "--metrics", out]) == 2
         assert "gradsmm requires norm = l2" in capsys.readouterr().err
 
-    def test_zero_two_over_c_is_exit_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, "two_over_c = 0\nT = 10\n")
-        assert cli.main(["simulate", "--config", cfg]) == 2
-        assert "line 1:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("text,message", [
         ("c = 1e-320\nT = 10\n", "error: line 1: c = 1e-320: c, 2/c and (2/c)**2 must all be positive and finite\n"),
         ("c = 1e-300\nT = 300\nsynth_n = 300\n", "error: line 1: c = 1e-300: c, 2/c and (2/c)**2 must all be positive and finite\n"),
-        ("T = 10\ntwo_over_c = 1e-320\n", "error: line 2: two_over_c = 1e-320: c, 2/c and (2/c)**2"),
     ])
     def test_a_budget_whose_reach_overflows_is_exit_2(self, tmp_path, capsys, text, message):
         assert cli.main(["simulate", "--config", self.write_cfg(tmp_path, text)]) == 2
@@ -1007,8 +1002,9 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("T=300 ")
 
-    @pytest.mark.parametrize("line", ["tol = 1e-9", "force_resolve = true"])
-    def test_retired_solver_keys_are_exit_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line", ["tol = 1e-9", "force_resolve = true", "schedule = invsqrt",
+                                      "two_over_c = 0.016"])
+    def test_retired_keys_are_exit_2(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"c = 4\nT = 10\n{line}\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         key = line.split()[0]
@@ -1039,14 +1035,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "margin = 1.41421356237" in out
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-    def test_solve_margin_rejects_a_bad_tolerance(self, tmp_path, capsys, tol):
+    def test_solve_margin_has_no_tolerance_option(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("f1,f2,label\n0,1,1\n1,1,1\n-2,-1,-1\n")
-        assert cli.main(["solve-margin", "--points", str(path), "--tol", tol]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve-margin", "--points", str(path), "--tol", "1e-9"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "--tol must be positive and finite" in captured.err
-        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-9" in captured.err and captured.out == ""
 
     def test_solve_margin_rejects_non_finite_features(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"

@@ -18,7 +18,6 @@ from stratclass.learners import (
     GradSmmLearner,
     PerceptronLearner,
     SmmLearner,
-    _step_schedule,
     project_cone,
 )
 from stratclass.maxmargin import PointSetPair, solve_max_margin
@@ -555,15 +554,3 @@ def test_project_cone_is_idempotent():
         q = rng.normal(size=5)
         once = project_cone(kind, q)
         assert np.array_equal(project_cone(kind, once), once)
-
-
-def test_step_schedule_tokens():
-    s = _step_schedule("invsqrt")
-    assert s(1) == 1.0 and s(4) == 0.5
-    s = _step_schedule("const:0.25")
-    assert s(1) == 0.25 and s(100) == 0.25
-    for bad in ("const:-1", "const:0", "const:nan", "const:inf"):
-        with pytest.raises(ValueError, match="positive and finite"):
-            _step_schedule(bad)
-    with pytest.raises(ValueError):
-        _step_schedule("linear")

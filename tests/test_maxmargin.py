@@ -204,10 +204,10 @@ def test_inseparable_overlap():
 
 def test_near_touching_hulls_report_inseparable():
     pair = PointSetPair.from_arrays([[0.0, 1e-10]], [[0.0, -1e-10]])
-    assert not solve_max_margin(pair, m_l2(2), tol=1e-10).separable
+    assert not solve_max_margin(pair, m_l2(2)).separable
     # an order of magnitude more room and the margin is real again
     pair = PointSetPair.from_arrays([[0.0, 1e-8]], [[0.0, -1e-8]])
-    assert solve_max_margin(pair, m_l2(2), tol=1e-10).separable
+    assert solve_max_margin(pair, m_l2(2)).separable
 
 
 def test_empty_side_raises():
@@ -222,8 +222,8 @@ def test_iteration_cap_raises_solver_error(monkeypatch):
     pair = PointSetPair.from_arrays([[1.0, 1.0], [1.0, -1.0]], [[-1.0, -1.0], [-1.0, 1.0]])
     monkeypatch.setattr("stratclass.maxmargin._MAX_WOLFE_CYCLES", 1)
     # the message states the test it applied: gap <= 2 * tol * ||u||
-    with pytest.raises(SolverError, match=r"cap 1 reached .* > 2\*tol\*\|\|u\|\| = 5\.657e-14 \(tol 1\.000e-14\)"):
-        nearest_points_convex_hulls(pair, tol=1e-14)
+    with pytest.raises(SolverError, match=r"cap 1 reached .* > 2\*tol\*\|\|u\|\| = 5\.657e-10 \(tol 1\.000e-10\)"):
+        nearest_points_convex_hulls(pair)
 
 
 def test_solution_matches_oracle_on_random_instances():
@@ -444,7 +444,7 @@ def test_polyhedral_solutions_match_the_vertex_oracle():
         kind = ("l1", "linf", "wl1")[trial % 3]
         weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, dim)) if kind == "wl1" else None
         m = CostModel(NormKind(kind, weights=weights), 1.0, dim)
-        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m, tol=1e-10)
+        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m)
         best = oracle_polyhedral_margin(P, N, kind, weights)
         if sol.separable:
             assert sol.d == pytest.approx(best, abs=1e-10), f"trial {trial}"
@@ -460,7 +460,7 @@ def test_lp_norm_solutions_carry_a_two_sided_certificate():
         dim = int(rng.integers(1, 4))
         P, N = _small_instance(rng, dim)
         m = CostModel(NormKind("lp", p=float(np.exp(rng.uniform(0.05, 3.0)))), 1.0, dim)
-        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m, tol=1e-10)
+        sol = solve_max_margin(PointSetPair.from_arrays(P, N), m)
         lower, upper = two_sided_certificate(P, N, sol, m)
         if sol.separable:
             assert upper - lower <= 1e-10, f"trial {trial}"
