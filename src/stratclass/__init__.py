@@ -60,7 +60,6 @@ from .norms import (
     parse_norm,
 )
 from .response import (
-    Agent,
     Classifier,
     Interaction,
     interact,
@@ -68,7 +67,6 @@ from .response import (
 )
 
 __all__ = [
-    "Agent",
     "Benchmark",
     "Classifier",
     "ConeKind",

@@ -117,7 +117,8 @@ def _half_diameter(X: np.ndarray) -> float:
     is within ``err = 8 (d + 2) eps max||x||^2`` of the true squared
     distance, so the pair holding the maximum is at least
     ``L - sqrt(2 err)`` long; the cut is lowered by twice that, which also
-    covers the rounding of ``r``, ``R`` and ``L``.
+    covers the rounding of ``r``, ``R`` and ``L``.  A repeated candidate row
+    adds no new pair value, so only each row's first occurrence is kept.
 
     *Band.*  The Gram screen ``sq_i + sq_j - 2 x_i.x_j``, run over the
     candidates in row chunks of ``_CHUNK``, is within ``err`` of each true
@@ -137,7 +138,9 @@ def _half_diameter(X: np.ndarray) -> float:
     L = float(np.max(np.linalg.norm(X - X[a], axis=1)))
     err = 8.0 * (d + 2) * np.finfo(float).eps * float(np.max(sq))
     cand = np.flatnonzero(r >= L - float(np.max(r)) - 2.0 * math.sqrt(2.0 * err))
-    Y, ysq = X[cand], sq[cand]
+    Y = X[cand]
+    first = np.sort(np.unique(Y.view(np.dtype((np.void, Y.itemsize * d))), return_index=True)[1])
+    Y, ysq = Y[first], sq[cand[first]]
     top, best = -math.inf, 0.0
     for start in range(0, len(Y), _CHUNK):
         screen = ysq[start : start + _CHUNK, None] + ysq[None, :] - 2.0 * Y[start : start + _CHUNK] @ Y.T

@@ -53,7 +53,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_solve_margin(args) -> int:
     ds = load_csv(args.points)
     model = CostModel(parse_norm(args.norm), c=1.0, dim=ds.dim)
-    sol = solve_max_margin(ds.point_sets(), model)
+    sol = solve_max_margin(ds.point_sets, model)
     if not sol.separable:
         print("inseparable: margin 0, zero classifier")
         return 0

@@ -32,7 +32,7 @@ class Dataset:
     """Labeled agent population; every benchmark is derived from its points.
 
     Keeps read-only copies of ``features`` and ``labels``, and derives
-    ``point_sets()``, ``radii`` and ``benchmark_for(m)`` once, on first use.
+    ``point_sets``, ``radii`` and ``benchmark_for(m)`` once, on first use.
     """
 
     features: np.ndarray
@@ -69,12 +69,9 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
     def point_sets(self) -> PointSetPair:
         """The population as one shared ``PointSetPair``: add nothing to it."""
-        return self._point_sets
-
-    @cached_property
-    def _point_sets(self) -> PointSetPair:
         return PointSetPair.from_arrays(self.features[self.labels == 1], self.features[self.labels == -1])
 
     @cached_property
@@ -87,7 +84,7 @@ class Dataset:
     def benchmark_for(self, m: CostModel) -> Benchmark | None:
         """The max-margin benchmark in ``m``'s norm, solved once; None if inseparable or one-label."""
         if m.norm not in self._solved:
-            pair = self.point_sets()
+            pair = self.point_sets
             sol = solve_max_margin(pair, m) if pair.n_pos and pair.n_neg else None
             self._solved[m.norm] = Benchmark(sol.y, sol.b, sol.d) if sol is not None and sol.separable else None
         return self._solved[m.norm]

@@ -30,7 +30,7 @@ from .data import Dataset, SynthConfig, generate_synthetic, load_csv, trim_margi
 from .learners import ConeKind, GradSmmLearner, PerceptronLearner, SmmLearner
 from .maxmargin import SOLVE_TOL, PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, cost_scale, l2_norm, parse_norm
-from .response import Agent, Classifier, Interaction, answer, interact, proxy_from_response
+from .response import Classifier, Interaction, answer, interact, proxy_from_response
 
 _D_MONOTONE_TOL = 1e-8
 # Largest block of agents answered in one vector pass: blocks double while
@@ -100,6 +100,12 @@ class RunConfig:
                 check(getattr(self, key))
             except ValueError as exc:
                 raise ConfigError(f"{key} = {getattr(self, key)}: {exc}", key) from None
+        if self.dataset == "synthetic":  # a CSV's dimension is known only once it is loaded
+            try:
+                CostModel(parse_norm(self.norm), self.c, self.synth_d)
+            except ValueError as exc:
+                raise ConfigError(f"norm = {self.norm} with synth_d = {self.synth_d}: {exc}",
+                                  "norm", "synth_d") from None
         if parse_norm(self.norm).kind != "l2" and self.algorithm == "gradsmm":
             raise ConfigError(f"algorithm gradsmm requires norm = l2, got {self.norm!r}", "algorithm", "norm")
 
@@ -385,13 +391,14 @@ def _normalized_distance(y, b, bench: Benchmark, ny: float | None = None) -> flo
 def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     """Stream the dataset through the configured learner and record metrics.
 
-    The learner's classifier changes only when an update makes it, so the
-    agents are played in blocks: ``response.answer`` answers a block under
-    the declared classifier in one vector pass, and one ``learner.update``
-    takes the block with its predictions, consuming its rows up to the
-    first that declares a new classifier.  A block twice as long follows a
-    block that ran to its end; a change restarts at one agent, which
-    ``interact`` answers alone and hands over as a one-row block.
+    The learner's declaration, ``learner.classifier``, changes only when
+    an update makes it, so the agents are played in blocks:
+    ``response.answer`` answers a block under it in one vector pass, and
+    one ``learner.update`` takes the block with its predictions, consuming
+    its rows up to the first that declares a new classifier.  A block twice
+    as long follows a block that ran to its end; a change restarts at one
+    agent, whose feature row and label ``interact`` answers alone, handed
+    over as a one-row block.
     ``answer`` and ``interact`` score a row by the same row-stable
     expression, and a learner ends a block where it would end the same
     rows fed one at a time, so every output equals that of calling
@@ -411,7 +418,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     want_distance = bench is not None
     want_gap = cfg.track == "full" and bench is not None
     if want_gap:
-        pair = dataset.point_sets()
+        pair = dataset.point_sets
         h_star = margin_h(bench.y_star, bench.b_star, pair)
     features, label_arr = dataset.features, dataset.labels[idx]
     labels = label_arr.tolist()
@@ -425,7 +432,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     step, k = 0, 1
     start = time.perf_counter()
     while step < T:
-        clf = learner.declare()
+        clf = learner.classifier
         in_init = learner.in_init
         if clf is not declared:  # a new declaration, and with it any new margin
             declared = clf
@@ -441,7 +448,7 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         block_labels = label_arr[step : step + k]
         if k == 1:
             z = None if noise is None else noise[step]
-            inter = interact(Agent(features[idx[step]], labels[step]), clf, model, z)
+            inter = interact(features[idx[step]], labels[step], clf, model, z)
             n = learner.update(inter.response[None], block_labels, np.array([inter.predicted]))
             mistake[step], manipulated[step] = inter.mistake, inter.manipulated
         else:
@@ -453,11 +460,11 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
         if in_init:
             metrics.init_steps += n
         step += n
-        k = 1 if learner.declare() is not clf else min(2 * k, _MAX_BLOCK, T - step)
+        k = 1 if learner.classifier is not clf else min(2 * k, _MAX_BLOCK, T - step)
 
     metrics.init_mistakes = int(np.count_nonzero(mistake[: metrics.init_steps]))
     metrics.wall_time = time.perf_counter() - start
-    final = learner.declare()
+    final = learner.classifier
     metrics.final_y = final.y
     metrics.final_b = final.b
     metrics.solve_count = learner.solve_count
@@ -626,10 +633,10 @@ class _Checks:
         self.check(err <= tol, f"{msg} (err={err:.3g}, tol={tol:g})")
 
 
-def _play(learner, agent: Agent, model: CostModel) -> Interaction:
-    """One round of ``learner`` against ``agent``, handed to its update as a one-row block."""
-    it = interact(agent, learner.declare(), model)
-    learner.update(it.response[None], np.array([agent.label]), np.array([it.predicted]))
+def _play(learner, x: np.ndarray, label: int, model: CostModel) -> Interaction:
+    """One round of ``learner`` against the agent ``(x, label)``, handed to its update as one row."""
+    it = interact(x, label, learner.classifier, model)
+    learner.update(it.response[None], np.array([label]), np.array([it.predicted]))
     return it
 
 
@@ -644,12 +651,12 @@ def _example_truthful_max_margin() -> ExampleReport:
     chk.close([sol.d], [1.0], 1e-9, "margin equals 1")
 
     star = Classifier(sol.y, sol.b)
-    rounds = [interact(Agent(x, lbl), star, model) for X, lbl in ((pos, 1), (neg, -1)) for x in X]
+    rounds = [interact(x, lbl, star, model) for X, lbl in ((pos, 1), (neg, -1)) for x in X]
     chk.check(not any(it.manipulated for it in rounds), "no agent manipulates against the max-margin classifier")
     chk.check(not any(it.mistake for it in rounds), "no mistakes under the max-margin classifier")
 
     bad = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = interact(Agent(np.array([-1.0, 1.0]), 1), bad, model).response
+    r = interact(np.array([-1.0, 1.0]), 1, bad, model).response
     expected = [-6.0 / 5.0 + math.sqrt(5.0) / 10.0, 3.0 / 5.0 + math.sqrt(5.0) / 5.0]
     chk.close(r, expected, 1e-12, "agent (-1,1) moves onto the indifference boundary of (1,2)")
     return ExampleReport("truthful-max-margin", chk.passed, chk.lines)
@@ -664,12 +671,12 @@ def _example_smm_stuck() -> ExampleReport:
 
     mistakes = manips = 0
     for x, lbl in stream:
-        it = _play(learner, Agent(x, lbl), model)
+        it = _play(learner, x, lbl, model)
         mistakes += it.mistake
         manips += it.manipulated
 
     s2 = math.sqrt(2.0)
-    final = learner.declare()
+    final = learner.classifier
     chk.close(final.y, [1.0 / s2, 1.0 / s2], 1e-9, "direction stuck at (1,1)/sqrt(2)")
     chk.close([final.b], [1.0 / s2], 1e-9, "intercept stuck at 1/sqrt(2)")
     chk.close([learner.solution.d], [s2], 1e-9, "pool margin stuck at sqrt(2)")
@@ -701,19 +708,19 @@ def _example_perceptron_margin() -> ExampleReport:
         (np.array([1.0, -1.0]), -1),
     ]
 
-    _play(learner, Agent(*first[0]), model)
-    q1 = learner.declare()
+    _play(learner, *first[0], model)
+    q1 = learner.classifier
     chk.close(q1.y, [-1.0, 1.0], 0.0, "first update lands on (-1, 1)")
     chk.close([q1.b], [-1.0], 0.0, "first intercept is -1")
-    _play(learner, Agent(*first[1]), model)
-    q2 = learner.declare()
+    _play(learner, *first[1], model)
+    q2 = learner.classifier
     chk.close(q2.y, [1.0, 2.0], 0.0, "second update lands on (1, 2)")
     chk.close([q2.b], [0.0], 0.0, "second intercept is 0")
 
     manips = others = 0
     for _ in range(500):
         for x, lbl in cycle:
-            it = _play(learner, Agent(x, lbl), model)
+            it = _play(learner, x, lbl, model)
             if np.array_equal(x, [-1.0, 1.0]):
                 manips += it.manipulated
             else:
@@ -722,13 +729,13 @@ def _example_perceptron_margin() -> ExampleReport:
     chk.check(manips == 500, f"agent (-1,1) manipulates on every visit (got {manips})")
     chk.check(others == 0, f"no other agent manipulates (got {others} manipulations)")
 
-    final = learner.declare()
+    final = learner.classifier
     dist = _normalized_distance(final.y, final.b, Benchmark(np.array([0.0, 1.0]), 0.0, 1.0))
     chk.check(dist is not None and dist > 0.3, f"frozen classifier stays far from max margin (dist={dist:.3f})")
 
     nn = PerceptronLearner(model, cone=ConeKind.NONNEG_WEIGHTS, gamma=1.0)
-    _play(nn, Agent(*first[0]), model)
-    q = nn.declare()
+    _play(nn, *first[0], model)
+    q = nn.classifier
     chk.close(q.y, [0.0, 1.0], 0.0, "nonneg cone clips the first update to (0, 1)")
     chk.close([q.b], [-1.0], 0.0, "nonneg cone keeps intercept -1")
     return ExampleReport("perceptron-margin", chk.passed, chk.lines)
@@ -741,18 +748,18 @@ def _example_l1_counterexample() -> ExampleReport:
     z = np.array([0.75, 0.25])
     probe = np.array([1.0, 0.0])  # the budget point 2w/c for w = e1
 
-    _play(learner, Agent(-z, -1), model)
-    q = learner.declare()
+    _play(learner, -z, -1, model)
+    q = learner.classifier
     chk.close(q.y, z, 0.0, "first update recovers z exactly")
     chk.close([q.b], [0.0], 0.0, "zero-intercept cone pins b = 0")
 
     mistakes = 0
     drifted = False
     for _ in range(500):
-        clf = learner.declare()
-        it = _play(learner, Agent(probe, -1), model)
+        clf = learner.classifier
+        it = _play(learner, probe, -1, model)
         mistakes += it.mistake
-        drifted = drifted or not np.array_equal(learner.declare().y, z)
+        drifted = drifted or not np.array_equal(learner.classifier.y, z)
     chk.check(mistakes == 500, f"budget point costs a mistake on every visit (got {mistakes})")
     chk.check(not drifted, "classifier direction never moves off z")
     proxy = proxy_from_response(it.response[None], np.array([-1]), np.array([it.predicted]), clf, model)

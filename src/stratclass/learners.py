@@ -1,8 +1,8 @@
 """Online learners against strategically responding agents.
 
 All learners speak the protocol of :class:`_Learner`, which the harness
-drives: ``declare()`` publishes the classifier the next agents will respond
-to, and ``update(rows, labels, predicted)`` digests a block of their
+drives: ``learner.classifier`` is the declared classifier the next agents
+respond to, and ``update(rows, labels, predicted)`` digests a block of their
 observed responses once the true labels are revealed, up to the first
 response that makes it publish a new classifier.  The margin-based learners bootstrap
 themselves with a shared zero-classifier initialization phase (no agent
@@ -56,11 +56,12 @@ def project_cone(kind: ConeKind, q: np.ndarray) -> np.ndarray:
 class _Learner:
     """The protocol every learner speaks, and the run state the harness reads.
 
-    ``declare()`` returns the same ``Classifier`` object until an update
-    publishes a new one, and ``in_init`` and ``margin`` change only together
-    with it: the harness answers every agent up to the next new object in
-    one block.  ``update(rows, labels, predicted) -> int`` takes such a
-    block: the observed responses to the declared classifier, one per row,
+    ``classifier`` is the declaration: it stays the same ``Classifier``
+    object until an update publishes a new one by assigning it, and
+    ``in_init`` and ``margin`` change only together with it; the harness
+    answers every agent up to the next new object in one block.
+    ``update(rows, labels, predicted) -> int`` takes such a block: the
+    observed responses to the declared classifier, one per row,
     their true labels and the predictions made on them.  It consumes the
     rows in order up to and including the first one that publishes a new
     classifier, and returns how many it consumed; a block it consumes whole
@@ -73,14 +74,11 @@ class _Learner:
     inseparable, or None.
     """
 
-    classifier: Classifier  # the declaration; an update publishes a new one by assigning it
+    classifier: Classifier
     in_init = False
     margin: float | None = None
     solve_count = 0
     inseparable_at: int | None = None
-
-    def declare(self) -> Classifier:
-        return self.classifier
 
 
 class _MarginLearner(_Learner):

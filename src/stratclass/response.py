@@ -11,7 +11,8 @@ response — but can reconstruct a separability-preserving proxy from the
 response alone, which is what the learners train on.
 
 Every ``y.x`` here is one expression, :func:`_score`, whose rounding of a
-row does not depend on the rows beside it.  ``interact`` plays one round
+row does not depend on the rows beside it.  An arriving agent is its true
+feature row and its label: ``interact(x, label, clf, m)`` plays one round
 and ``answer`` a block of agents under one classifier; built from that
 score, one best response and one prediction, they agree bit for bit.
 """
@@ -46,19 +47,6 @@ class Classifier:
             value = dual_norm_eval(m, self.y)
             object.__setattr__(self, "_dual", (m.norm, value))
         return value
-
-
-@dataclass(frozen=True, eq=False)
-class Agent:
-    """True feature vector and ground-truth label (+1 or -1)."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.label not in (1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -127,32 +115,31 @@ def proxy_from_response(responses, labels, predicted, clf: Classifier, m: CostMo
     return proxies
 
 
-def interact(agent: Agent, clf: Classifier, m: CostModel, noise=None) -> Interaction:
-    """Run one protocol round and report everything the harness logs.
+def interact(x: np.ndarray, label: int, clf: Classifier, m: CostModel, noise=None) -> Interaction:
+    """Run one protocol round for the agent with true features ``x`` and ``label`` (+1 or -1).
 
-    The agent's best response is ``A + (2/c - ratio) * v(y)`` when its margin
+    The agent's best response is ``x + (2/c - ratio) * v(y)`` when its margin
     ratio lies in the window ``[-EPS_GEOM, 2/c)`` (the guard keeps an agent on
-    the decision boundary up to float noise manipulating), and ``A`` itself
+    the decision boundary up to float noise manipulating), and ``x`` itself
     otherwise or when ``||y||_* == 0``.  The observed response adds the noise
     row ``noise``, if any.  Prediction and mistake are the offset rule's on
-    the observed response, reusing the score ``y.A + b`` when that is ``A``
+    the observed response, reusing the score ``y.x + b`` when that is ``x``
     itself; the manipulation flag compares the noise-free response with
-    ``A`` exactly.
+    ``x`` exactly.
     """
-    A = agent.features
-    q = float(_score(A, clf.y)) + clf.b
+    q = float(_score(x, clf.y)) + clf.b
     dn = clf.dual_norm(m)
-    clean = A
+    clean = x
     if dn != 0.0:
         ratio = q / dn
         if -EPS_GEOM <= ratio < m.two_over_c:
-            clean = A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
+            clean = x + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
     observed = clean if noise is None else clean + noise
-    if observed is not A:
+    if observed is not x:
         q = float(_score(observed, clf.y)) + clf.b
     predicted = 1 if _clears_offset(q, dn, m) else -1
-    manipulated = clean is not A and bool((clean != A).any())
-    return Interaction(observed, predicted, manipulated, predicted != agent.label)
+    manipulated = clean is not x and bool((clean != x).any())
+    return Interaction(observed, predicted, manipulated, predicted != label)
 
 
 def answer(A: np.ndarray, clf: Classifier, m: CostModel, noise=None):

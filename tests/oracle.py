@@ -48,7 +48,7 @@ from stratclass.norms import (
     norm_eval,
     parse_norm,
 )
-from stratclass.response import Agent, Interaction, _clears_offset, _score
+from stratclass.response import Interaction, _clears_offset, _score
 
 
 def _subset_candidate(P_sub: np.ndarray, N_sub: np.ndarray):
@@ -262,31 +262,30 @@ def oracle_cutting_plane(P, N, m, tol: float = 1e-10, max_rounds: int = 200) -> 
     return sol
 
 
-def oracle_interact(agent, clf, m, sigma: float = 0.0, noise_rng=None) -> Interaction:
-    """One protocol round: the best response, then the prediction on what is observed.
+def oracle_interact(x, label, clf, m, sigma: float = 0.0, noise_rng=None) -> Interaction:
+    """One protocol round for the agent with true features ``x`` and ``label``.
 
-    The response is ``A + (2/c - ratio) v(y)`` for a margin ratio in
-    ``[-EPS_GEOM, 2/c)`` and ``A`` otherwise; the prediction scores the
-    observed response afresh, whether or not it is ``A``; the manipulation
-    flag is ``np.array_equal`` of the clean response and ``A``.  Scores use
+    The response is ``x + (2/c - ratio) v(y)`` for a margin ratio in
+    ``[-EPS_GEOM, 2/c)`` and ``x`` otherwise; the prediction scores the
+    observed response afresh, whether or not it is ``x``; the manipulation
+    flag is ``np.array_equal`` of the clean response and ``x``.  Scores use
     the package's row-stable ``_score``, the premise the block engine rests
     on; ``||y||_*`` and ``v(y)`` come from ``norms``, whose l2 kernel
     ``tests/test_norms.py`` holds to ``np.linalg.norm`` bit for bit.
     """
-    A = agent.features
     dn = dual_norm_eval(m, clf.y)
-    clean = A
+    clean = x
     if dn != 0.0:
-        ratio = (float(_score(A, clf.y)) + clf.b) / dn
+        ratio = (float(_score(x, clf.y)) + clf.b) / dn
         if -EPS_GEOM <= ratio < m.two_over_c:
-            clean = A + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
-    manipulated = not np.array_equal(clean, A)
+            clean = x + (m.two_over_c - ratio) * manipulation_direction(m, clf.y)
+    manipulated = not np.array_equal(clean, x)
     observed = clean
     if sigma != 0.0:
         observed = clean + sigma * noise_rng.standard_normal(clean.shape[0])
     score = float(_score(observed, clf.y)) + clf.b - m.two_over_c * dn
     predicted = 1 if score >= -EPS_GEOM * dn else -1
-    return Interaction(observed, predicted, manipulated, predicted != agent.label)
+    return Interaction(observed, predicted, manipulated, predicted != label)
 
 
 def oracle_normalized_distance(y, b, bench) -> float | None:
@@ -338,19 +337,19 @@ def oracle_run_online(cfg, dataset=None):
     declared = distance = gap = None
     start = time.perf_counter()
     for step, i in enumerate(idx):
-        clf = learner.declare()
+        clf = learner.classifier
         key = (clf.y.tobytes(), clf.b)
         if key != declared:
             declared = key
             distance = oracle_normalized_distance(clf.y, clf.b, bench) if want_distance else None
             gap = h_star - _oracle_margin_h(clf.y, clf.b, pair) if want_gap else None
         in_init = learner.in_init
-        agent = Agent(dataset.features[i], int(dataset.labels[i]))
-        inter = oracle_interact(agent, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
+        label = int(dataset.labels[i])
+        inter = oracle_interact(dataset.features[i], label, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
 
         mistake.append(inter.mistake)
         manipulated.append(inter.manipulated)
-        labels.append(agent.label)
+        labels.append(label)
         d_now = None
         if isinstance(learner, SmmLearner) and not in_init and learner.solution is not None:
             d_now = learner.solution.d
@@ -364,13 +363,13 @@ def oracle_run_online(cfg, dataset=None):
             if inter.mistake:
                 metrics.init_mistakes += 1
 
-        assert feed(learner, inter, agent.label) == 1
+        assert feed(learner, inter, label) == 1
 
     metrics.mistake_flags = np.array(mistake, dtype=bool)
     metrics.manipulated_flags = np.array(manipulated, dtype=bool)
     metrics.labels = np.array(labels, dtype=int)
     metrics.wall_time = time.perf_counter() - start
-    final = learner.declare()
+    final = learner.classifier
     metrics.final_y = final.y
     metrics.final_b = final.b
     metrics.solve_count = getattr(learner, "solve_count", 0)

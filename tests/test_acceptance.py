@@ -43,7 +43,7 @@ from stratclass.norms import (
     norm_eval,
     parse_norm,
 )
-from stratclass.response import Agent, Classifier, interact, proxy_from_response
+from stratclass.response import Classifier, interact, proxy_from_response
 
 SEEDS = range(50)
 HORIZON = 10_000
@@ -142,7 +142,7 @@ def test_criterion_1_micro_instances_exact():
     start = time.perf_counter()
 
     m4 = CostModel(L2, c=4.0, dim=2)
-    r = interact(Agent(np.array([-1.0, 1.0]), 1), Classifier(np.array([1.0, 2.0]), 0.0), m4).response
+    r = interact(np.array([-1.0, 1.0]), 1, Classifier(np.array([1.0, 2.0]), 0.0), m4).response
     expected = np.array([-6 / 5 + math.sqrt(5) / 10, 3 / 5 + math.sqrt(5) / 5])
     assert np.max(np.abs(r - expected)) <= 1e-12
 
@@ -162,7 +162,7 @@ def test_criterion_1_micro_instances_exact():
 
     learner = PerceptronLearner(m4)
     for feats, lbl in [((1.0, -1.0), -1), ((2.0, 1.0), 1)]:
-        out = interact(Agent(np.array(feats), lbl), learner.declare(), m4)
+        out = interact(np.array(feats), lbl, learner.classifier, m4)
         assert feed(learner, out, lbl) == 1
     assert np.array_equal(learner.q, np.array([1.0, 2.0, 0.0]))
 
@@ -328,7 +328,7 @@ def test_criterion_7_property_suites():
         clf = Classifier(rng.normal(size=3), float(rng.normal()))
         x = rng.normal(size=3)
         label = 1 if float(clf.y @ x) + clf.b >= 0 else -1
-        assert interact(Agent(x, label), clf, m).predicted == label
+        assert interact(x, label, clf, m).predicted == label
 
     # (c) prediction outcome and the proxy's signed margin never disagree
     rng = np.random.default_rng(72)
@@ -336,10 +336,10 @@ def test_criterion_7_property_suites():
         norm = _random_norm(rng)
         m = CostModel(norm, c=float(rng.uniform(0.3, 10.0)), dim=3)
         clf = Classifier(rng.normal(size=3), float(rng.normal()))
-        agent = Agent(rng.normal(size=3), int(rng.choice([-1, 1])))
-        out = interact(agent, clf, m)
-        proxy = proxy_from_response(out.response[None], [agent.label], [out.predicted], clf, m)[0]
-        score = agent.label * (float(clf.y @ proxy) + clf.b)
+        x, label = rng.normal(size=3), int(rng.choice([-1, 1]))
+        out = interact(x, label, clf, m)
+        proxy = proxy_from_response(out.response[None], [label], [out.predicted], clf, m)[0]
+        score = label * (float(clf.y @ proxy) + clf.b)
         tol = 1e-9 * (np.linalg.norm(clf.y) * np.linalg.norm(proxy) + abs(clf.b) + 1.0)
         if out.mistake:
             assert score <= tol
@@ -363,7 +363,7 @@ def test_criterion_7_property_suites():
         if label * (float(ref_y @ x) + ref_b) < rho:
             continue
         applicable += 1
-        out = interact(Agent(x, label), clf, m)
+        out = interact(x, label, clf, m)
         proxy = proxy_from_response(out.response[None], [label], [out.predicted], clf, m)[0]
         assert label * (float(ref_y @ proxy) + ref_b) >= rho - 1e-9
     assert applicable >= trials // 10  # the conditioned event is not vacuous
@@ -380,7 +380,7 @@ def test_criterion_7_property_suites():
             label = int(rng.choice([-1, 1]))
             outs = []
             for learner in (base, half, double):
-                out = interact(Agent(x, label), learner.declare(), m)
+                out = interact(x, label, learner.classifier, m)
                 assert feed(learner, out, label) == 1
                 outs.append(out)
             # dyadic scalings: identical rounds, bitwise-scaled weights
@@ -395,7 +395,7 @@ def test_criterion_7_property_suites():
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
             for learner in (base_generic, tenx):
-                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.declare(), m, x)]))
+                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.classifier, m, x)]))
         scale = max(1.0, float(np.max(np.abs(base_generic.q))))
         assert np.max(np.abs(tenx.q / 10.0 - base_generic.q)) <= 1e-9 * scale
 
@@ -415,13 +415,13 @@ def test_criterion_7_property_suites():
         y = rng.normal(size=3)
         b = float(rng.normal())
         alpha = float(rng.uniform(0.1, 50.0))
-        agent = Agent(rng.normal(size=3), int(rng.choice([-1, 1])))
+        x, label = rng.normal(size=3), int(rng.choice([-1, 1]))
         c1, c2 = Classifier(y, b), Classifier(alpha * y, alpha * b)
-        out1, out2 = interact(agent, c1, m), interact(agent, c2, m)
+        out1, out2 = interact(x, label, c1, m), interact(x, label, c2, m)
         r1, r2 = out1.response, out2.response
         assert np.max(np.abs(r1 - r2)) <= 1e-12 * max(1.0, float(np.max(np.abs(r1))))
-        s1 = proxy_from_response(r1[None], [agent.label], [out1.predicted], c1, m)[0]
-        s2 = proxy_from_response(r2[None], [agent.label], [out2.predicted], c2, m)[0]
+        s1 = proxy_from_response(r1[None], [label], [out1.predicted], c1, m)[0]
+        s2 = proxy_from_response(r2[None], [label], [out2.predicted], c2, m)[0]
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
     # (h) the declaration phase never makes more than two mistakes, driven
@@ -433,12 +433,12 @@ def test_criterion_7_property_suites():
         labels = [int(v) for v in rng.choice([-1, 1], size=k)]
         if len(set(labels)) == 1:
             labels[-1] = -labels[-1]
-        agents = [Agent(rng.normal(size=2), lbl) for lbl in labels]
+        agents = [(rng.normal(size=2), lbl) for lbl in labels]
         learner = SmmLearner(m)
         mistakes = 0
-        for agent in agents:
-            out = interact(agent, learner.declare(), m)
-            assert feed(learner, out, agent.label) == 1
+        for x, label in agents:
+            out = interact(x, label, learner.classifier, m)
+            assert feed(learner, out, label) == 1
             mistakes += out.mistake
             if not learner.in_init:
                 break

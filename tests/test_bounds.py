@@ -238,23 +238,42 @@ def test_half_diameter_does_not_depend_on_row_order(make):
         assert _half_diameter(X[perm]) == _half_diameter(X)
 
 
-@pytest.mark.parametrize("points, want", [
-    ([[0.0, 0.0, 0.0], [3.0, 4.0, 12.0]], 6.5),
-    ([[1e6, -2.0, 0.5]], 0.0),
-])
-def test_every_pair_in_the_band_keeps_memory_to_a_few_chunks(points, want):
-    # two points repeated: every pair between them screens within the band,
-    # so the pair kernel rescores n^2 / 2 pairs, one screened row at a time
-    X = np.random.default_rng(0).permutation(np.repeat(np.array(points), 3000 // len(points), axis=0))
+def _last_bits(point, n):
+    """``n`` distinct rows that differ from ``point`` only in the low bits of each coordinate."""
+    steps = np.stack([np.arange(n) % 12, np.arange(n) // 12 % 12, np.arange(n) // 144], axis=1)
+    return (np.asarray(point, dtype=float).view(np.int64) + steps).view(float)
+
+
+@pytest.mark.parametrize("clusters", [
+    [[0.0, 0.0, 0.0], [3.0, 4.0, 12.0]],
+    [[1e6, -2.0, 0.5]],
+], ids=["two-clusters", "one-cluster"])
+def test_every_pair_in_the_band_keeps_memory_to_a_few_chunks(clusters):
+    # distinct rows clustered within a few ulps: every pair between two
+    # clusters (every pair, for one) screens within the band, so the pair
+    # kernel rescores n^2 / 2 pairs or more, one screened row at a time
+    X = np.concatenate([_last_bits(p, 3000 // len(clusters)) for p in clusters])
+    X = np.random.default_rng(0).permutation(X)
+    assert len(np.unique(X, axis=0)) == len(X)
     tracemalloc.start()
     try:
         got = _half_diameter(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == want
+    assert got == oracle_half_diameter(X)
     # chunk-sized blocks: the last screen, and the next one's product and sum
     assert peak <= 4 * _CHUNK * len(X) * 8
+
+
+@pytest.mark.parametrize("points, want", [
+    ([[0.0, 0.0, 0.0], [3.0, 4.0, 12.0], [1.0, 1.0, 1.0], [-1.0, 2.0, 0.5]], 6.5),
+    ([[1e6, -2.0, 0.5]], 0.0),
+], ids=["four-points", "one-point"])
+def test_repeated_points_measure_as_the_distinct_points(points, want):
+    # each point repeated thousands of times: a repeat adds no pair value
+    X = np.random.default_rng(0).permutation(np.repeat(np.array(points), 10_000 // len(points), axis=0))
+    assert _half_diameter(X) == want == oracle_half_diameter(np.array(points))
 
 
 def test_radii_of_a_large_population_measure_in_little_memory():

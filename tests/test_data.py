@@ -27,7 +27,7 @@ class TestDataset:
     def test_basic_shape_and_views(self):
         ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, -1]))
         assert ds.n == 2 and ds.dim == 2
-        pair = ds.point_sets()
+        pair = ds.point_sets
         assert pair.n_pos == 1 and pair.n_neg == 1
 
     def test_validation(self):
@@ -260,7 +260,7 @@ class TestGenerateSynthetic:
         monkeypatch.setattr(data.PointSetPair, "from_arrays",
                             lambda *args, fn=data.PointSetPair.from_arrays: built.append(args) or fn(*args))
         ds = generate_synthetic(self.CFG)
-        ds.point_sets(), ds.benchmark
+        ds.point_sets, ds.benchmark
         assert len(built) == 2
 
     def test_impossible_trim_raises(self):

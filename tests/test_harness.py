@@ -36,7 +36,7 @@ from stratclass.harness import (
 )
 from stratclass.maxmargin import SOLVE_TOL, SolverError, margin_h
 from stratclass.norms import EPS_GEOM, CostModel, dual_norm_eval, parse_norm
-from stratclass.response import Agent, Classifier, _score, interact
+from stratclass.response import Classifier, _score, interact
 
 from oracle import feed, oracle_lp, oracle_run_online
 
@@ -139,11 +139,21 @@ class TestParseConfig:
             ("synth_n = 50\nc = 1\nsynth_variance = 0", "^line 3: synth_variance must be > 0, got 0.0$"),
             ("c = 1\nseed = -1", "^line 2: seed must be >= 0, got -1$"),
             ("synth_seed = -2\nc = 1", "^line 1: synth_seed must be >= 0, got -2$"),
+            ("norm = wl1:1,2\nc = 4", "^line 1: norm = wl1:1,2 with synth_d = 6: wl1 norm has 2 weights but dim=6$"),
+            ("norm = wl1:1,2\nc = 4\nsynth_d = 3",
+             "^line 3: norm = wl1:1,2 with synth_d = 3: wl1 norm has 2 weights but dim=3$"),
+            ("synth_d = 3\nc = 4\nnorm = wl1:1,2,3,4",
+             "^line 3: norm = wl1:1,2,3,4 with synth_d = 3: wl1 norm has 4 weights but dim=3$"),
         ],
     )
     def test_bad_configs_raise_config_error(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment or None):
             parse_config(text)
+
+    def test_a_wl1_norm_is_checked_against_the_synthetic_dimension_only(self):
+        assert parse_config("norm = wl1:1,2\nc = 4\nsynth_d = 2").synth_d == 2
+        # a CSV's dimension is known only once it is loaded, so its check waits until then
+        assert parse_config("norm = wl1:1,2\nc = 4\ndataset = agents.csv").norm == "wl1:1,2"
 
     # a valid value for each key whose annotation is str; other keys get one per type
     WORDS = {"algorithm": "gradsmm", "norm": "lp:3", "mode": "stream", "cone": "nonneg",
@@ -242,24 +252,23 @@ class TestLearnerContract:
         assert learner.in_init is (algorithm != "perceptron")
         warm_up = inseparable = 0
         for t, i in enumerate(idx, start=1):
-            clf, in_init, margin, solves = (learner.declare(), learner.in_init, learner.margin,
+            clf, in_init, margin, solves = (learner.classifier, learner.in_init, learner.margin,
                                             learner.solve_count)
-            assert learner.declare() is clf
             if algorithm == "smm" and not in_init:
                 assert margin is learner.solution.d
             else:
                 assert margin is None
             label = int(ds.labels[i])
             noise = sigma * noise_rng.standard_normal(ds.dim) if sigma else None
-            inter = interact(Agent(ds.features[i], label), clf, model, noise)
+            inter = interact(ds.features[i], label, clf, model, noise)
             assert feed(learner, inter, label) == 1
             warm_up += in_init
-            if learner.declare() is clf:  # nothing new published: nothing else moved
+            if learner.classifier is clf:  # nothing new published: nothing else moved
                 assert (learner.in_init, learner.margin, learner.solve_count) == (in_init, margin, solves)
                 # the perceptron keeps its classifier on correct rounds only
                 assert not (algorithm == "perceptron" and inter.mistake)
             elif in_init and learner.in_init:  # the warm-up flips its sign to the one label seen
-                assert not np.any(learner.declare().y) and learner.declare().b == label
+                assert not np.any(learner.classifier.y) and learner.classifier.b == label
             if learner.inseparable_at is not None and not inseparable:
                 inseparable = learner.inseparable_at
                 assert inseparable == t  # set by the update that turned the pool inseparable
@@ -293,11 +302,11 @@ class TestRunOnline:
 
     def test_runs_share_the_dataset_point_sets_and_add_nothing(self, monkeypatch):
         ds = two_cluster_dataset()
-        pair = ds.point_sets()
+        pair = ds.point_sets
         seen = spy(monkeypatch, harness, "margin_h")
         cfg = RunConfig(algorithm="smm", c=4.0, T=200, seed=0, track="full")
         assert_same_run(run_online(cfg, ds), run_online(cfg, ds))
-        assert ds.point_sets() is pair and seen and all(sets is pair for _, _, sets in seen)
+        assert ds.point_sets is pair and seen and all(sets is pair for _, _, sets in seen)
         assert (pair.n_pos, pair.n_neg) == (10, 10)
 
     def test_runs_are_deterministic(self):
@@ -369,7 +378,7 @@ class TestRunOnline:
             update = learner.update
 
             def recording_update(rows, labels, predicted):
-                clf = learner.declare()
+                clf = learner.classifier
                 n = update(rows, labels, predicted)
                 declared.extend([clf] * n)
                 return n
@@ -402,10 +411,10 @@ class TestRunOnline:
         ds = two_cluster_dataset()
         cfg = RunConfig(algorithm="perceptron", c=4.0, T=len(script), seed=0, track="full")
         metrics = run_online(cfg, ds)
-        h_star = margin_h(ds.benchmark.y_star, ds.benchmark.b_star, ds.point_sets())
+        h_star = margin_h(ds.benchmark.y_star, ds.benchmark.b_star, ds.point_sets)
         for t, clf in enumerate(script):
             assert metrics.distance[t] == _normalized_distance(clf.y, clf.b, ds.benchmark)
-            assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, ds.point_sets())
+            assert metrics.margin_gap[t] == h_star - margin_h(clf.y, clf.b, ds.point_sets)
         assert len(set(metrics.distance)) == 3
         # each new object opens a declaration, the bitwise copy of script[2] too
         assert metrics.decl_start == [0, 1, 2, 3, 4]
@@ -461,14 +470,15 @@ class _Scripted(learners._Learner):
         self.script = script
         self.fed = []
 
-    def declare(self):
+    @property
+    def classifier(self):
         return self.script[min(len(self.fed), len(self.script) - 1)]
 
     def update(self, rows, labels, predicted):
-        clf = self.declare()
+        clf = self.classifier
         for n, (row, label) in enumerate(zip(rows, labels.tolist()), start=1):
             self.fed.append((row.tobytes(), label))
-            if self.declare() is not clf:
+            if self.classifier is not clf:
                 return n
         return len(rows)
 
@@ -842,7 +852,7 @@ class TestCertify:
         for norm in ("l2", "l1", "l2", "l1"):
             assert "d_star=1 " in certify(self.cfg(norm=norm), None, ds).render()
         assert [m.norm.kind for _, m in solves] == ["l2", "l1"]
-        assert all(pair is ds.point_sets() for pair, _ in solves)
+        assert all(pair is ds.point_sets for pair, _ in solves)
 
     @pytest.mark.parametrize("norm", ["linf", "lp:3"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -970,6 +980,12 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_n = 1\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: line 3: synth_n must be >= 2, got 1\n"
+
+    def test_a_wl1_norm_of_the_wrong_dimension_is_exit_2_naming_its_keys_and_line(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "algorithm = smm\nnorm = wl1:1,2\nc = 4\nT = 10\nsynth_n = 60\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: norm = wl1:1,2 with synth_d = 6: wl1 norm has 2 weights but dim=6\n")
 
     def test_a_negative_seed_is_exit_2_naming_its_key_and_line(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_seed = -2\n")

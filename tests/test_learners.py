@@ -22,15 +22,15 @@ from stratclass.learners import (
 )
 from stratclass.maxmargin import PointSetPair, solve_max_margin
 from stratclass.norms import L1, L2, CostModel, parse_norm
-from stratclass.response import Agent, Classifier, answer, interact, proxy_from_response
+from stratclass.response import Classifier, answer, interact, proxy_from_response
 
 
 def drive(learner, m, stream):
     """Feed (features, label) pairs through the declare/respond/update loop."""
     outs = []
     for features, label in stream:
-        clf = learner.declare()
-        out = interact(Agent(np.asarray(features, dtype=float), label), clf, m)
+        clf = learner.classifier
+        out = interact(np.asarray(features, dtype=float), label, clf, m)
         assert feed(learner, out, label) == 1
         outs.append(out)
     return outs
@@ -43,9 +43,9 @@ def warm_up(m, agents):
     """
     learner = SmmLearner(m)
     mistakes = consumed = 0
-    for agent in agents:
-        out = interact(agent, learner.declare(), m)
-        assert feed(learner, out, agent.label) == 1
+    for x, label in agents:
+        out = interact(x, label, learner.classifier, m)
+        assert feed(learner, out, label) == 1
         mistakes += out.mistake
         consumed += 1
         if not learner.in_init:
@@ -59,7 +59,7 @@ class TestInitScheme:
 
     def test_positive_then_negative_makes_one_mistake(self):
         m = CostModel(L2, c=1.0, dim=2)
-        agents = [Agent(np.array([0.0, 1.0]), 1), Agent(np.array([0.0, -1.0]), -1)]
+        agents = [(np.array([0.0, 1.0]), 1), (np.array([0.0, -1.0]), -1)]
         learner, mistakes, consumed = warm_up(m, agents)
         assert mistakes == 1  # only the first negative is misread
         assert consumed == 2
@@ -68,9 +68,9 @@ class TestInitScheme:
     def test_two_negatives_then_positive_makes_two_mistakes(self):
         m = CostModel(L2, c=1.0, dim=2)
         agents = [
-            Agent(np.array([0.0, -1.0]), -1),  # against the optimistic +1 start
-            Agent(np.array([1.0, -1.0]), -1),  # b has flipped, now correct
-            Agent(np.array([0.0, 1.0]), 1),  # against the flipped -1
+            (np.array([0.0, -1.0]), -1),  # against the optimistic +1 start
+            (np.array([1.0, -1.0]), -1),  # b has flipped, now correct
+            (np.array([0.0, 1.0]), 1),  # against the flipped -1
         ]
         learner, mistakes, consumed = warm_up(m, agents)
         assert mistakes == 2
@@ -79,8 +79,8 @@ class TestInitScheme:
 
     def test_positive_run_then_negative_makes_one_mistake(self):
         m = CostModel(L2, c=1.0, dim=2)
-        agents = [Agent(np.array([float(k), 1.0]), 1) for k in range(5)]
-        agents.append(Agent(np.array([0.0, -1.0]), -1))
+        agents = [(np.array([float(k), 1.0]), 1) for k in range(5)]
+        agents.append((np.array([0.0, -1.0]), -1))
         _, mistakes, consumed = warm_up(m, agents)
         assert mistakes == 1
         assert consumed == 6
@@ -95,14 +95,14 @@ class TestInitScheme:
                 labels[-1] = -labels[-1]
             pts = rng.normal(size=(k, 2))
             pts[np.array(labels) == 1, 1] += 3.0  # keep the starter pool separable
-            agents = [Agent(pts[i], labels[i]) for i in range(k)]
+            agents = [(pts[i], labels[i]) for i in range(k)]
             assert warm_up(m, agents)[1] <= 2
 
 
 class TestSmmLearner:
     def test_declares_optimistic_zero_classifier_first(self):
         learner = SmmLearner(CostModel(L2, c=1.0, dim=2))
-        clf = learner.declare()
+        clf = learner.classifier
         assert np.array_equal(clf.y, np.zeros(2)) and clf.b == 1.0
         assert learner.in_init
 
@@ -139,8 +139,8 @@ class TestSmmLearner:
         stream += [((float(x), float(y + l)), int(l)) for x, y, l in
                    zip(rng.uniform(-1, 1, 60), rng.uniform(-0.2, 0.2, 60), rng.choice([-1, 1], 60))]
         for features, label in stream:
-            clf = learner.declare()
-            out = interact(Agent(np.array(features), label), clf, m)
+            clf = learner.classifier
+            out = interact(np.array(features), label, clf, m)
             feed(learner, out, label)
             if not learner.in_init and learner.solution.separable:
                 ds.append(learner.solution.d)
@@ -220,8 +220,8 @@ class TestGradSmmLearner:
         stream += [((float(a), float(b + l)), int(l)) for a, b, l in
                    zip(rng.uniform(-1, 1, 80), rng.uniform(-0.3, 0.3, 80), rng.choice([-1, 1], 80))]
         for features, label in stream:
-            clf = learner.declare()
-            out = interact(Agent(np.array(features), label), clf, m)
+            clf = learner.classifier
+            out = interact(np.array(features), label, clf, m)
             feed(learner, out, label)
             if learner.in_init:
                 continue
@@ -258,8 +258,8 @@ class TestGradSmmLearner:
         y_star = np.array([0.0, 1.0])
         for k in rng.integers(0, len(pts), size=400):
             features, label = pts[int(k)]
-            clf = learner.declare()
-            out = interact(Agent(np.array(features), label), clf, m)
+            clf = learner.classifier
+            out = interact(np.array(features), label, clf, m)
             feed(learner, out, label)
             if learner.in_init:
                 continue
@@ -305,7 +305,7 @@ def gradsmm_full_pool(m, stream):
     clf, declared = Classifier(np.zeros(m.dim), 1.0), []
     for k, (x, label) in enumerate(stream):
         declared.append(clf)
-        out = interact(Agent(x, label), clf, m)
+        out = interact(x, label, clf, m)
         r = out.response
         s = r if k < 2 else proxy_from_response(r[None], np.array([label]), np.array([out.predicted]), clf, m)[0]
         P, N = (np.vstack([P, s]), N) if label == 1 else (P, np.vstack([N, s]))
@@ -334,8 +334,8 @@ class TestDistinctPool:
         learner = GradSmmLearner(m)
         declared = []
         for x, label in stream:
-            declared.append(learner.declare())
-            out = interact(Agent(x, label), declared[-1], m)
+            declared.append(learner.classifier)
+            out = interact(x, label, declared[-1], m)
             feed(learner, out, label)
         expected, P, N = gradsmm_full_pool(m, stream)
         assert learner.pool.n_pos + learner.pool.n_neg < (len(P) + len(N)) // 4  # mostly repeats
@@ -350,10 +350,10 @@ class TestDistinctPool:
         reference = SmmLearner(m)
         reference.pool = FullPool(m.dim)
         for x, label in stream:
-            clf = learner.declare()
-            want = reference.declare()
+            clf = learner.classifier
+            want = reference.classifier
             assert np.array_equal(clf.y, want.y) and clf.b == want.b
-            out = interact(Agent(x, label), clf, m)
+            out = interact(x, label, clf, m)
             feed(learner, out, label)
             feed(reference, out, label)
         assert learner.solve_count == reference.solve_count > 1
@@ -434,7 +434,7 @@ class TestPerceptron:
             x = rng.normal(size=3)
             label = int(rng.choice([-1, 1]))
             for learner in (a, b):
-                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.declare(), m, x)]))
+                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.classifier, m, x)]))
             if np.any(a.q):
                 assert np.max(np.abs(b.q / 10.0 - a.q)) <= 1e-9 * max(1.0, np.max(np.abs(a.q)))
         assert a.mistakes == b.mistakes and a.mistakes > 10
@@ -472,12 +472,12 @@ def play_blocks(learner, m, A, labels, noise, sizes):
     """
     declared, changes, step, sizes = [], [], 0, itertools.cycle(sizes)
     while step < len(labels):
-        clf = learner.declare()
+        clf = learner.classifier
         k = min(next(sizes), len(labels) - step)
         z = None if noise is None else noise[step : step + k]
         observed, predicted, _ = answer(A[step : step + k], clf, m, z)
         n = learner.update(observed, labels[step : step + k], predicted)
-        changed = learner.declare() is not clf
+        changed = learner.classifier is not clf
         assert 1 <= n <= k and (changed or n == k)  # a block ends early only on a new declaration
         declared += [(clf.y.tobytes(), clf.b)] * n
         step += n
@@ -492,7 +492,7 @@ def learner_state(learner):
                                                     "updates", "mistakes") if hasattr(learner, key)}
     if hasattr(learner, "pool"):
         state["pool"] = (learner.pool.positives.tobytes(), learner.pool.negatives.tobytes())
-    clf = learner.declare()
+    clf = learner.classifier
     state["final"] = (clf.y.tobytes(), clf.b)
     return state
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import offset_prediction, oracle_interact
 from stratclass.norms import EPS_GEOM, L1, L2, CostModel, dual_norm_eval, manipulation_direction, parse_norm
-from stratclass.response import Agent, Classifier, _score, answer, interact, proxy_from_response
+from stratclass.response import Classifier, _score, answer, interact, proxy_from_response
 
 
 def ratio(clf, m, x):
@@ -22,7 +22,7 @@ def test_respond_worked_instance():
     # margin ratio 1/sqrt(5), inside [0, 1/2), and moves along (1, 2)/sqrt(5)
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m).response
+    r = interact(np.array([-1.0, 1.0]), 1, clf, m).response
     expected = np.array([-6 / 5 + math.sqrt(5) / 10, 3 / 5 + math.sqrt(5) / 5])
     assert np.max(np.abs(r - expected)) <= 1e-12
 
@@ -30,7 +30,7 @@ def test_respond_worked_instance():
 def test_respond_lands_exactly_on_offset_boundary():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m)
+    out = interact(np.array([-1.0, 1.0]), 1, clf, m)
     assert ratio(clf, m, out.response) == pytest.approx(m.two_over_c, abs=1e-15)
     # ... and sign(0) = +1 resolves the resulting knife-edge score to +1
     assert out.predicted == 1
@@ -41,37 +41,37 @@ def test_manipulation_window_edges():
     clf = Classifier(np.array([1.0]), 0.0)
 
     # ratio 0 (on the decision boundary): indifferent at cost exactly 2 -> moves
-    r = interact(Agent(np.array([0.0]), 1), clf, m).response
+    r = interact(np.array([0.0]), 1, clf, m).response
     assert r[0] == pytest.approx(1.0, abs=0)
 
     # slightly below 0 but within the geometric guard: still moves
-    r = interact(Agent(np.array([-EPS_GEOM / 2]), 1), clf, m).response
+    r = interact(np.array([-EPS_GEOM / 2]), 1, clf, m).response
     assert r[0] == pytest.approx(1.0, abs=1e-12)
 
     # clearly below the window: stays put
-    assert interact(Agent(np.array([-1e-6]), 1), clf, m).response[0] == -1e-6
+    assert interact(np.array([-1e-6]), 1, clf, m).response[0] == -1e-6
 
     # at the top edge the prediction is already +1, nothing to gain
-    assert interact(Agent(np.array([1.0]), 1), clf, m).response[0] == 1.0
-    assert interact(Agent(np.array([2.0]), 1), clf, m).response[0] == 2.0
+    assert interact(np.array([1.0]), 1, clf, m).response[0] == 1.0
+    assert interact(np.array([2.0]), 1, clf, m).response[0] == 2.0
 
 
 def test_response_independent_of_label():
     # the window test uses position only: a negative agent inside it moves too
     m = CostModel(L2, c=2.0, dim=1)
     clf = Classifier(np.array([1.0]), 0.0)
-    assert interact(Agent(np.array([0.5]), -1), clf, m).response[0] == pytest.approx(1.0)
+    assert interact(np.array([0.5]), -1, clf, m).response[0] == pytest.approx(1.0)
 
 
 def test_zero_classifier_is_inert():
     m = CostModel(L2, c=2.0, dim=2)
     x = np.array([0.3, -0.7])
     clf = Classifier(np.zeros(2), 0.5)
-    out = interact(Agent(x, -1), clf, m)
+    out = interact(x, -1, clf, m)
     assert np.array_equal(out.response, x)
     assert out.predicted == 1  # sign(b) with b > 0
-    assert interact(Agent(x, -1), Classifier(np.zeros(2), -0.5), m).predicted == -1
-    assert interact(Agent(x, -1), Classifier(np.zeros(2), 0.0), m).predicted == 1
+    assert interact(x, -1, Classifier(np.zeros(2), -0.5), m).predicted == -1
+    assert interact(x, -1, Classifier(np.zeros(2), 0.0), m).predicted == 1
 
 
 def proxy_of(x, label, clf, m):
@@ -83,8 +83,7 @@ def proxy_of(x, label, clf, m):
 def test_proxy_pulls_back_negative_boundary_response():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    agent = Agent(np.array([-1.0, 1.0]), -1)
-    r = interact(agent, clf, m).response
+    r = interact(np.array([-1.0, 1.0]), -1, clf, m).response
     s = proxy_of(r, -1, clf, m)
     # pulled state sits back on the decision boundary side the agent came from
     assert np.max(np.abs(s - (r - m.two_over_c * clf.y / math.sqrt(5)))) <= 1e-15
@@ -94,7 +93,7 @@ def test_proxy_pulls_back_negative_boundary_response():
 def test_proxy_keeps_positive_and_off_boundary_responses():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    r = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m).response
+    r = interact(np.array([-1.0, 1.0]), 1, clf, m).response
     assert np.array_equal(proxy_of(r, 1, clf, m), r)
     # truthful negatives are nowhere near the boundary: stored as-is
     x = np.array([-3.0, -1.0])
@@ -120,7 +119,7 @@ def test_block_proxies_equal_one_row_proxies_bit_for_bit(seed, token, zero_y):
     m = CostModel(parse_norm(token), c=float(rng.uniform(0.5, 8.0)), dim=3)
     clf = Classifier(np.zeros(3) if zero_y else rng.normal(size=3), float(rng.normal()))
     labels = rng.choice([-1, 1], size=10)
-    R = np.array([interact(Agent(a, int(lbl)), clf, m).response for a, lbl in zip(rng.normal(size=(10, 3)), labels)])
+    R = np.array([interact(a, int(lbl), clf, m).response for a, lbl in zip(rng.normal(size=(10, 3)), labels)])
     if not zero_y:
         off = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(10, 1)) * EPS_GEOM * clf.dual_norm(m)
         R = np.vstack([R, R + off * clf.y / float(clf.y @ clf.y)])
@@ -141,17 +140,17 @@ def test_interact_without_noise_observes_the_best_response():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     for features in ([-1.0, 1.0], [2.0, 2.0]):  # one agent moves, one stays put
-        agent = Agent(np.array(features), 1)
-        out = interact(agent, clf, m)
-        assert out.response.tobytes() == oracle_interact(agent, clf, m).response.tobytes()
+        x = np.array(features)
+        out = interact(x, 1, clf, m)
+        assert out.response.tobytes() == oracle_interact(x, 1, clf, m).response.tobytes()
 
 
 def test_interact_noise_adds_gaussian_perturbation():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    agent = Agent(np.array([-1.0, 1.0]), 1)
-    r0 = interact(agent, clf, m).response
-    out = interact(agent, clf, m, 1e-3 * np.random.default_rng(3).standard_normal(2))
+    x = np.array([-1.0, 1.0])
+    r0 = interact(x, 1, clf, m).response
+    out = interact(x, 1, clf, m, 1e-3 * np.random.default_rng(3).standard_normal(2))
     delta = np.linalg.norm(out.response - r0)
     assert 0 < delta < 1e-2
 
@@ -160,16 +159,16 @@ def test_interact_flags():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
     # manipulating positive: classified +1, no mistake
-    out = interact(Agent(np.array([-1.0, 1.0]), 1), clf, m)
+    out = interact(np.array([-1.0, 1.0]), 1, clf, m)
     assert out.manipulated and out.predicted == 1 and not out.mistake
     # manipulating negative: ends on the boundary, predicted +1 -> mistake,
     # and the proxy built from the response is the pulled-back state
-    out = interact(Agent(np.array([-1.0, 1.0]), -1), clf, m)
+    out = interact(np.array([-1.0, 1.0]), -1, clf, m)
     assert out.manipulated and out.predicted == 1 and out.mistake
     proxy = proxy_of(out.response, -1, clf, m)
     assert ratio(clf, m, proxy) == pytest.approx(0.0, abs=1e-15)
     # truthful far positive
-    out = interact(Agent(np.array([2.0, 2.0]), 1), clf, m)
+    out = interact(np.array([2.0, 2.0]), 1, clf, m)
     assert not out.manipulated and not out.mistake
     assert np.array_equal(proxy_of(out.response, 1, clf, m), np.array([2.0, 2.0]))
 
@@ -177,13 +176,13 @@ def test_interact_flags():
 def test_interact_noisy_uses_observed_response_for_learning():
     m = CostModel(L2, c=4.0, dim=2)
     clf = Classifier(np.array([1.0, 2.0]), 0.0)
-    agent = Agent(np.array([-1.0, 1.0]), -1)
-    out = interact(agent, clf, m, 1e-3 * np.random.default_rng(5).standard_normal(2))
+    x = np.array([-1.0, 1.0])
+    out = interact(x, -1, clf, m, 1e-3 * np.random.default_rng(5).standard_normal(2))
     # manipulation is judged on the clean response...
     assert out.manipulated
     # ...but the noisy observation misses the boundary, so no pull-back
     assert np.array_equal(proxy_of(out.response, -1, clf, m), out.response)
-    assert not np.array_equal(out.response, interact(agent, clf, m).response)
+    assert not np.array_equal(out.response, interact(x, -1, clf, m).response)
 
 
 @pytest.mark.parametrize("token", ["l2", "l1", "linf", "lp:3", "wl1:1,2"])
@@ -197,15 +196,14 @@ def test_response_invariant_under_classifier_scaling(token, alpha):
         x = rng.normal(size=2)
         clf = Classifier(y, b)
         scaled = Classifier(alpha * y, alpha * b)
-        agent = Agent(x, 1)
-        assert np.allclose(interact(agent, clf, m).response, interact(agent, scaled, m).response, atol=1e-12)
+        assert np.allclose(interact(x, 1, clf, m).response, interact(x, 1, scaled, m).response, atol=1e-12)
         assert offset_prediction(clf, m, x) == offset_prediction(scaled, m, x)
 
 
 def test_l1_response_moves_single_coordinate():
     m = CostModel(L1, c=2.0, dim=2)
     clf = Classifier(np.array([0.75, 0.25]), 0.0)  # ||y||_inf = 0.75
-    r = interact(Agent(np.array([0.0, 0.0]), 1), clf, m).response
+    r = interact(np.array([0.0, 0.0]), 1, clf, m).response
     # all movement lands on the heaviest coordinate
     assert r[1] == 0.0 and r[0] == pytest.approx(1.0)
 
@@ -229,7 +227,7 @@ def _assert_answers_like_interact(A, clf, m, sigma, Z):
     observed, predicted, manipulated = answer(A, clf, m, noise)
     assert observed.shape == A.shape and predicted.shape == manipulated.shape == (len(A),)
     for j in range(len(A)):
-        out = interact(Agent(A[j], 1), clf, m, None if noise is None else noise[j])
+        out = interact(A[j], 1, clf, m, None if noise is None else noise[j])
         assert out.response.tobytes() == observed[j].tobytes()
         assert out.predicted == predicted[j]
         assert out.manipulated == manipulated[j]
@@ -328,8 +326,8 @@ def test_interact_equals_the_frozen_round_bit_for_bit(seed, d, norm, sigma, y_ki
         A = _placed_rows(rng, m, clf, targets, d, scale)
     Z = rng.standard_normal(A.shape)
     for a, z, label in zip(A, Z, rng.choice([-1, 1], len(A)).tolist()):
-        got = interact(Agent(a, label), clf, m, None if sigma == 0.0 else sigma * z)
-        want = oracle_interact(Agent(a, label), clf, m, sigma, _Draws([z]))
+        got = interact(a, label, clf, m, None if sigma == 0.0 else sigma * z)
+        want = oracle_interact(a, label, clf, m, sigma, _Draws([z]))
         assert got.response.tobytes() == want.response.tobytes()
         assert (got.predicted, got.manipulated, got.mistake) == (
             want.predicted, want.manipulated, want.mistake)
