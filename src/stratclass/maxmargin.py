@@ -11,9 +11,10 @@ the margin is half its length, and the intercept centers it.  That
 reduction is solved here with Wolfe's nearest-point method on the
 Minkowski difference of the hulls, certified by the Frank-Wolfe duality
 gap; it hands back convex-combination witnesses suitable for warm starts
-as the clouds grow.  Every other norm is solved as a linear program with
-cutting planes for the curved part of the dual-norm ball, and the cuts
-carry over to the next solve.  Either way the answer is certified: the
+as the clouds grow.  Every other norm is solved as a linear program.  The
+dual ball of a polyhedral norm (l1, wl1, linf) is exact in it, so one LP
+answers.  An lp norm's curved ball is approached by Kelley cutting planes,
+which carry over to the next solve.  Either way the answer is certified: the
 margin achieved by ``(y, b)`` and half the cost-norm distance between two
 hull points named by convex weights are within ``SOLVE_TOL`` of each
 other, or the solver raises ``SolverError``.
@@ -330,10 +331,11 @@ class MarginSolution:
     ``d`` is the bound; elsewhere ``d`` is the achieved margin and ``b`` the
     best intercept.  When not separable the classifier degenerates to
     (0, 0) with d = 0, and ``gap`` is the bound.  ``rounds`` counts the
-    solve's LPs on the cutting-plane path and its Wolfe major cycles on the
-    l2 path.  ``cuts`` holds the rows ``v`` of every Kelley cut ``v.y <= 1``
-    in place at the end (none on the l2 path); each has ``||v|| = 1``, so
-    it holds on the whole dual-norm ball and a later solve can start from it.
+    solve's LPs on the LP path, always 1 under a polyhedral norm, and its
+    Wolfe major cycles on the l2 path.  ``cuts`` holds the rows ``v`` of
+    every Kelley cut ``v.y <= 1`` in place at the end; only an lp norm has
+    any.  Each has ``||v|| = 1``, so it holds on the whole dual-norm ball
+    and a later solve can start from it.
     """
 
     y: np.ndarray
@@ -360,10 +362,11 @@ def solve_max_margin(
     over the same, possibly grown, clouds.  The Euclidean cost norm is
     solved through the nearest-points reduction, started from the warm
     solution's ``support_weights``; every other norm is solved as a linear
-    program with cutting planes, starting from the warm solution's
-    ``cuts``.  When half the cost-norm distance between the hulls is at
-    most ``10 * SOLVE_TOL`` the pair is reported as inseparable with the
-    degenerate (0, 0) classifier.
+    program, in one LP under a polyhedral norm and with cutting planes
+    under an lp norm, starting from the warm solution's ``cuts``.  When
+    half the cost-norm distance between the hulls is at most ``10 *
+    SOLVE_TOL`` the pair is reported as inseparable with the degenerate
+    (0, 0) classifier.
     """
     if sets.n_pos == 0 or sets.n_neg == 0:
         raise ValueError("solve_max_margin requires at least one point of each label")
@@ -433,7 +436,7 @@ def _lp_polish(alpha, beta, P, N, p: float):
     p0, n0 = P[idx_p[0]], N[idx_n[0]]
     base = (p0 - n0) / scale
     E = np.hstack([(P[idx_p[1:]] - p0).T, -(N[idx_n[1:]] - n0).T]) / scale
-    z = np.r_[alpha[idx_p[1:]], beta[idx_n[1:]]]
+    z = np.concatenate([alpha[idx_p[1:]], beta[idx_n[1:]]])
     u = base + E @ z
     f = float(np.sum(np.abs(u) ** p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -460,8 +463,8 @@ def _lp_polish(alpha, beta, P, N, p: float):
     m1 = len(idx_p) - 1
     a_new = np.zeros(len(alpha))
     b_new = np.zeros(len(beta))
-    a_new[idx_p] = np.r_[1.0 - z[:m1].sum(), z[:m1]]
-    b_new[idx_n] = np.r_[1.0 - z[m1:].sum(), z[m1:]]
+    a_new[idx_p[0]], a_new[idx_p[1:]] = 1.0 - z[:m1].sum(), z[:m1]
+    b_new[idx_n[0]], b_new[idx_n[1:]] = 1.0 - z[m1:].sum(), z[m1:]
     if min(a_new.min(), b_new.min()) < -1e-12:
         return None
     a_new = np.clip(a_new, 0.0, None)
@@ -471,17 +474,23 @@ def _lp_polish(alpha, beta, P, N, p: float):
 
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS bindings and a ``HighsOptions`` holding ``_LP_OPTIONS``.
+    """scipy's bundled HiGHS bindings and the one ``_Highs`` instance, holding ``_LP_OPTIONS``.
 
     Loaded on the first non-l2 solve: ``scipy.optimize`` costs ~50 MB and
-    ~0.35 s to import, and the l2 path never needs it.
+    ~0.35 s to import, and the l2 path never needs it.  Every LP of the
+    process runs on this instance: building one costs about half of what
+    solving a small LP does, and ``passModel`` clears the last LP's solution
+    and basis, so each LP is solved as on a new instance.  The package is
+    single-threaded; the instance is not shared across threads.
     """
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
     for name, value in _LP_OPTIONS.items():
         setattr(options, name, value)
-    return _core, options
+    highs = _core._Highs()
+    highs.passOptions(options)
+    return _core, highs
 
 
 def _highs_lp(cost, A_ub, b_ub, lower, upper):
@@ -494,7 +503,7 @@ def _highs_lp(cost, A_ub, b_ub, lower, upper):
     ``SolverError`` with HiGHS's model status unless the LP is solved to
     optimality.
     """
-    core, options = _highs()
+    core, highs = _highs()
     n_rows, n_cols = A_ub.shape
     columns = A_ub.T
     nonzero = columns != 0.0
@@ -505,11 +514,11 @@ def _highs_lp(cost, A_ub, b_ub, lower, upper):
     matrix = lp.a_matrix_
     matrix.format_ = core.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = n_cols, n_rows
-    matrix.start_ = np.r_[0, np.cumsum(nonzero.sum(axis=1))]
+    start = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(nonzero.sum(axis=1), out=start[1:])
+    matrix.start_ = start
     matrix.index_ = np.nonzero(nonzero)[1]
     matrix.value_ = columns[nonzero]
-    highs = core._Highs()
-    highs.passOptions(options)
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
@@ -521,57 +530,80 @@ def _highs_lp(cost, A_ub, b_ub, lower, upper):
 
 
 @functools.cache
-def _box(norm, dim: int):
-    """Column bounds of the max-margin LP: ``|y_i| <= ||e_i||`` and free ``b`` and ``t``."""
-    half = [norm_eval(norm, e) for e in np.eye(dim)]
-    lower, upper = np.r_[np.negative(half), -np.inf, -np.inf], np.r_[half, np.inf, np.inf]
-    lower.flags.writeable = upper.flags.writeable = False
-    return lower, upper
+def _columns(norm, dim: int):
+    """Cost and column bounds of the max-margin LP: minimize ``-t``, with ``b`` and ``t`` free.
+
+    Under linf the columns are ``(y+, y-, b, t)``, with ``y = y+ - y-`` and
+    ``y+, y- >= 0``; under every other norm they are ``(y, b, t)``, with
+    ``|y_i| <= ||e_i||``.
+    """
+    if norm.kind == "linf":
+        lower = np.concatenate([np.zeros(2 * dim), [-np.inf, -np.inf]])
+        upper = np.full(2 * dim + 2, np.inf)
+    else:
+        half = [norm_eval(norm, e) for e in np.eye(dim)]
+        lower = np.concatenate([np.negative(half), [-np.inf, -np.inf]])
+        upper = np.concatenate([half, [np.inf, np.inf]])
+    cost = np.zeros(len(lower))
+    cost[-1] = -1.0
+    for column in (cost, lower, upper):
+        column.flags.writeable = False
+    return cost, lower, upper
 
 
 def _solve_cutting_plane(sets: PointSetPair, m: CostModel, cuts) -> MarginSolution:
     """Max-margin under a non-Euclidean cost norm, certified by LP duality.
 
     Solves ``max t`` over ``(y, b, t)`` subject to ``p.y + b >= t`` on the
-    positives and ``-(n.y + b) >= t`` on the negatives, with the dual-norm
-    ball replaced by an outer polyhedron: its bounding box ``|y_i| <=
-    ||e_i||``, exact for l1 and wl1, the Kelley cuts ``v.y <= 1`` in
-    ``cuts`` (rows of unit cost norm, valid on the whole ball whatever the
-    clouds), and one more cut with ``v = manipulation_direction(y)`` for
-    each LP optimum that leaves the ball (Kelley 1960, *The cutting-plane
-    method for solving convex programs*).  By arbitrary-norm duality
-    (Mangasarian 1999, *Arbitrary-norm separating plane*) the margin is half
-    the cost-norm distance between the hulls, so the LP's row duals,
-    normalized to hull weights, bound it from above whatever cuts are in
-    place.  Under an lp norm those weights are first polished to the
-    nearest points of the affine hulls they span (``_lp_polish``), which
-    are the exact nearest points once the LP has found the support points.
-    Two directions are then tested against that bound: the LP's
-    ``y/||y||_*`` and the norming functional of ``x_plus - x_minus``, the
-    optimal direction when those points are the nearest ones.  Returns the
-    first whose achieved margin is within ``SOLVE_TOL`` of the bound.  Each
-    LP is built afresh and solved by HiGHS's dual simplex (``_highs_lp``).  Raises
-    ``SolverError`` when the next LP would repeat this one, because its
-    optimum already lies in the ball or its cut is already in place (HiGHS
-    took the violation, below its feasibility tolerance, for satisfied), or
-    after ``_MAX_CUT_ROUNDS`` LPs; either message reports the bound minus the
-    larger margin of the two directions.
+    positives and ``-(n.y + b) >= t`` on the negatives, with ``y`` in the
+    dual-norm ball or, under an lp norm, in an outer polyhedron of it.  The
+    ball of a polyhedral norm is exact: under l1 and wl1 it is the box
+    ``|y_i| <= ||e_i||``; under linf it is the l1 ball, written with split
+    columns ``y = y+ - y-``, ``y+, y- >= 0``, and the one row
+    ``sum(y+ + y-) <= 1``.  Under an lp norm the polyhedron is that box,
+    the Kelley cuts ``v.y <= 1`` in ``cuts`` (rows of unit cost norm, valid
+    on the whole ball whatever the clouds), and one more cut with ``v =
+    manipulation_direction(y)`` for each LP optimum that leaves the ball
+    (Kelley 1960, *The cutting-plane method for solving convex programs*).
+    By arbitrary-norm duality (Mangasarian 1999, *Arbitrary-norm separating
+    plane*) the margin is half the cost-norm distance between the hulls, so
+    the LP's point-row duals, normalized to hull weights, bound it from
+    above whatever cuts are in place.  Under an lp norm those weights are
+    first polished to the nearest points of the affine hulls they span
+    (``_lp_polish``), which are the exact nearest points once the LP has
+    found the support points.  Two directions are then tested against that
+    bound: the LP's ``y/||y||_*`` and the norming functional of ``x_plus -
+    x_minus``, the optimal direction when those points are the nearest ones.
+    Returns the first whose achieved margin is within ``SOLVE_TOL`` of the
+    bound.  Each LP is solved by HiGHS's dual simplex (``_highs_lp``).
+
+    Raises ``SolverError`` when neither direction certifies: at once under a
+    polyhedral norm, whose LP has no cut to add; under an lp norm when the
+    next LP would repeat this one, because its optimum already lies in the
+    ball or its cut is already in place (HiGHS took the violation, below its
+    feasibility tolerance, for satisfied), or after ``_MAX_CUT_ROUNDS`` LPs.
+    Each message reports the bound minus the larger margin of the two
+    directions.
     """
     P = sets.positives
     N = sets.negatives
     dim, n_pos, n_rows = sets.dim, sets.n_pos, sets.n_pos + sets.n_neg
-    sign = np.r_[-np.ones(n_pos), np.ones(sets.n_neg)][:, None]  # -1 on positives
-    rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
-    cost = np.r_[np.zeros(dim + 1), -1.0]
-    col_lower, col_upper = _box(m.norm, dim)
+    sign = np.concatenate([-np.ones(n_pos), np.ones(sets.n_neg)])[:, None]  # -1 on positives
+    points = sign * np.vstack([P, N])
+    rhs = np.zeros(n_rows)
+    if m.norm.kind == "linf":
+        l1_row = np.concatenate([np.ones(2 * dim), [0.0, 0.0]])
+        rows = np.vstack([np.hstack([points, -points, sign, np.ones((n_rows, 1))]), l1_row])
+        rhs = np.concatenate([rhs, [1.0]])
+    else:
+        rows = np.hstack([points, sign, np.ones((n_rows, 1))])
+    cost, col_lower, col_upper = _columns(m.norm, dim)
     for rounds in range(1, _MAX_CUT_ROUNDS + 1):
-        x, row_duals = _highs_lp(
-            cost,
-            np.vstack([rows, np.hstack([cuts, np.zeros((len(cuts), 2))])]),
-            np.r_[np.zeros(n_rows), np.ones(len(cuts))],
-            col_lower,
-            col_upper,
-        )
+        A_ub, b_ub = rows, rhs
+        if len(cuts):
+            A_ub = np.vstack([rows, np.hstack([cuts, np.zeros((len(cuts), 2))])])
+            b_ub = np.concatenate([rhs, np.ones(len(cuts))])
+        x, row_duals = _highs_lp(cost, A_ub, b_ub, col_lower, col_upper)
         duals = np.maximum(-row_duals[:n_rows], 0.0)
         alpha = duals[:n_pos] / duals[:n_pos].sum()
         beta = duals[n_pos:] / duals[n_pos:].sum()
@@ -585,7 +617,7 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, cuts) -> MarginSoluti
         upper = 0.5 * norm_eval(m, x_plus - x_minus)
         if upper <= _INSEPARABLE_FACTOR * SOLVE_TOL:
             return _inseparable(x_plus, x_minus, weights, upper, rounds, cuts)
-        y = x[:dim]
+        y = x[:dim] - x[dim : 2 * dim] if m.norm.kind == "linf" else x[:dim]
         best = -math.inf  # the larger margin the two directions achieve
         for direction in (y, norming_functional(m, x_plus - x_minus)):
             y_hat = direction / dual_norm_eval(m, direction)
@@ -606,6 +638,11 @@ def _solve_cutting_plane(sets: PointSetPair, m: CostModel, cuts) -> MarginSoluti
                     rounds=rounds,
                     cuts=cuts,
                 )
+        if m.norm.kind != "lp":
+            raise SolverError(
+                f"max-margin LP holds the whole {m.norm.kind} dual ball but did not certify: "
+                f"gap {upper - best:.3e} > tol {SOLVE_TOL:.3e}"
+            )
         v = manipulation_direction(m, y)
         # y in the ball, or a cut HiGHS took for satisfied: every later LP would repeat this one
         if float(v @ y) <= 1.0 or (cuts == v).all(axis=1).any():

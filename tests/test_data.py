@@ -253,6 +253,16 @@ class TestGenerateSynthetic:
         bench = ds.benchmark_for(CostModel(parse_norm(norm), c=125.0, dim=ds.dim))
         assert round(bench.d_star, 6) == d_star
 
+    def test_linf_benchmark_is_one_exact_lp(self, monkeypatch):
+        # linprog solved the exact l1-ball LP on this population to 0.008464183934431612
+        ds = generate_synthetic(SynthConfig(seed=0))
+        solves = []
+        monkeypatch.setattr(data, "solve_max_margin",
+                            lambda *args, fn=data.solve_max_margin: solves.append(fn(*args)) or solves[-1])
+        bench = ds.benchmark_for(CostModel(LINF, c=125.0, dim=ds.dim))
+        assert [sol.rounds for sol in solves] == [1]
+        assert abs(bench.d_star - 0.008464183934431612) <= 1e-10
+
     def test_builds_two_point_set_pairs(self, monkeypatch):
         # one for the raw cloud the recentring solve reads, one the returned
         # dataset keeps and its l2 benchmark was solved over

@@ -1081,9 +1081,10 @@ class TestCli:
         assert "run.cfg" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("norm, most_lps", [("lp:3", 40), ("linf", 25)])
+@pytest.mark.parametrize("norm, most_lps", [("lp:3", 40), ("linf", None)])
 def test_smm_solves_curved_norms_in_few_lps(monkeypatch, norm, most_lps):
-    # cold cutting planes took 414 LPs under lp:3 and 38 under linf for these runs
+    # cold cutting planes took 414 LPs under lp:3 and 38 under linf for these
+    # runs; linf's LP holds the whole dual ball, so it takes one LP per solve
     solves, solve = [], learners.solve_max_margin
 
     def recording(pool, *args, **kw):
@@ -1094,7 +1095,8 @@ def test_smm_solves_curved_norms_in_few_lps(monkeypatch, norm, most_lps):
     cfg = RunConfig(algorithm="smm", norm=norm, c=125.0, T=20, seed=0, synth_seed=0)
     metrics = run_online(cfg, build_dataset(cfg))
     assert metrics.solve_count == len(solves) > 5
-    assert sum(sol.rounds for sol in solves) <= most_lps
+    lps = sum(sol.rounds for sol in solves)
+    assert lps == len(solves) if most_lps is None else lps <= most_lps
 
 
 @pytest.mark.parametrize("norm", ["l1", "linf", "lp:3", "lp:1.5", "wl1:0.5,2,1,1.5,0.75,3"])

@@ -26,7 +26,7 @@ from stratclass.maxmargin import (
     MarginSolution,
     PointSetPair,
     SolverError,
-    _box,
+    _columns,
     _highs_lp,
     _max,
     _min,
@@ -304,12 +304,14 @@ def test_warm_start_agrees_with_cold_solve():
                 assert np.array_equal(warm.cuts[: len(sol.cuts)], sol.cuts)
                 assert all(norm_eval(m, v) <= 1.0 + 1e-12 for v in warm.cuts)
                 carried[norm.kind] += len(sol.cuts)
+                if norm is LINF:  # the l1 ball is exact in the LP: no cut to carry
+                    assert len(sol.cuts) == len(warm.cuts) == len(cold.cuts) == 0
             assert warm.d <= d_prev + 1e-12  # adding points can only shrink the margin
             d_prev = warm.d
             sol = warm
             if not sol.separable:
                 break
-    assert carried["lp"] > 0 and carried["linf"] > 0
+    assert carried["lp"] > 0
 
 
 def test_incremental_check_gates_on_cached_margin():
@@ -556,6 +558,40 @@ def test_cutting_plane_matches_the_cold_oracle(seed, dim, kind, log_p, log_scale
     if kind in ("l1", "wl1"):  # the box is the whole dual ball: the first LP is the answer
         assert np.array_equal(sol.y, ref.y) and sol.b == ref.b and sol.d == ref.d
         assert sol.support_weights == ref.support_weights and sol.rounds == ref.rounds == 1
+    if kind == "linf":  # the split columns and the l1 row are the whole dual ball
+        assert sol.rounds == 1 and len(sol.cuts) == 0
+
+
+def _margin_lp(rng, dim, kind, n_cuts, zeros, overlap):
+    """A max-margin LP as the cutting-plane solver builds it, on random clouds.
+
+    Sign-weighted points and the b and t columns; under linf the split
+    columns y+ - y- >= 0 and the l1 row sum(y+ + y-) <= 1, otherwise the box
+    of the dual ball and ``n_cuts`` unit-norm cuts.  With ``zeros`` some
+    coordinates are exact zeros, of either sign, which drop out of the
+    sparse matrix.
+    """
+    P, N = random_separable(rng, dim, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    if overlap:
+        N = np.vstack([N, P.mean(axis=0)])
+    if zeros:
+        P[rng.random(P.shape) < 0.3] = 0.0
+        N[rng.random(N.shape) < 0.3] = -0.0
+    weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, dim)) if kind == "wl1" else None
+    norm = NormKind(kind, p=float(rng.uniform(1.1, 6.0)) if kind == "lp" else None, weights=weights)
+    n_rows = len(P) + len(N)
+    sign = np.concatenate([-np.ones(len(P)), np.ones(len(N))])[:, None]
+    points, ones = sign * np.vstack([P, N]), np.ones((n_rows, 1))
+    if kind == "linf":
+        A_ub = np.vstack([np.hstack([points, -points, sign, ones]), np.r_[np.ones(2 * dim), 0.0, 0.0]])
+        b_ub = np.r_[np.zeros(n_rows), 1.0]
+    else:
+        cuts = rng.normal(size=(n_cuts, dim))
+        cuts /= np.array([norm_eval(norm, v) for v in cuts])[:, None]
+        A_ub = np.vstack([np.hstack([points, sign, ones]), np.hstack([cuts, np.zeros((n_cuts, 2))])])
+        b_ub = np.r_[np.zeros(n_rows), np.ones(n_cuts)]
+    cost, lower, upper = _columns(norm, dim)
+    return cost, A_ub, b_ub, lower, upper
 
 
 @settings(max_examples=100, deadline=None)
@@ -568,38 +604,47 @@ def test_cutting_plane_matches_the_cold_oracle(seed, dim, kind, log_p, log_scale
     overlap=st.booleans(),
 )
 def test_highs_lp_is_linprog_bit_for_bit(seed, dim, kind, n_cuts, zeros, overlap):
-    # the cutting-plane LP: sign-weighted points, the b and t columns, the box of
-    # the dual ball and unit-norm cuts; an exact zero, of either sign, drops out
-    # of the sparse matrix
-    rng = np.random.default_rng(seed)
-    P, N = random_separable(rng, dim, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-    if overlap:
-        N = np.vstack([N, P.mean(axis=0)])
-    if zeros:
-        P[rng.random(P.shape) < 0.3] = 0.0
-        N[rng.random(N.shape) < 0.3] = -0.0
-    weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, dim)) if kind == "wl1" else None
-    norm = NormKind(kind, p=float(rng.uniform(1.1, 6.0)) if kind == "lp" else None, weights=weights)
-    cuts = rng.normal(size=(n_cuts, dim))
-    cuts /= np.array([norm_eval(norm, v) for v in cuts])[:, None]
-    n_rows = len(P) + len(N)
-    sign = np.r_[-np.ones(len(P)), np.ones(len(N))][:, None]
-    rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((n_rows, 1))])
-    A_ub = np.vstack([rows, np.hstack([cuts, np.zeros((n_cuts, 2))])])
-    b_ub = np.r_[np.zeros(n_rows), np.ones(n_cuts)]
-    cost = np.r_[np.zeros(dim + 1), -1.0]
-    lower, upper = _box(norm, dim)
-    x, duals = _highs_lp(cost, A_ub, b_ub, lower, upper)
-    ref_x, ref_duals = oracle_lp(cost, A_ub, b_ub, lower, upper)
+    lp = _margin_lp(np.random.default_rng(seed), dim, kind, n_cuts, zeros, overlap)
+    cost, A_ub, b_ub, lower, upper = lp
+    if kind == "linf":  # y+ and y- are nonnegative, and only the l1 row bounds them above
+        assert not lower[: 2 * dim].any() and np.all(upper == np.inf)
+    x, duals = _highs_lp(*lp)
+    ref_x, ref_duals = oracle_lp(*lp)
     assert x.tobytes() == ref_x.tobytes() and duals.tobytes() == ref_duals.tobytes()
 
 
-def test_highs_lp_names_the_status_of_an_lp_it_cannot_solve():
+def _failing_lps():
+    """LPs HiGHS cannot solve to optimality, each with the model status it reports."""
     free = np.array([-np.inf]), np.array([np.inf])
-    with pytest.raises(SolverError, match="HiGHS model status is Unbounded"):
-        _highs_lp(np.array([-1.0]), np.zeros((1, 1)), np.array([1.0]), *free)
-    with pytest.raises(SolverError, match="HiGHS model status is Infeasible"):
-        _highs_lp(np.array([1.0]), np.ones((1, 1)), np.array([-1.0]), np.zeros(1), np.ones(1))
+    return [
+        ((np.array([-1.0]), np.zeros((1, 1)), np.array([1.0]), *free), "Unbounded"),
+        ((np.array([1.0]), np.ones((1, 1)), np.array([-1.0]), np.zeros(1), np.ones(1)), "Infeasible"),
+    ]
+
+
+def test_highs_lp_names_the_status_of_an_lp_it_cannot_solve():
+    for lp, status in _failing_lps():
+        with pytest.raises(SolverError, match=f"HiGHS model status is {status}"):
+            _highs_lp(*lp)
+
+
+def test_the_reused_highs_instance_keeps_nothing_from_an_earlier_lp():
+    # every LP runs on one HiGHS instance: a large LP and failed LPs before a
+    # small one must leave its answer as linprog's, which starts afresh
+    rng = np.random.default_rng(12)
+    P, N = random_separable(rng, 5, 1000, 1000)
+    sign = np.concatenate([-np.ones(1000), np.ones(1000)])[:, None]
+    cost, lower, upper = _columns(L1, 5)
+    rows = np.hstack([sign * np.vstack([P, N]), sign, np.ones((2000, 1))])
+    _highs_lp(cost, rows, np.zeros(2000), lower, upper)
+    for lp, status in _failing_lps():
+        with pytest.raises(SolverError, match=status):
+            _highs_lp(*lp)
+    for kind, n_cuts in itertools.product(("l1", "linf", "wl1", "lp"), (0, 3)):
+        lp = _margin_lp(rng, 3, kind, n_cuts, zeros=False, overlap=False)
+        x, duals = _highs_lp(*lp)
+        ref_x, ref_duals = oracle_lp(*lp)
+        assert x.tobytes() == ref_x.tobytes() and duals.tobytes() == ref_duals.tobytes(), kind
 
 
 def test_a_stalled_cut_loop_fails_fast(monkeypatch):
