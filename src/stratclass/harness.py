@@ -61,7 +61,6 @@ class RunConfig:
     rounds: int = 1
     sigma: float = 0.0
     cone: str = "full"
-    gamma: float = 1.0
     dataset: str = "synthetic"
     synth_seed: int = 0
     synth_n: int = SynthConfig.n
@@ -87,10 +86,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}", key)
-        for key in ("gamma", "trim_rho"):
-            value = getattr(self, key)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{key} must be > 0, got {value}", key)
+        if self.trim_rho is not None and self.trim_rho <= 0:
+            raise ConfigError(f"trim_rho must be > 0, got {self.trim_rho}", "trim_rho")
         try:
             self.synth
         except ValueError as exc:  # its message starts with the field's name
@@ -100,12 +97,6 @@ class RunConfig:
                 check(getattr(self, key))
             except ValueError as exc:
                 raise ConfigError(f"{key} = {getattr(self, key)}: {exc}", key) from None
-        if self.dataset == "synthetic":  # a CSV's dimension is known only once it is loaded
-            try:
-                CostModel(parse_norm(self.norm), self.c, self.synth_d)
-            except ValueError as exc:
-                raise ConfigError(f"norm = {self.norm} with synth_d = {self.synth_d}: {exc}",
-                                  "norm", "synth_d") from None
         if parse_norm(self.norm).kind != "l2" and self.algorithm == "gradsmm":
             raise ConfigError(f"algorithm gradsmm requires norm = l2, got {self.norm!r}", "algorithm", "norm")
 
@@ -153,7 +144,14 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key} = {val}: {exc}") from None
     try:
-        return RunConfig(**values)
+        cfg = RunConfig(**values)
+        if cfg.dataset == "synthetic":  # run_online(cfg, dataset) and a CSV run take the dataset's dimension
+            try:
+                CostModel(parse_norm(cfg.norm), cfg.c, cfg.synth_d)
+            except ValueError as exc:
+                raise ConfigError(f"norm = {cfg.norm} with synth_d = {cfg.synth_d}: {exc}",
+                                  "norm", "synth_d") from None
+        return cfg
     except ConfigError as exc:
         lines = [written[key] for key in exc.keys if key in written]
         if not lines:
@@ -352,7 +350,7 @@ def _build_learner(cfg: RunConfig, model: CostModel):
         return SmmLearner(model)
     if cfg.algorithm == "gradsmm":
         return GradSmmLearner(model)
-    return PerceptronLearner(model, cone=ConeKind(cfg.cone), gamma=cfg.gamma)
+    return PerceptronLearner(model, cone=cfg.cone)
 
 
 def _arrivals(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.random.Generator]:
@@ -696,7 +694,7 @@ def _example_smm_stuck() -> ExampleReport:
 def _example_perceptron_margin() -> ExampleReport:
     chk = _Checks()
     model = CostModel(parse_norm("l2"), c=4.0, dim=2)
-    learner = PerceptronLearner(model, cone=ConeKind.FULL, gamma=1.0)
+    learner = PerceptronLearner(model, cone=ConeKind.FULL)
 
     first = [(np.array([1.0, -1.0]), -1), (np.array([2.0, 1.0]), 1)]
     cycle = [
@@ -733,7 +731,7 @@ def _example_perceptron_margin() -> ExampleReport:
     dist = _normalized_distance(final.y, final.b, Benchmark(np.array([0.0, 1.0]), 0.0, 1.0))
     chk.check(dist is not None and dist > 0.3, f"frozen classifier stays far from max margin (dist={dist:.3f})")
 
-    nn = PerceptronLearner(model, cone=ConeKind.NONNEG_WEIGHTS, gamma=1.0)
+    nn = PerceptronLearner(model, cone=ConeKind.NONNEG_WEIGHTS)
     _play(nn, *first[0], model)
     q = nn.classifier
     chk.close(q.y, [0.0, 1.0], 0.0, "nonneg cone clips the first update to (0, 1)")
@@ -744,7 +742,7 @@ def _example_perceptron_margin() -> ExampleReport:
 def _example_l1_counterexample() -> ExampleReport:
     chk = _Checks()
     model = CostModel(parse_norm("l1"), c=2.0, dim=2)
-    learner = PerceptronLearner(model, cone=ConeKind.ZERO_INTERCEPT, gamma=1.0)
+    learner = PerceptronLearner(model, cone=ConeKind.ZERO_INTERCEPT)
     z = np.array([0.75, 0.25])
     probe = np.array([1.0, 0.0])  # the budget point 2w/c for w = e1
 

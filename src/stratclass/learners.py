@@ -35,12 +35,13 @@ class ConeKind(Enum):
     NONNEG_WEIGHTS = "nonneg"
 
 
-def project_cone(kind: ConeKind, q: np.ndarray) -> np.ndarray:
+def project_cone(kind: ConeKind | str, q: np.ndarray) -> np.ndarray:
     """Euclidean projection of the stacked vector (y, b) onto the cone.
 
     All three cones project coordinatewise (identity, zeroed intercept,
     clipped weights), so the projection is positively homogeneous exactly.
     """
+    kind = ConeKind(kind)
     q = np.asarray(q, dtype=float)
     if kind is ConeKind.FULL:
         return q.copy()
@@ -229,16 +230,14 @@ class PerceptronLearner(_Learner):
     """Mistake-driven additive updates on proxies, projected onto a cone.
 
     The stacked vector ``q = (y, b)`` starts at zero; a mistaken round adds
-    ``gamma * label * (proxy, 1)`` before re-projecting onto the cone.
-    Correct rounds leave ``q`` untouched.  No initialization phase.
+    ``label * (proxy, 1)`` before re-projecting onto ``cone`` (a ``ConeKind``
+    or its value).  Correct rounds leave ``q`` untouched.  No initialization
+    phase, and no step size: the rounds read only the direction of ``(y, b)``.
     """
 
-    def __init__(self, m: CostModel, cone: ConeKind = ConeKind.FULL, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+    def __init__(self, m: CostModel, cone: ConeKind | str = ConeKind.FULL):
         self.model = m
-        self.cone = cone
-        self.gamma = gamma
+        self.cone = ConeKind(cone)
         self.q = np.zeros(m.dim + 1)
         self.mistakes = 0
 
@@ -261,5 +260,5 @@ class PerceptronLearner(_Learner):
         self.mistakes += 1
         row = slice(j, j + 1)
         s = proxy_from_response(rows[row], labels[row], predicted[row], self.classifier, self.model)[0]
-        self.q = project_cone(self.cone, self.q + self.gamma * int(labels[j]) * np.append(s, 1.0))
+        self.q = project_cone(self.cone, self.q + int(labels[j]) * np.append(s, 1.0))
         return j + 1

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import feed, offset_prediction, oracle_margin
+from oracle import feed, oracle_margin
 from stratclass.bounds import (
     dataset_constants,
     perceptron_mistake_bound,
@@ -368,36 +368,27 @@ def test_criterion_7_property_suites():
         assert label * (float(ref_y @ proxy) + ref_b) >= rho - 1e-9
     assert applicable >= trials // 10  # the conditioned event is not vacuous
 
-    # (e) perceptron trajectories are homogeneous in the step size
+    # (e) a perceptron round keeps q on a correct round and takes one unit
+    # step from it, projected onto the cone, on a mistake
     rng = np.random.default_rng(74)
-    for _ in range(trials // 10):  # 100 streams x 10 rounds = 1000 trials
-        m = CostModel(L2, c=4.0, dim=3)
-        base = PerceptronLearner(m, gamma=1.0)
-        half = PerceptronLearner(m, gamma=0.5)
-        double = PerceptronLearner(m, gamma=2.0)
+    outcomes = set()
+    for stream in range(trials // 10):  # 100 streams x 10 rounds = 1000 trials
+        norm = _random_norm(rng)
+        m = CostModel(norm, c=float(rng.uniform(0.3, 10.0)), dim=3)
+        cone = list(ConeKind)[stream % 3]
+        learner = PerceptronLearner(m, cone)
         for _ in range(10):
-            x = rng.normal(size=3)
-            label = int(rng.choice([-1, 1]))
-            outs = []
-            for learner in (base, half, double):
-                out = interact(x, label, learner.classifier, m)
-                assert feed(learner, out, label) == 1
-                outs.append(out)
-            # dyadic scalings: identical rounds, bitwise-scaled weights
-            assert np.array_equal(outs[0].response, outs[1].response)
-            assert np.array_equal(outs[0].response, outs[2].response)
-            assert np.array_equal(base.q, 2.0 * half.q)
-            assert np.array_equal(2.0 * base.q, double.q)
-        # generic (off-boundary) rounds tolerate any positive factor
-        base_generic = PerceptronLearner(m, gamma=1.0)
-        tenx = PerceptronLearner(m, gamma=10.0)
-        for _ in range(10):
-            x = rng.normal(size=3)
-            label = int(rng.choice([-1, 1]))
-            for learner in (base_generic, tenx):
-                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.classifier, m, x)]))
-        scale = max(1.0, float(np.max(np.abs(base_generic.q))))
-        assert np.max(np.abs(tenx.q / 10.0 - base_generic.q)) <= 1e-9 * scale
+            x, label = rng.normal(size=3), int(rng.choice([-1, 1]))
+            clf, q = learner.classifier, learner.q
+            out = interact(x, label, clf, m)
+            assert feed(learner, out, label) == 1
+            if out.mistake:
+                proxy = proxy_from_response(out.response[None], [label], [out.predicted], clf, m)[0]
+                assert np.array_equal(learner.q, project_cone(cone, q + label * np.append(proxy, 1.0)))
+            else:
+                assert learner.q is q and learner.classifier is clf
+            outcomes.add((cone, out.mistake))
+    assert len(outcomes) == 6  # every cone met both kinds of round
 
     # (f) cone projections are positively homogeneous, exactly
     rng = np.random.default_rng(75)

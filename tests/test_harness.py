@@ -69,7 +69,6 @@ class TestParseConfig:
             rounds = 3
             sigma = 0.001
             cone = nonneg
-            gamma = 0.5
             dataset = synthetic
             synth_seed = 4
             synth_n = 50
@@ -88,6 +87,12 @@ class TestParseConfig:
         block = next(b for b in readme.split("```")[1::2] if "algorithm =" in b)
         cfg = parse_config(block)
         assert cfg.algorithm == "smm" and cfg.c == 125.0 and cfg.T == 10000
+
+    def test_readme_documents_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quick_start = readme.split("## Quick start")[1].split("\n## ")[0]
+        keys = re.findall(r"^\| `(\w+)` \|", quick_start, flags=re.MULTILINE)
+        assert keys == [f.name for f in fields(RunConfig)]
 
     def test_solver_tolerance_defaults_to_1e10_unless_set(self):
         assert RunConfig(c=1.0).solve_tol == 1e-10
@@ -112,7 +117,6 @@ class TestParseConfig:
             ("sigma = -1\nc = 1", "sigma"),
             ("sigma = nan\nc = 1", "sigma"),
             ("c = inf", "c must be finite"),
-            ("gamma = nan\nc = 1", "gamma"),
             ("tol = 0\nc = 1", "line 1: unknown key 'tol'"),
             ("c = 0", "positive"),
             ("c = 1e-320", "^line 1: c = 1e-320: c, 2/c and \\(2/c\\)\\*\\*2 must all be positive and finite$"),
@@ -130,7 +134,6 @@ class TestParseConfig:
             ("T = ten\nc = 1", "^line 1: T = ten: invalid literal for int"),
             ("algorithm = gradsmm\nc = 125\nnorm = l1", "^line 3: algorithm gradsmm requires norm = l2"),
             ("norm = l1\nc = 125\nalgorithm = gradsmm", "^line 3: algorithm gradsmm requires norm = l2"),
-            ("gamma = 0\nc = 1", "^line 1: gamma must be > 0, got 0.0$"),
             ("c = 1\ntrim_rho = -1", "^line 2: trim_rho must be > 0, got -1.0$"),
             ("synth_n = 1\nc = 1", "^line 1: synth_n must be >= 2, got 1$"),
             ("c = 1\nsynth_d = 0", "^line 2: synth_d must be >= 1, got 0$"),
@@ -154,6 +157,15 @@ class TestParseConfig:
         assert parse_config("norm = wl1:1,2\nc = 4\nsynth_d = 2").synth_d == 2
         # a CSV's dimension is known only once it is loaded, so its check waits until then
         assert parse_config("norm = wl1:1,2\nc = 4\ndataset = agents.csv").norm == "wl1:1,2"
+
+    def test_a_run_handed_its_dataset_takes_the_wl1_dimension_from_it(self):
+        metrics = run_online(RunConfig(norm="wl1:0.5,2", c=4.0, T=50), two_cluster_dataset())
+        assert (len(metrics.labels), metrics.mistakes, metrics.solve_count) == (50, 2, 3)
+
+    def test_a_run_config_of_the_wrong_wl1_dimension_fails_at_its_cost_model(self):
+        cfg = RunConfig(norm="wl1:1,2", c=4.0, T=10, synth_n=60)  # synth_d = 6
+        with pytest.raises(ValueError, match="^wl1 norm has 2 weights but dim=6$"):
+            run_online(cfg)
 
     # a valid value for each key whose annotation is str; other keys get one per type
     WORDS = {"algorithm": "gradsmm", "norm": "lp:3", "mode": "stream", "cone": "nonneg",
@@ -987,6 +999,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: line 2: norm = wl1:1,2 with synth_d = 6: wl1 norm has 2 weights but dim=6\n")
 
+    def test_an_iid_run_without_a_horizon_is_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "c = 4\nsynth_n = 60\nsynth_d = 3\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: iid mode requires an explicit T\n"
+        # certify draws no arrivals without metrics, so it needs no horizon
+        assert cli.main(["certify", "--config", cfg]) == 0
+
+    def test_a_stream_horizon_beyond_the_supply_is_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "c = 4\nmode = stream\nsynth_n = 60\nsynth_d = 3\nT = 100000\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: T=100000 exceeds rounds*n=53 in stream mode\n"
+
     def test_a_negative_seed_is_exit_2_naming_its_key_and_line(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_seed = -2\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
@@ -1019,7 +1043,7 @@ class TestCli:
         assert capsys.readouterr().out.startswith("T=300 ")
 
     @pytest.mark.parametrize("line", ["tol = 1e-9", "force_resolve = true", "schedule = invsqrt",
-                                      "two_over_c = 0.016"])
+                                      "two_over_c = 0.016", "gamma = 0.5"])
     def test_retired_keys_are_exit_2(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"c = 4\nT = 10\n{line}\n")
         assert cli.main(["simulate", "--config", cfg]) == 2

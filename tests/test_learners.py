@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import feed, offset_prediction, two_sided_certificate
+from oracle import feed, two_sided_certificate
 from stratclass.data import SynthConfig, generate_synthetic
 from stratclass import learners
 from stratclass.learners import (
@@ -401,43 +401,30 @@ class TestPerceptron:
         drive(learner, m, [((1.0, -1.0), -1), ((2.0, 1.0), 1), ((0.0, -2.0), -1)])
         assert learner.q[-1] == 0.0
 
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PerceptronLearner(CostModel(L2, c=4.0, dim=2), gamma=0.0)
+    def test_gamma_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            PerceptronLearner(CostModel(L2, c=4.0, dim=2), gamma=1.0)
+
+    @pytest.mark.parametrize("cone,want", [("full", [-1.0, 0.5, 1.0]), ("zero-b", [-1.0, 0.5, 0.0]),
+                                           ("nonneg", [0.0, 0.5, 1.0])])
+    def test_a_cone_given_by_its_value_projects_as_its_kind(self, cone, want):
+        learner = PerceptronLearner(CostModel(L2, c=4.0, dim=2), cone=cone)
+        learner.update(np.array([[-1.0, 0.5]]), np.array([1]), np.array([-1]))
+        assert learner.cone is ConeKind(cone)
+        assert np.array_equal(learner.q, want)
 
     @pytest.mark.parametrize("cone", list(ConeKind))
-    def test_dyadic_step_size_scales_trajectory_bitwise(self, cone):
+    def test_a_cone_given_by_its_value_runs_as_its_kind_bitwise(self, cone):
         m = CostModel(L2, c=4.0, dim=3)
         rng = np.random.default_rng(5)
         stream = [(tuple(rng.normal(size=3)), int(rng.choice([-1, 1]))) for _ in range(120)]
-        a = PerceptronLearner(m, cone=cone, gamma=1.0)
-        b = PerceptronLearner(m, cone=cone, gamma=0.5)
+        by_kind, by_value = PerceptronLearner(m, cone=cone), PerceptronLearner(m, cone=cone.value)
         for features, label in stream:
-            out_a = drive(a, m, [(features, label)])[0]
-            out_b = drive(b, m, [(features, label)])[0]
-            # responses are scale-invariant, so both learners see the same round
-            assert np.array_equal(out_a.response, out_b.response)
-            assert out_a.predicted == out_b.predicted
-            assert np.array_equal(a.q, 2.0 * b.q)
-        assert a.mistakes == b.mistakes
-
-    def test_nondyadic_step_size_matches_on_generic_rounds(self):
-        # Manipulated responses land exactly on the offset boundary, where the
-        # predicted sign is one rounding error away from flipping — only dyadic
-        # scalings survive that bitwise.  Feeding generic (off-boundary) points
-        # directly, the trajectory is homogeneous in gamma up to float noise.
-        m = CostModel(L2, c=4.0, dim=3)
-        rng = np.random.default_rng(6)
-        a = PerceptronLearner(m, gamma=1.0)
-        b = PerceptronLearner(m, gamma=10.0)
-        for _ in range(120):
-            x = rng.normal(size=3)
-            label = int(rng.choice([-1, 1]))
-            for learner in (a, b):
-                learner.update(x[None], np.array([label]), np.array([offset_prediction(learner.classifier, m, x)]))
-            if np.any(a.q):
-                assert np.max(np.abs(b.q / 10.0 - a.q)) <= 1e-9 * max(1.0, np.max(np.abs(a.q)))
-        assert a.mistakes == b.mistakes and a.mistakes > 10
+            out_kind = drive(by_kind, m, [(features, label)])[0]
+            out_value = drive(by_value, m, [(features, label)])[0]
+            assert out_kind.response.tobytes() == out_value.response.tobytes()
+            assert by_kind.q.tobytes() == by_value.q.tobytes()
+        assert by_kind.mistakes == by_value.mistakes > 10
 
 
 MAKERS = {
@@ -538,6 +525,16 @@ def test_project_cone_values():
     assert np.array_equal(project_cone(ConeKind.FULL, q), q)
     assert np.array_equal(project_cone(ConeKind.ZERO_INTERCEPT, q), np.array([-1.0, 2.0, 0.0]))
     assert np.array_equal(project_cone(ConeKind.NONNEG_WEIGHTS, q), np.array([0.0, 2.0, -3.0]))
+
+
+def test_project_cone_takes_a_kind_or_its_value_only():
+    q = np.array([-1.0, 2.0, -3.0])
+    for kind in ConeKind:
+        assert np.array_equal(project_cone(kind.value, q), project_cone(kind, q))
+    with pytest.raises(ValueError, match="'bogus'"):
+        project_cone("bogus", q)
+    with pytest.raises(ValueError, match="'bogus'"):
+        PerceptronLearner(CostModel(L2, c=4.0, dim=2), cone="bogus")
 
 
 def test_project_cone_is_positively_homogeneous():
