@@ -67,10 +67,10 @@ def _cmd_solve_margin(args) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = read_config(args.config)
     ds = harness.build_dataset(cfg)
+    b = ds.benchmark_for(CostModel(parse_norm(cfg.norm), cfg.c, ds.dim))
     out = Path(args.out)
     save_csv(ds, out)
-    write_descriptor(ds, out.with_suffix(out.suffix + ".meta"))
-    b = ds.benchmark
+    write_descriptor(ds, out.with_suffix(out.suffix + ".meta"), cfg.norm)
     extra = f" d_star={b.d_star:.6g}" if b is not None else ""
     print(f"wrote {ds.n} agents (d={ds.dim}) to {out}{extra}")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import Benchmark, _centred_half_diameter
 from .maxmargin import PointSetPair, solve_max_margin
-from .norms import L2, CostModel, dual_norm_eval
+from .norms import L2, CostModel, dual_norm_eval, parse_norm
 
 _MAX_REJECTION_TRIES = 10_000
 _HINGE_ITERS = 4000
@@ -243,15 +243,15 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([f"{v:.17g}" for v in x] + [str(int(lbl))])
 
 
-def write_descriptor(dataset: Dataset, path) -> None:
-    """Write the JSON descriptor (provenance plus the l2 benchmark) next to a CSV."""
+def write_descriptor(dataset: Dataset, path, norm: str) -> None:
+    """Write the JSON descriptor (provenance plus the benchmark in the cost norm token ``norm``) next to a CSV."""
     doc = dict(dataset.provenance)
     doc["n"] = dataset.n
     doc["d"] = dataset.dim
-    bench = dataset.benchmark
+    bench = dataset.benchmark_for(CostModel(parse_norm(norm), 1.0, dataset.dim))
     if bench is not None:
         doc["benchmark"] = {
-            "norm": "l2",
+            "norm": norm,
             "y_star": [float(v) for v in bench.y_star],
             "b_star": bench.b_star,
             "d_star": bench.d_star,

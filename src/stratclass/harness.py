@@ -189,10 +189,11 @@ class RunMetrics:
     Per step, as arrays: the ``mistake_flags``, the ``manipulated_flags``
     and the agents' ``labels``.  Per declaration (a classifier the learner
     published), one row of the ``decl_*`` lists: its first step (from 0,
-    the first row at 0) and the ``d_t``, ``distance`` and ``margin_gap``
-    that hold from there to the next row.  The per-step lists ``t``,
-    ``mistake``, ``manipulated``, ``label``, ``d_t``, ``distance`` and
-    ``margin_gap`` are built on access.
+    the first row at 0), its ``margin`` as ``d_t``, and the ``distance``
+    and ``margin_gap`` that hold from there to the next row.  The per-step
+    lists ``t``, ``mistake``, ``manipulated``, ``label``, ``d_t``,
+    ``distance`` and ``margin_gap`` are built on access.  ``init_steps``
+    is the warm-up's length, read off the labels by ``_init_consumption``.
     """
 
     mistake_flags: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -373,6 +374,16 @@ def _arrivals(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.random.Generator]:
     return seq[:T], noise_rng
 
 
+def _init_consumption(algorithm: str, labels: np.ndarray) -> int:
+    """Steps of the warm-up on arrivals with these labels: until both labels appeared (none for the perceptron)."""
+    if algorithm == "perceptron":
+        return 0
+    for k, label in enumerate(labels, start=1):
+        if label != labels[0]:
+            return k
+    return len(labels)
+
+
 def _normalized_distance(y, b, bench: Benchmark, ny: float | None = None) -> float | None:
     """Euclidean distance of ``(y, b) / ||y||_2`` from the benchmark's; None for ``y = 0``.
 
@@ -400,7 +411,8 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     ``answer`` and ``interact`` score a row by the same row-stable
     expression, and a learner ends a block where it would end the same
     rows fed one at a time, so every output equals that of calling
-    ``interact`` and ``update`` at every step.
+    ``interact`` and ``update`` at every step.  Per block the loop reads
+    only the declaration; the warm-up's length comes from the labels.
     """
     if dataset is None:
         dataset = build_dataset(cfg)
@@ -423,7 +435,8 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
 
     T = len(idx)
     metrics = RunMetrics(
-        mistake_flags=np.zeros(T, dtype=bool), manipulated_flags=np.zeros(T, dtype=bool), labels=label_arr
+        mistake_flags=np.zeros(T, dtype=bool), manipulated_flags=np.zeros(T, dtype=bool), labels=label_arr,
+        init_steps=_init_consumption(cfg.algorithm, label_arr),
     )
     mistake, manipulated = metrics.mistake_flags, metrics.manipulated_flags
     declared = distance = gap = None
@@ -431,15 +444,14 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
     start = time.perf_counter()
     while step < T:
         clf = learner.classifier
-        in_init = learner.in_init
-        if clf is not declared:  # a new declaration, and with it any new margin
+        if clf is not declared:
             declared = clf
             if want_distance:  # under the l2 cost, ||y||_2 is the dual norm the round reads next
                 ny = clf.dual_norm(model) if model.norm.kind == "l2" else None
                 distance = _normalized_distance(clf.y, clf.b, bench, ny)
             gap = h_star - margin_h(clf.y, clf.b, pair) if want_gap else None
             metrics.decl_start.append(step)
-            metrics.decl_d_t.append(learner.margin)
+            metrics.decl_d_t.append(clf.margin)
             metrics.decl_distance.append(distance)
             metrics.decl_margin_gap.append(gap)
 
@@ -455,8 +467,6 @@ def run_online(cfg: RunConfig, dataset: Dataset | None = None) -> RunMetrics:
             n = learner.update(observed, block_labels, predicted)
             mistake[step : step + n] = predicted[:n] != block_labels[:n]
             manipulated[step : step + n] = moved[:n]
-        if in_init:
-            metrics.init_steps += n
         step += n
         k = 1 if learner.classifier is not clf else min(2 * k, _MAX_BLOCK, T - step)
 
@@ -510,17 +520,6 @@ class CertifyReport:
         return "\n".join(lines)
 
 
-def _init_consumption(labels_in_order: np.ndarray) -> int:
-    """Iterations the declaration phase consumes: until both labels appeared."""
-    seen_pos = seen_neg = False
-    for k, lbl in enumerate(labels_in_order, start=1):
-        seen_pos = seen_pos or lbl == 1
-        seen_neg = seen_neg or lbl == -1
-        if seen_pos and seen_neg:
-            return k
-    return len(labels_in_order)
-
-
 def _check_labels(metrics: RunMetrics, labels: np.ndarray) -> None:
     """Reject metrics not recorded under this config: row count and labels must match its arrivals."""
     if len(metrics.labels) != len(labels):
@@ -556,10 +555,9 @@ def certify(
 
     init_mistakes = mistakes = negative = positive = None
     if metrics is not None:
-        idx, _ = _arrivals(cfg, dataset.n)
-        _check_labels(metrics, dataset.labels[idx])
-        init_steps = _init_consumption(dataset.labels[idx]) if cfg.algorithm != "perceptron" else 0
-        init_mistakes = int(np.count_nonzero(metrics.mistake_flags[:init_steps]))
+        labels = dataset.labels[_arrivals(cfg, dataset.n)[0]]
+        _check_labels(metrics, labels)
+        init_mistakes = int(np.count_nonzero(metrics.mistake_flags[: _init_consumption(cfg.algorithm, labels)]))
         mistakes = metrics.mistakes
         negative, positive = (metrics.manipulations_by_label(sign) for sign in (-1, 1))
 
@@ -791,7 +789,10 @@ def reproduce_example(name: str) -> ExampleReport:
 
 
 def sweep(config_dir, out_dir=None) -> list:
-    """Run every ``*.cfg`` config in a directory; write metrics CSVs beside them."""
+    """Run every ``*.cfg`` config in a directory; write metrics CSVs beside them.
+
+    A ``ConfigError`` from a config's parse or run is raised again, prefixed with its file's name.
+    """
     config_dir = Path(config_dir)
     paths = sorted(config_dir.glob("*.cfg"))
     if not paths:
@@ -799,8 +800,10 @@ def sweep(config_dir, out_dir=None) -> list:
     out_dir = Path(out_dir) if out_dir is not None else config_dir
     results = []
     for path in paths:
-        cfg = read_config(path)
-        metrics = run_online(cfg)
+        try:
+            metrics = run_online(read_config(path))
+        except ConfigError as exc:
+            raise ConfigError(f"{path.name}: {exc}", *exc.keys) from None
         out_path = out_dir / (path.stem + ".metrics.csv")
         write_metrics(metrics, out_path)
         results.append((path.name, metrics, out_path))

@@ -58,9 +58,9 @@ class _Learner:
     """The protocol every learner speaks, and the run state the harness reads.
 
     ``classifier`` is the declaration: it stays the same ``Classifier``
-    object until an update publishes a new one by assigning it, and
-    ``in_init`` and ``margin`` change only together with it; the harness
-    answers every agent up to the next new object in one block.
+    object until an update publishes a new one by assigning it, and its
+    ``margin`` is the max-margin value it was solved for, or None; the
+    harness answers every agent up to the next new object in one block.
     ``update(rows, labels, predicted) -> int`` takes such a block: the
     observed responses to the declared classifier, one per row,
     their true labels and the predictions made on them.  It consumes the
@@ -68,16 +68,13 @@ class _Learner:
     classifier, and returns how many it consumed; a block it consumes whole
     may end on a new classifier or not.  A one-row block is one round, so a
     learner fed a block ends where one fed the same rows one at a time
-    would.  ``in_init`` is True during the warm-up; ``margin`` is the
-    max-margin value the declared classifier was solved for, or None;
-    ``solve_count`` counts the margin solves whose answer was declared;
-    ``inseparable_at`` is the number of rows consumed when the pool turned
-    inseparable, or None.
+    would.  ``solve_count`` counts the margin solves whose answer was
+    declared.  ``inseparable_at`` is the number of rows consumed when the
+    pool turned inseparable, or None; only ``SmmLearner`` detects that, so
+    it stays None for the other learners.
     """
 
     classifier: Classifier
-    in_init = False
-    margin: float | None = None
     solve_count = 0
     inseparable_at: int | None = None
 
@@ -87,13 +84,17 @@ class _MarginLearner(_Learner):
 
     The warm-up declares ``(0, 1)``, then ``(0, label)`` for the one label
     seen so far, and pools each response as it is; it ends once the pool
-    holds both labels.  After it, each response is pooled as its proxy.
+    holds both labels, with one solve over it, which the learner's
+    ``_adopt`` takes.  After it, each response is pooled as its proxy.
+    ``in_init`` is True during the warm-up; ``updates`` counts the rows
+    consumed.
     """
 
     def __init__(self, m: CostModel):
         self.model = m
         self.pool = PointSetPair(m.dim)
         self.in_init = True
+        self.updates = 0
         self.classifier = Classifier(np.zeros(m.dim), 1.0)
 
     def _warm_up(self, rows, labels) -> int:
@@ -101,8 +102,10 @@ class _MarginLearner(_Learner):
         other = (labels != self.classifier.b).nonzero()[0]
         n = int(other[0]) + 1 if other.size else len(labels)
         self.pool.add(rows[:n], labels[:n])
+        self.updates += n
         if self.pool.n_pos > 0 and self.pool.n_neg > 0:
             self.in_init = False
+            self._adopt(solve_max_margin(self.pool, self.model))
         elif other.size:  # the first label of the run is -1
             self.classifier = Classifier(np.zeros(self.model.dim), labels[n - 1])
         return n
@@ -124,10 +127,12 @@ class SmmLearner(_MarginLearner):
     def __init__(self, m: CostModel):
         super().__init__(m)
         self.solution: MarginSolution | None = None
-        self.updates = 0  # rows consumed
 
-    def _note_fallback(self):
-        if self.inseparable_at is None:
+    def _adopt(self, solution: MarginSolution):
+        self.solution = solution
+        self.solve_count += 1
+        self.classifier = Classifier(solution.y, solution.b, solution.d)
+        if not solution.separable:  # once: a parked learner solves no more
             self.inseparable_at = self.updates
             logger.warning(
                 "pool became inseparable after %d responses; falling back to the "
@@ -135,22 +140,10 @@ class SmmLearner(_MarginLearner):
                 self.updates,
             )
 
-    def _adopt(self, solution: MarginSolution):
-        self.solution = solution
-        self.margin = solution.d
-        self.classifier = Classifier(solution.y, solution.b)
-        if not solution.separable:
-            self._note_fallback()
-
     def update(self, rows, labels, predicted) -> int:
         """Pool the block's proxies up to the first that fails the gate, then solve once."""
         if self.in_init:
-            n = self._warm_up(rows, labels)
-            self.updates += n
-            if not self.in_init:
-                self._adopt(solve_max_margin(self.pool, self.model))
-                self.solve_count += 1
-            return n
+            return self._warm_up(rows, labels)
         proxies = proxy_from_response(rows, labels, predicted, self.classifier, self.model)
         k = len(labels)
         if not self.solution.separable:  # parked: the pool stays inseparable
@@ -162,7 +155,6 @@ class SmmLearner(_MarginLearner):
         self.updates += n
         if resolve:
             self._adopt(solve_max_margin(self.pool, self.model, warm=self.solution))
-            self.solve_count += 1
         return n
 
 
@@ -180,32 +172,28 @@ class GradSmmLearner(_MarginLearner):
     holding every repeat would take.  Manipulations die out only as fast
     as that average converges (about 1/sqrt(t)), so no finite quiet
     horizon is promised, matching the "no finite certificate" row of
-    ``certify``.  The one solve that ends the warm-up seeds the iterate;
-    no solve is declared, so ``solve_count`` stays 0.
+    ``certify``.  The one solve that ends the warm-up seeds the iterate
+    and is declared without its margin; ``solve_count`` stays 0.
     """
 
     def __init__(self, m: CostModel):
         if m.norm.kind != "l2":
             raise ValueError("the averaged-gradient learner requires the l2 cost norm")
         super().__init__(m)
-        self._z: np.ndarray | None = None
-        self._t = 0
-        self._w = 0.0  # the weight 1/sqrt(t) that z_t got, and the step size taken from it
-        self._wsum = 0.0
-        self._zsum: np.ndarray | None = None
+
+    def _adopt(self, solution: MarginSolution):
+        """Seed the iterate ``z_1`` and the average with the solve that ends the warm-up."""
+        self._z = solution.y.copy()
+        self._t = 1
+        self._w = self._wsum = 1.0  # _w: the weight 1/sqrt(t) that z_t got, and the step size taken from it
+        self._zsum = self._z.copy()
+        self.classifier = Classifier(solution.y, solution.b)
 
     def update(self, rows, labels, predicted) -> int:
         """Take one supergradient step on the first row's proxy (or warm up on the block)."""
         if self.in_init:
-            n = self._warm_up(rows, labels)
-            if not self.in_init:
-                sol = solve_max_margin(self.pool, self.model)
-                self._z = sol.y.copy()
-                self._t = 1
-                self._w = self._wsum = 1.0
-                self._zsum = self._z.copy()
-                self.classifier = Classifier(sol.y, sol.b)
-            return n
+            return self._warm_up(rows, labels)
+        self.updates += 1
         labels = labels[:1]
         self.pool.add(proxy_from_response(rows[:1], labels, predicted[:1], self.classifier, self.model), labels)
         P = self.pool.positives

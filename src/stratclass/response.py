@@ -30,11 +30,13 @@ from .norms import EPS_GEOM, CostModel, dual_norm_eval, manipulation_direction
 class Classifier:
     """Linear classifier with intercept; ``y`` may be the zero vector.
 
+    ``margin`` is the max-margin value it was solved for, if it was.
     ``y`` must not be changed in place: :meth:`dual_norm` keeps its value.
     """
 
     y: np.ndarray
     b: float
+    margin: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))

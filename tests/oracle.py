@@ -343,7 +343,7 @@ def oracle_run_online(cfg, dataset=None):
             declared = key
             distance = oracle_normalized_distance(clf.y, clf.b, bench) if want_distance else None
             gap = h_star - _oracle_margin_h(clf.y, clf.b, pair) if want_gap else None
-        in_init = learner.in_init
+        in_init = getattr(learner, "in_init", False)  # the perceptron has no warm-up
         label = int(dataset.labels[i])
         inter = oracle_interact(dataset.features[i], label, clf, model, sigma=cfg.sigma, noise_rng=noise_rng)
 

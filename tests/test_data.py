@@ -322,7 +322,7 @@ class TestCsvRoundTrip:
     def test_descriptor(self, tmp_path):
         ds = generate_synthetic(SynthConfig(seed=3, n=50, d=4))
         path = tmp_path / "data.meta.json"
-        write_descriptor(ds, path)
+        write_descriptor(ds, path, "l2")
         doc = json.loads(path.read_text())
         assert doc["kind"] == "synthetic"
         assert doc["n"] == ds.n and doc["d"] == 4

@@ -1,5 +1,6 @@
 """Config parsing, online runs, metrics files, certification, CLI plumbing."""
 
+import json
 import math
 import re
 from dataclasses import fields
@@ -93,6 +94,13 @@ class TestParseConfig:
         quick_start = readme.split("## Quick start")[1].split("\n## ")[0]
         keys = re.findall(r"^\| `(\w+)` \|", quick_start, flags=re.MULTILINE)
         assert keys == [f.name for f in fields(RunConfig)]
+
+    def test_readme_documents_every_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quick_start = readme.split("## Quick start")[1].split("\n## ")[0]
+        documented = re.findall(r"^(?:- `)?stratclass ([\w-]+)", quick_start, flags=re.MULTILINE)
+        defined = re.search(r"\{([\w,-]+)\}", cli.build_parser().format_usage())[1].split(",")
+        assert sorted(documented) == sorted(defined)
 
     def test_solver_tolerance_defaults_to_1e10_unless_set(self):
         assert RunConfig(c=1.0).solve_tol == 1e-10
@@ -252,6 +260,18 @@ def test_build_dataset_from_csv(tmp_path):
 class TestLearnerContract:
     """What ``run_online`` reads of each learner ``_build_learner`` makes."""
 
+    def test_the_contract_holds_no_warm_up_flag_and_no_margin(self):
+        for name in ("in_init", "margin"):
+            assert not hasattr(learners._Learner, name)
+        model = CostModel(parse_norm("l2"), 4.0, 2)
+        assert not hasattr(harness._build_learner(RunConfig(algorithm="perceptron", c=4.0), model), "in_init")
+
+    def test_only_smm_reports_a_pool_inseparable_when_the_warm_up_ends(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([1, -1]))  # one point under both labels
+        for algorithm, at in (("smm", 2), ("gradsmm", None), ("perceptron", None)):
+            metrics = run_online(RunConfig(algorithm=algorithm, c=4.0, mode="stream", rounds=3), ds)
+            assert metrics.inseparable_at == at, algorithm
+
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fields_through_the_warm_up_and_after(self, algorithm, sigma):
@@ -261,22 +281,21 @@ class TestLearnerContract:
         model = CostModel(parse_norm(cfg.norm), cfg.c, ds.dim)
         learner = harness._build_learner(cfg, model)
         idx, noise_rng = _arrivals(cfg, ds.n)
-        assert learner.in_init is (algorithm != "perceptron")
         warm_up = inseparable = 0
         for t, i in enumerate(idx, start=1):
-            clf, in_init, margin, solves = (learner.classifier, learner.in_init, learner.margin,
-                                            learner.solve_count)
+            clf, solves = learner.classifier, learner.solve_count
+            in_init = getattr(learner, "in_init", False)  # the margin learners' own state
             if algorithm == "smm" and not in_init:
-                assert margin is learner.solution.d
+                assert clf.margin is learner.solution.d
             else:
-                assert margin is None
+                assert clf.margin is None
             label = int(ds.labels[i])
             noise = sigma * noise_rng.standard_normal(ds.dim) if sigma else None
             inter = interact(ds.features[i], label, clf, model, noise)
             assert feed(learner, inter, label) == 1
             warm_up += in_init
             if learner.classifier is clf:  # nothing new published: nothing else moved
-                assert (learner.in_init, learner.margin, learner.solve_count) == (in_init, margin, solves)
+                assert learner.solve_count == solves
                 # the perceptron keeps its classifier on correct rounds only
                 assert not (algorithm == "perceptron" and inter.mistake)
             elif in_init and learner.in_init:  # the warm-up flips its sign to the one label seen
@@ -285,7 +304,9 @@ class TestLearnerContract:
                 inseparable = learner.inseparable_at
                 assert inseparable == t  # set by the update that turned the pool inseparable
             assert learner.inseparable_at == (inseparable or None)
-        assert not learner.in_init and (warm_up >= 2) is (algorithm != "perceptron")
+        # the label rule run_online and certify read is the warm-up the learner went through
+        assert warm_up == _init_consumption(algorithm, ds.labels[idx])
+        assert (warm_up >= 2) is (algorithm != "perceptron")
         assert (learner.solve_count > 0) is (algorithm == "smm")  # gradsmm's warm-up solve is not counted
         assert bool(inseparable) is (algorithm == "smm" and sigma > 0)
 
@@ -708,9 +729,12 @@ class TestMetricsIO:
 
 
 def test_init_consumption():
-    assert _init_consumption(np.array([1, -1, 1])) == 2
-    assert _init_consumption(np.array([-1, -1, -1, 1])) == 4
-    assert _init_consumption(np.array([1, 1, 1])) == 3  # never completed
+    for algorithm in ("smm", "gradsmm"):
+        assert _init_consumption(algorithm, np.array([1, -1, 1])) == 2
+        assert _init_consumption(algorithm, np.array([-1, -1, -1, 1])) == 4
+        assert _init_consumption(algorithm, np.array([1, 1, 1])) == 3  # never completed
+        assert _init_consumption(algorithm, np.array([-1])) == 1
+    assert _init_consumption("perceptron", np.array([1, -1, 1])) == 0  # no warm-up
 
 
 class TestCertify:
@@ -1099,10 +1123,34 @@ class TestCli:
         assert out.exists() and out.with_suffix(".csv.meta").exists()
         assert "d_star=" in capsys.readouterr().out
 
+    def test_gen_data_reports_the_benchmark_in_the_configs_norm(self, tmp_path, capsys):
+        pop = tmp_path / "pop.csv"
+        save_csv(generate_synthetic(SynthConfig(seed=2, n=400, d=3)), pop)
+        cfg = self.write_cfg(tmp_path, f"c = 8\nT = 10\nnorm = l1\ntrim_rho = 0.05\ndataset = {pop}\n")
+        out = tmp_path / "trimmed.csv"
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        bench = json.loads(out.with_suffix(".csv.meta").read_text())["benchmark"]
+        assert bench["norm"] == "l1" and bench["d_star"] >= 0.05  # what the trim guarantees, in l1
+        assert cli.main(["certify", "--config", cfg]) == 0
+        certified = re.search(r"d_star=(\S+)", capsys.readouterr().out)[1]
+        assert printed.endswith(f" d_star={certified}\n") and certified == f"{bench['d_star']:.6g}"
+        assert data.load_csv(out).benchmark.d_star < 0.05  # the l2 margin, which gen-data used to report
+
     def test_sweep_cli(self, tmp_path, capsys):
         self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n")
         assert cli.main(["sweep", "--configs", str(tmp_path)]) == 0
         assert "run.cfg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("c = 1\nbogus = 1\n", "line 2: unknown key 'bogus'"),  # from parsing
+        ("c = 1\n", "iid mode requires an explicit T"),  # from the run
+    ])
+    def test_sweep_cli_names_the_config_that_failed(self, tmp_path, capsys, text, message):
+        self.write_cfg(tmp_path, "c = 4\nT = 10\nsynth_n = 60\nsynth_d = 3\ntrack = counts\n")
+        (tmp_path / "bad.cfg").write_text(text)
+        assert cli.main(["sweep", "--configs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: bad.cfg: {message}\n"
 
 
 @pytest.mark.parametrize("norm, most_lps", [("lp:3", 40), ("linf", None)])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracle import feed, two_sided_certificate
 from stratclass.data import SynthConfig, generate_synthetic
+from stratclass.harness import RunConfig, _arrivals, _init_consumption, build_dataset
 from stratclass import learners
 from stratclass.learners import (
     ConeKind,
@@ -247,6 +248,40 @@ class TestGradSmmLearner:
         drive(learner, m, [((-5.0, -1.0), -1)])
         assert np.array_equal(learner._z, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("synth_seed", [0, 7])
+    def test_the_distinct_pool_picks_what_a_pool_of_every_repeat_picks(self, synth_seed):
+        # the class docstring's claim: with ties going to the first index, the
+        # scans over the distinct pool pick the rows the same scans pick over
+        # a pool that keeps every repeat, here on a replayed iid run
+        cfg = RunConfig(algorithm="gradsmm", c=125.0, T=6000, seed=7, synth_seed=synth_seed)
+        ds = build_dataset(cfg)
+        m = CostModel(L2, cfg.c, ds.dim)
+        idx, _ = _arrivals(cfg, ds.n)
+        learner = GradSmmLearner(m)
+        every = {label: np.empty((len(idx), ds.dim)) for label in (1, -1)}
+        kept = {1: 0, -1: 0}
+        steps = differ = 0
+        for i in idx:
+            label, clf = int(ds.labels[i]), learner.classifier
+            z = None if learner.in_init else learner._z
+            out = interact(ds.features[i], label, clf, m)
+            row = out.response[None]
+            if z is not None:
+                row = proxy_from_response(row, np.array([label]), np.array([out.predicted]), clf, m)
+            every[label][kept[label]] = row[0]
+            kept[label] += 1
+            feed(learner, out, label)
+            if z is None:
+                continue
+            steps += 1
+            picks = []
+            for P, N in ((learner.pool.positives, learner.pool.negatives),
+                         (every[1][: kept[1]], every[-1][: kept[-1]])):
+                picks.append((P[P.dot(z).argmin()].tobytes(), N[N.dot(z).argmax()].tobytes()))
+            differ += picks[0] != picks[1]
+        assert learner.pool.positives.shape[0] < kept[1] and learner.pool.negatives.shape[0] < kept[-1]
+        assert steps == len(idx) - _init_consumption(cfg.algorithm, ds.labels[idx]) and differ == 0
+
     def test_benchmark_half_space_invariants(self):
         # against a (0,1)-benchmark instance the iterates never leave the
         # benchmark's half space, and stored proxies keep the true margin
@@ -475,12 +510,12 @@ def play_blocks(learner, m, A, labels, noise, sizes):
 
 def learner_state(learner):
     """Everything a learner carries that a run can observe, as comparable values."""
-    state = {key: getattr(learner, key) for key in ("in_init", "margin", "solve_count", "inseparable_at",
+    state = {key: getattr(learner, key) for key in ("in_init", "solve_count", "inseparable_at",
                                                     "updates", "mistakes") if hasattr(learner, key)}
     if hasattr(learner, "pool"):
         state["pool"] = (learner.pool.positives.tobytes(), learner.pool.negatives.tobytes())
     clf = learner.classifier
-    state["final"] = (clf.y.tobytes(), clf.b)
+    state["final"] = (clf.y.tobytes(), clf.b, clf.margin)
     return state
 
 
