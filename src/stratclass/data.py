@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -233,10 +235,29 @@ def load_csv(path) -> Dataset:
     )
 
 
+def _open_new(path, newline=None):
+    """Open ``path`` for writing as a new file: a regular file already there is unlinked, not truncated.
+
+    Truncating a file whose blocks are allocated waits on the filesystem
+    (~50 ms on ext4 mounted ``discard``); a new file's blocks stay delayed
+    until writeback.  A reader that opened the old file still reads all of
+    it, and a hard link elsewhere keeps it.  Through a symlink, its target
+    is the file replaced, so the link stays and the write lands in the
+    target.  Anything else at the path (a device, a FIFO, a directory), or
+    a file whose unlink fails, is opened with ``open("w")`` as it stands.
+    """
+    target = os.path.realpath(path)
+    try:
+        if stat.S_ISREG(os.lstat(target).st_mode):
+            os.unlink(target)
+    except OSError:
+        pass
+    return open(path, "w", newline=newline)
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write the dataset in the ``f1,...,fd,label`` interchange format."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(1, dataset.dim + 1)] + ["label"])
         for x, lbl in zip(dataset.features, dataset.labels):
@@ -256,7 +277,8 @@ def write_descriptor(dataset: Dataset, path, norm: str) -> None:
             "b_star": bench.b_star,
             "d_star": bench.d_star,
         }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    with _open_new(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _hinge_reference(dataset: Dataset):

@@ -26,7 +26,7 @@ from .bounds import (
     smm_manipulation_bounds,
     smm_mistake_bound,
 )
-from .data import Dataset, SynthConfig, generate_synthetic, load_csv, trim_margin
+from .data import Dataset, SynthConfig, _open_new, generate_synthetic, load_csv, trim_margin
 from .learners import ConeKind, GradSmmLearner, PerceptronLearner, SmmLearner
 from .maxmargin import SOLVE_TOL, PointSetPair, margin_h, solve_max_margin
 from .norms import CostModel, cost_scale, l2_norm, parse_norm
@@ -268,13 +268,14 @@ def write_metrics(metrics: RunMetrics, path) -> None:
     """Write the per-step table as CSV: one header row plus one row per t.
 
     Each declaration's three cells are formatted once, for all its steps.
+    A file already at ``path`` is replaced by a new one, not truncated.
     """
     codes = 4 * metrics.mistake_flags + 2 * metrics.manipulated_flags + (metrics.labels == 1)
     tails = metrics._per_step([
         f",{_fmt(d)},{_fmt(dist)},{_fmt(gap)}\n"
         for d, dist, gap in zip(metrics.decl_d_t, metrics.decl_distance, metrics.decl_margin_gap)
     ])
-    with Path(path).open("w") as fh:
+    with _open_new(path) as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         fh.write("".join([
             f"{t},{_STEP_CELLS[code]}{tail}"

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import stratclass.harness as harness
 import stratclass.data as data
 import stratclass.learners as learners
 from stratclass.bounds import Benchmark
-from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv
+from stratclass.data import Dataset, SynthConfig, generate_synthetic, save_csv, write_descriptor
 from stratclass.harness import (
     ALGORITHMS,
     EXAMPLE_NAMES,
@@ -634,6 +636,23 @@ class TestBlockEngine:
         assert b is None or all(got.manipulated)
 
 
+# The package's three output files: simulate/sweep's metrics CSV and gen-data's CSV and descriptor.
+_OUTPUT_WRITERS = {
+    "metrics": lambda ds, path: write_metrics(
+        run_online(RunConfig(algorithm="smm", c=4.0, T=3 * ds.n, seed=0, track="full"), ds), path),
+    "dataset": save_csv,
+    "descriptor": lambda ds, path: write_descriptor(ds, path, "l2"),
+}
+
+
+def _old_and_new_datasets():
+    """A dataset and a smaller one, so each output of the second is the shorter file."""
+    ds = two_cluster_dataset()
+    old = Dataset(ds.features, ds.labels, provenance={"kind": "csv", "path": "old/" * 50})
+    new = Dataset(ds.features[8:12], ds.labels[8:12], provenance={"kind": "csv", "path": "new"})
+    return old, new
+
+
 class TestMetricsIO:
     def test_round_trip_is_exact(self, tmp_path):
         ds = two_cluster_dataset()
@@ -697,6 +716,84 @@ class TestMetricsIO:
         merged = [r for k, r in enumerate(rows) if k == 0 or repr(r[1:]) != repr(rows[k - 1][1:])]
         assert repr(list(zip(back.decl_start, back.decl_d_t, back.decl_distance,
                              back.decl_margin_gap))) == repr(merged)
+
+    @pytest.mark.parametrize("writer", sorted(_OUTPUT_WRITERS))
+    def test_a_shorter_output_over_a_longer_one_leaves_exactly_its_bytes(self, tmp_path, writer):
+        write = _OUTPUT_WRITERS[writer]
+        old, new = _old_and_new_datasets()
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        write(new, fresh)
+        write(old, path)
+        assert path.stat().st_size > fresh.stat().st_size
+        write(new, path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", sorted(_OUTPUT_WRITERS))
+    def test_a_reader_of_the_old_file_still_reads_all_of_it(self, tmp_path, writer):
+        # A certify that opened the file before the rewrite, and a hard link
+        # to it, keep the old run; truncating in place would cut both short.
+        write = _OUTPUT_WRITERS[writer]
+        old, new = _old_and_new_datasets()
+        path, kept = tmp_path / "out", tmp_path / "kept"
+        write(old, path)
+        old_bytes = path.read_bytes()
+        os.link(path, kept)
+        with path.open("rb") as reader:
+            write(new, path)
+            assert reader.read() == old_bytes
+        assert kept.read_bytes() == old_bytes
+        assert path.read_bytes() != old_bytes
+
+    def test_a_write_through_a_symlink_lands_in_its_target(self, tmp_path):
+        old, new = _old_and_new_datasets()
+        write = _OUTPUT_WRITERS["metrics"]
+        fresh, target, link = tmp_path / "fresh", tmp_path / "runs" / "run.metrics.csv", tmp_path / "latest.csv"
+        target.parent.mkdir()
+        link.symlink_to(target)
+        write(old, link)  # the link dangles: its target is created
+        write(new, fresh)
+        assert target.read_bytes() != fresh.read_bytes()
+        write(new, link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_a_fifo_at_the_path_is_written_into_not_replaced(self, tmp_path):
+        # Only a regular file is replaced: a pipe or a device such as
+        # /dev/null is opened and written as it stands.
+        _, new = _old_and_new_datasets()
+        write = _OUTPUT_WRITERS["metrics"]
+        fresh, pipe = tmp_path / "fresh", tmp_path / "pipe"
+        write(new, fresh)
+        os.mkfifo(pipe)
+        fd = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write(new, pipe)
+            got = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(pipe.lstat().st_mode)
+        assert got == fresh.read_bytes()
+
+    def test_a_directory_at_the_path_is_an_error_and_stays(self, tmp_path):
+        _, new = _old_and_new_datasets()
+        (tmp_path / "run").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _OUTPUT_WRITERS["metrics"](new, tmp_path / "run")
+        assert (tmp_path / "run").is_dir()
+
+    def test_sweep_twice_into_one_out_directory_gives_identical_csvs(self, tmp_path):
+        configs, out = tmp_path / "configs", tmp_path / "out"
+        configs.mkdir()
+        out.mkdir()
+        for algorithm in ("perceptron", "smm"):
+            (configs / f"{algorithm}.cfg").write_text(
+                f"algorithm = {algorithm}\nc = 4\nT = 40\nsynth_n = 60\nsynth_d = 3\ntrack = full\n")
+        runs = []
+        for _ in range(2):
+            assert cli.main(["sweep", "--configs", str(configs), "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(runs[0]) == ["perceptron.metrics.csv", "smm.metrics.csv"]
+        assert runs[0] == runs[1]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
